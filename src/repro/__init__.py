@@ -53,8 +53,6 @@ from repro.diophantine import (
 from repro.engine import (
     BagBatchEvaluator,
     EngineCache,
-    MatchPlan,
-    compile_plan,
     containment_mappings_many,
     count_many,
     default_cache,
@@ -147,7 +145,6 @@ __all__ = [
     "EngineCache",
     "EvaluationRequest",
     "Limits",
-    "MatchPlan",
     "Monomial",
     "MonomialPolynomialInequality",
     "MpiEncoding",
@@ -172,7 +169,6 @@ __all__ = [
     "backend_names",
     "bounded_bag_refuter",
     "compare",
-    "compile_plan",
     "containment_mappings_many",
     "count_many",
     "cross_check",

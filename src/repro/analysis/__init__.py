@@ -3,13 +3,11 @@
 Two halves live here:
 
 :mod:`repro.analysis.soundness`
-    The plan/codegen soundness verifier — :func:`verify_plan` proves a
-    compiled plan IR (indexed, interned or generated) binding-safe,
+    The plan soundness verifier — :func:`verify_plan` proves a compiled
+    :class:`~repro.engine.interned.InternedPlan` binding-safe,
     signature-correct, injective in its packed keys and a valid
-    permutation of the query body; :func:`verify_generated` structurally
-    checks a generated function's AST against its plan.
-    :mod:`repro.analysis.hooks` runs both online behind
-    ``Session(debug_verify_plans=True)``.
+    permutation of the query body.  :mod:`repro.analysis.hooks` runs it
+    online behind ``Session(debug_verify_plans=True)``.
 
 :mod:`repro.analysis.lint`
     A repo-wide AST lint framework with repro-specific rules (determinism
@@ -24,7 +22,6 @@ import here would cycle.
 from __future__ import annotations
 
 from repro.analysis.hooks import (
-    check_generated,
     check_plan,
     debug_verify_plans,
     reset_verification_counts,
@@ -34,17 +31,15 @@ from repro.analysis.hooks import (
 
 __all__ = [
     "Violation",
-    "check_generated",
     "check_plan",
     "debug_verify_plans",
     "reset_verification_counts",
     "verification_counts",
     "verification_enabled",
-    "verify_generated",
     "verify_plan",
 ]
 
-_SOUNDNESS_EXPORTS = frozenset({"Violation", "verify_generated", "verify_plan"})
+_SOUNDNESS_EXPORTS = frozenset({"Violation", "verify_plan"})
 
 
 def __getattr__(name: str):

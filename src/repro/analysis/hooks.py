@@ -1,9 +1,8 @@
-"""Runtime hooks for compile-time plan/codegen verification.
+"""Runtime hooks for compile-time plan verification.
 
 The soundness verifier of :mod:`repro.analysis.soundness` can run in two
 ways: exhaustively from tests, or *online* — every plan the engine compiles
-and every function the generated backend synthesizes is verified the moment
-it is built.  The online mode is controlled here, through one context-local
+is verified the moment it is built or retrieved.  The online mode is controlled here, through one context-local
 flag that :class:`repro.session.Session` sets when constructed with
 ``debug_verify_plans=True`` (and the fuzz runner sets for verified
 campaigns).
@@ -12,7 +11,7 @@ This module is deliberately dependency-free (stdlib only): the engine
 modules import it at module level, and the verifier itself — which imports
 the engine — is loaded lazily on the first actual check, so no import cycle
 can form.  The counters are process-global, so a campaign can report how
-many artefacts were verified across every backend it drove.
+many plans were verified across every backend it drove.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from contextvars import ContextVar, Token
 from typing import Iterator
 
 __all__ = [
-    "check_generated",
     "check_plan",
     "debug_verify_plans",
     "reset_verification_counts",
@@ -32,17 +30,17 @@ __all__ = [
 ]
 
 #: Context-local switch: when true, the engine verifies every plan it
-#: compiles and every generated function the moment it is built.
+#: compiles the moment it is built.
 _DEBUG_VERIFY: ContextVar[bool] = ContextVar("repro_debug_verify_plans", default=False)
 
-#: Process-global counters: [plans verified, generated functions verified,
-#: violations found].  Violations also raise, so the third entry is normally
-#: zero; it is reported by verified fuzz campaigns.
-_COUNTS: list[int] = [0, 0, 0]  # lint: disable=global-mutable-state -- deliberate cross-backend counters, reset via reset_verification_counts()
+#: Process-global counters: [plans verified, violations found].  Violations
+#: also raise, so the second entry is normally zero; it is reported by
+#: verified fuzz campaigns.
+_COUNTS: list[int] = [0, 0]  # lint: disable=global-mutable-state -- deliberate cross-backend counters, reset via reset_verification_counts()
 
 
 def verification_enabled() -> bool:
-    """Whether online plan/codegen verification is active in this context."""
+    """Whether online plan verification is active in this context."""
     return _DEBUG_VERIFY.get()
 
 
@@ -66,23 +64,21 @@ def debug_verify_plans(enabled: bool = True) -> Iterator[None]:
         _DEBUG_VERIFY.reset(token)
 
 
-def verification_counts() -> tuple[int, int, int]:
-    """``(plans verified, generated functions verified, violations)`` so far."""
-    return (_COUNTS[0], _COUNTS[1], _COUNTS[2])
+def verification_counts() -> tuple[int, int]:
+    """``(plans verified, violations)`` so far."""
+    return (_COUNTS[0], _COUNTS[1])
 
 
 def reset_verification_counts() -> None:
     """Zero the process-global verification counters (tests and campaigns)."""
-    _COUNTS[0] = _COUNTS[1] = _COUNTS[2] = 0
+    _COUNTS[0] = _COUNTS[1] = 0
 
 
 def check_plan(plan, source_atoms=None, fixed_variables=None, dictionary=None) -> None:
     """Verify one compiled plan, raising on any violation.
 
     Called by the backends right after plan construction/retrieval when
-    :func:`verification_enabled`.  Compiled generated-function chains are
-    *not* re-verified here (they get their own :func:`check_generated` hook
-    at compile time), so repeated plan retrievals stay cheap.
+    :func:`verification_enabled`.
     """
     from repro.analysis.soundness import verify_plan
     from repro.exceptions import PlanVerificationError
@@ -92,32 +88,12 @@ def check_plan(plan, source_atoms=None, fixed_variables=None, dictionary=None) -
         source_atoms=source_atoms,
         fixed_variables=fixed_variables,
         dictionary=dictionary,
-        include_chains=False,
     )
     _COUNTS[0] += 1
     if violations:
-        _COUNTS[2] += len(violations)
+        _COUNTS[1] += len(violations)
         raise PlanVerificationError(
             f"plan failed soundness verification with {len(violations)} violation(s):\n"
-            + "\n".join("  " + violation.describe() for violation in violations),
-            violations=tuple(violations),
-        )
-
-
-def check_generated(fn_source: str, plan, mode: str) -> None:
-    """Verify one generated function's source against its plan, raising on
-    any violation.  Called from the generated backend's compile points when
-    :func:`verification_enabled` — including post-replan recompilations."""
-    from repro.analysis.soundness import verify_generated
-    from repro.exceptions import PlanVerificationError
-
-    violations = verify_generated(fn_source, plan, mode)
-    _COUNTS[1] += 1
-    if violations:
-        _COUNTS[2] += len(violations)
-        raise PlanVerificationError(
-            f"generated {mode!r} function failed verification with "
-            f"{len(violations)} violation(s):\n"
             + "\n".join("  " + violation.describe() for violation in violations),
             violations=tuple(violations),
         )

@@ -1,8 +1,8 @@
 """Persist-schema drift detection for :class:`repro.engine.persist.PersistentCache`.
 
-The persistent cache pickles plan IR (``MatchPlan`` and everything it
-references) and decision memos (``BagContainmentResult`` /
-``SetContainmentResult`` and their certificate payloads) to disk, keyed in
+The persistent cache pickles decision memos (``BagContainmentResult`` /
+``SetContainmentResult`` and their certificate payloads) and scalar
+``count``/``exists`` memos to disk, keyed in
 part by ``SCHEMA_VERSION``.  The contract since PR 7 is: *change the layout
 of anything that gets pickled → bump ``SCHEMA_VERSION``* so stale rows are
 never unpickled into mismatched shapes.  That contract used to live in the
@@ -55,10 +55,9 @@ __all__ = [
 ]
 
 #: ``(module, class name)`` of every type whose instances are pickled into
-#: the persistent store: the plans layer stores ``MatchPlan``; the results
-#: layer stores the session decision memos and their certificate payloads.
+#: the persistent store: the results layer stores the session decision memos
+#: and their certificate payloads (scalar memos are plain ints and bools).
 ROOT_TYPES: tuple[tuple[str, str], ...] = (
-    ("repro.engine.plan", "MatchPlan"),
     ("repro.core.decision", "BagContainmentResult"),
     ("repro.containment.set_containment", "SetContainmentResult"),
     ("repro.core.encoding", "MpiEncoding"),

@@ -32,8 +32,8 @@ Sub-commands
     shrunk to minimal reproducers.  ``--save-corpus`` persists the
     campaign for deterministic replay, ``--replay`` re-checks a corpus,
     ``--backends``/``--strategies`` restrict the differential axes, and
-    ``--verify-plans`` soundness-verifies every compiled plan and
-    generated function online (``repro.analysis``).
+    ``--verify-plans`` soundness-verifies every compiled plan online
+    (``repro.analysis``).
 
 ``chaos``
     Run a seeded fault-injection campaign (``repro.faults.chaos``): the
@@ -69,7 +69,7 @@ e.g. ``"q(x1,x2) <- R^2(x1,y1), P(x2,y1)"``.
 
 Every command runs through one :class:`repro.session.Session` built for the
 invocation: the global options pick its engine backend
-(``--engine-backend``; the compiled indexed engine is the default) and
+(``--engine-backend``; the interned engine is the default) and
 print its engine-cache statistics after the command (``--engine-stats``),
 which is how the benchmarks A/B the backends.  Backends and strategies
 registered through :mod:`repro.session.registry` before parser construction
@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine-backend",
         choices=backend_names(),
-        default="indexed",
-        help="homomorphism engine backend (default: indexed)",
+        default="interned",
+        help="homomorphism engine backend (default: interned)",
     )
     parser.add_argument(
         "--engine-stats",
@@ -245,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--verify-plans",
         action="store_true",
-        help="soundness-verify every compiled plan and AST-verify every "
-        "generated function during the campaign (repro.analysis)",
+        help="soundness-verify every compiled plan during the campaign (repro.analysis)",
     )
 
     lint = subparsers.add_parser(
@@ -836,9 +835,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print("per-signature selectivity (probes / candidates returned):")
                 for line in backend.describe_selectivity().splitlines():
                     print(f"  {line}")
-            if hasattr(backend, "describe_replanning"):
-                print("adaptive replanning:")
-                print(f"  {backend.describe_replanning()}")
 
 
 if __name__ == "__main__":  # pragma: no cover

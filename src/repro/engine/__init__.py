@@ -7,35 +7,30 @@ question: enumerate (or count, or merely detect) the homomorphisms of a set
 of source atoms into a set of target atoms under pre-fixed bindings.  This
 package turns that question into a compiled subsystem:
 
-1. **Plan** (:mod:`repro.engine.plan`): a ``(source, target, fixed)`` triple
-   is compiled once into a :class:`MatchPlan` — a statically ordered join
-   sequence chosen by a fail-first cost estimate, plus lazily built
-   per-relation candidate indexes keyed by bound-position signatures.
-2. **Execute** (:mod:`repro.engine.executor`): an iterative, trail-based
-   executor runs the plan in one of three modes — ``iterate``, ``count`` or
-   ``exists`` — so decision callers never pay for enumeration.
-3. **Cache** (:mod:`repro.engine.cache`): plans, target indexes and scalar
-   results are memoised in an :class:`EngineCache` with LRU bounds, hit/miss
-   statistics and explicit invalidation.
+1. **Intern** (:mod:`repro.engine.interning`): terms become dense integer
+   ids and a target becomes columnar per-relation buckets with packed-key
+   signature indexes built on first use.
+2. **Plan and execute** (:mod:`repro.engine.interned`): a ``(source,
+   target, fixed)`` triple is compiled once into an :class:`InternedPlan` —
+   a join order picked greedily by observed per-signature selectivity —
+   and an iterative, trail-based executor runs it in one of three modes,
+   ``iterate``, ``count`` or ``exists``, so decision callers never pay for
+   enumeration.
+3. **Cache** (:mod:`repro.engine.cache`): interned targets, plans and
+   scalar results are memoised in an :class:`EngineCache` with LRU bounds,
+   hit/miss statistics and explicit invalidation.
 4. **Batch** (:mod:`repro.engine.batch`): :func:`count_many`,
-   :func:`containment_mappings_many` and :func:`evaluate_bag_many` share one
-   compiled plan (and, for bags, one homomorphism enumeration) across whole
-   probe-tuple or candidate-bag sweeps.
+   :func:`containment_mappings_many` and :func:`evaluate_bag_many` serve
+   whole probe-tuple or candidate-bag sweeps (for bags, from one
+   homomorphism enumeration).
 
-Four backends implement the common interface: ``naive`` (the original
-recursive backtracker, kept as the executable specification), ``indexed``
-(the compiled engine, the default), ``interned`` (the integer data plane
-of :mod:`repro.engine.interned`: terms interned to dense ids, columnar
-target storage, packed-key signature indexes, and join orders picked by
-observed per-signature selectivity) and ``generated`` (the interned data
-plane executed by generated code — :mod:`repro.engine.codegen` compiles
-each plan suffix into one nested-loop function — with lazy substitution
-materialisation and the adaptive mid-execution replanner of
-:mod:`repro.engine.generated`).  Select globally with
-:func:`set_default_backend` / :func:`use_backend`, or per call via the
-``backend=`` keyword; the CLI exposes the same choice as
-``--engine-backend`` and prints :func:`default_cache` statistics under
-``--engine-stats``.
+Two backends implement the common interface: ``naive`` (the original
+recursive backtracker, kept as the executable specification and the oracle
+the tests compare against) and ``interned`` (the production engine above,
+and the default).  Select globally with :func:`set_default_backend` /
+:func:`use_backend`, or per call via the ``backend=`` keyword; the CLI
+exposes the same choice as ``--engine-backend`` and prints
+:func:`default_cache` statistics under ``--engine-stats``.
 """
 
 from repro.engine.api import count_homomorphisms, has_homomorphism, iterate_homomorphisms
@@ -43,8 +38,6 @@ from repro.engine.backends import (
     BACKEND_NAMES,
     Backend,
     BackendFactory,
-    GeneratedBackend,
-    IndexedBackend,
     InternedBackend,
     NaiveBackend,
     backend_names,
@@ -70,12 +63,6 @@ from repro.engine.cache import (
     merge_snapshots,
     snapshot_delta,
 )
-from repro.engine.executor import (
-    ExecutionStats,
-    execute_count,
-    execute_exists,
-    execute_iterate,
-)
 from repro.engine.fingerprints import (
     UnpersistableKeyError,
     atoms_fingerprint,
@@ -83,13 +70,8 @@ from repro.engine.fingerprints import (
     persistent_digest,
     query_fingerprint,
 )
-from repro.engine.generated import (
-    GeneratedPlan,
-    generated_count,
-    generated_exists,
-    generated_iterate,
-)
 from repro.engine.interned import (
+    ExecutionStats,
     InternedPlan,
     compile_interned_plan,
     interned_count,
@@ -98,14 +80,6 @@ from repro.engine.interned import (
 )
 from repro.engine.interning import InternedTarget, TermDictionary
 from repro.engine.persist import MISS, PersistentCache, PersistStats, SCHEMA_VERSION
-from repro.engine.plan import (
-    JoinTemplate,
-    MatchPlan,
-    PlanStep,
-    TargetIndex,
-    compile_plan,
-    compile_template,
-)
 
 __all__ = [
     "BACKEND_NAMES",
@@ -116,28 +90,19 @@ __all__ = [
     "ContainmentMappingBatcher",
     "EngineCache",
     "ExecutionStats",
-    "GeneratedBackend",
-    "GeneratedPlan",
-    "IndexedBackend",
     "InternedBackend",
     "InternedPlan",
     "InternedTarget",
-    "JoinTemplate",
     "MISS",
-    "MatchPlan",
     "NaiveBackend",
     "PersistStats",
     "PersistentCache",
-    "PlanStep",
     "SCHEMA_VERSION",
-    "TargetIndex",
     "TermDictionary",
     "UnpersistableKeyError",
     "atoms_fingerprint",
     "backend_names",
     "compile_interned_plan",
-    "compile_plan",
-    "compile_template",
     "containment_mappings_many",
     "count_homomorphisms",
     "count_many",
@@ -145,12 +110,6 @@ __all__ = [
     "default_cache",
     "describe_snapshot",
     "evaluate_bag_many",
-    "execute_count",
-    "execute_exists",
-    "execute_iterate",
-    "generated_count",
-    "generated_exists",
-    "generated_iterate",
     "get_backend",
     "get_default_backend",
     "has_homomorphism",

@@ -1,4 +1,4 @@
-"""Homomorphism backends: the naive reference and the compiled indexed engine.
+"""Homomorphism backends: the naive reference and the interned engine.
 
 A *backend* answers the three homomorphism questions over raw atom sets —
 enumerate (``iterate``), ``count`` and ``exists`` — behind one small
@@ -12,8 +12,9 @@ baselines, CLI) can switch implementations without code changes:
     the semantics oracle the property tests compare against and the slow
     side of the A/B benchmarks.
 
-:class:`IndexedBackend`
-    Compiles a :class:`~repro.engine.plan.MatchPlan` (memoised through an
+:class:`InternedBackend`
+    The production engine and the default: compiles an integer
+    :class:`~repro.engine.interned.InternedPlan` (memoised through an
     :class:`~repro.engine.cache.EngineCache`) and runs the iterative
     executor.  ``count`` and ``exists`` results are additionally memoised,
     keyed by the full execution fingerprint.
@@ -38,22 +39,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.analysis import hooks as _verify_hooks
 from repro.engine.cache import EngineCache
-from repro.engine.executor import (
-    ExecutionStats,
-    execute_count,
-    execute_exists,
-    execute_iterate,
-)
 from repro.engine.fingerprints import atoms_fingerprint
-from repro.engine.generated import (
-    DEFAULT_REPLAN_INTERVAL,
-    DEFAULT_REPLAN_THRESHOLD,
-    GeneratedPlan,
-    generated_count,
-    generated_exists,
-    generated_iterate,
-)
 from repro.engine.interned import (
+    ExecutionStats,
     InternedPlan,
     compile_interned_plan,
     interned_count,
@@ -61,7 +49,6 @@ from repro.engine.interned import (
     interned_iterate,
 )
 from repro.engine.interning import InternedTarget, TermDictionary
-from repro.engine.plan import JoinTemplate, MatchPlan
 from repro.exceptions import ReproError
 from repro.relational.atoms import Atom
 from repro.relational.substitutions import Substitution
@@ -70,9 +57,7 @@ from repro.relational.terms import Term, Variable
 __all__ = [
     "Backend",
     "NaiveBackend",
-    "IndexedBackend",
     "InternedBackend",
-    "GeneratedBackend",
     "BACKEND_NAMES",
     "BackendFactory",
     "backend_names",
@@ -147,7 +132,7 @@ class NaiveBackend(Backend):
     """The recursive reference implementation (pre-engine semantics).
 
     Kept byte-for-byte faithful to the original
-    ``repro.evaluation.homomorphisms.homomorphisms`` so that the indexed
+    ``repro.evaluation.homomorphisms.homomorphisms`` so that the interned
     engine always has a trusted oracle: the target is re-indexed per call and
     the next atom is chosen greedily per node by re-counting candidates.
     """
@@ -224,70 +209,6 @@ class NaiveBackend(Backend):
             yield Substitution(complete)
 
 
-class IndexedBackend(Backend):
-    """The compiled plan/execute engine with plan and result memoisation."""
-
-    name = "indexed"
-
-    def __init__(self, cache: EngineCache | None = None, collect_stats: bool = True) -> None:
-        self.cache = cache if cache is not None else EngineCache()
-        self.stats = ExecutionStats() if collect_stats else None
-
-    # ------------------------------------------------------------------ #
-    # Plan access
-    # ------------------------------------------------------------------ #
-    def plan(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | Iterable[Variable] | None = None,
-        template: JoinTemplate | None = None,
-    ) -> MatchPlan:
-        """The (memoised) compiled plan for a ``(source, target, fixed)`` triple."""
-        fixed_variables = frozenset(fixed or ())
-        source = tuple(source_atoms)
-        plan = self.cache.plan(source, target_atoms, fixed_variables, template=template)
-        if _verify_hooks.verification_enabled():
-            _verify_hooks.check_plan(plan, source_atoms=source, fixed_variables=fixed_variables)
-        return plan
-
-    # ------------------------------------------------------------------ #
-    # Backend interface
-    # ------------------------------------------------------------------ #
-    def iterate(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> Iterator[Substitution]:
-        plan = self.plan(source_atoms, target_atoms, fixed)
-        return execute_iterate(plan, fixed, stats=self.stats)
-
-    def count(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> int:
-        plan = self.plan(source_atoms, target_atoms, fixed)
-        key = self._result_key("count", plan, fixed)
-        return self.cache.result(key, lambda: execute_count(plan, fixed, stats=self.stats))  # type: ignore[return-value]
-
-    def exists(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> bool:
-        plan = self.plan(source_atoms, target_atoms, fixed)
-        key = self._result_key("exists", plan, fixed)
-        return self.cache.result(key, lambda: execute_exists(plan, fixed, stats=self.stats))  # type: ignore[return-value]
-
-    @staticmethod
-    def _result_key(mode: str, plan: MatchPlan, fixed: Mapping[Variable, Term] | None) -> tuple:
-        return _scalar_result_key("indexed", mode, plan.source_atoms, plan.target_atoms, fixed)
-
-
 class InternedBackend(Backend):
     """The integer data plane: interned terms, columnar rows, packed keys.
 
@@ -307,11 +228,6 @@ class InternedBackend(Backend):
     """
 
     name = "interned"
-
-    #: Tag mixed into plan-layer cache keys; subclasses that compile their
-    #: own plan flavour (the generated backend) override it so the two plan
-    #: kinds never collide inside one shared session cache.
-    _plan_tag = "interned"
 
     def __init__(self, cache: EngineCache | None = None, collect_stats: bool = True) -> None:
         self.cache = cache if cache is not None else EngineCache()
@@ -377,12 +293,14 @@ class InternedBackend(Backend):
             atoms_fingerprint(source),
             atoms_fingerprint(target),
             fixed_variables,
-            self._plan_tag,
+            "interned",
             self.dictionary.serial,
         )
 
-        def build():
-            return self._compile_plan(source, target, fixed_variables)
+        def build() -> InternedPlan:
+            return compile_interned_plan(
+                self.dictionary, self.target(target), source, fixed_variables, self.selectivity
+            )
 
         plan = self.cache.plan_entry(key, build)  # type: ignore[assignment]
         if len(memo) >= self._PLAN_MEMO_LIMIT:
@@ -396,17 +314,6 @@ class InternedBackend(Backend):
                 dictionary=self.dictionary,
             )
         return plan  # type: ignore[return-value]
-
-    def _compile_plan(
-        self,
-        source: tuple[Atom, ...],
-        target: tuple[Atom, ...],
-        fixed_variables: frozenset[Variable],
-    ):
-        """Build the plan-layer artefact; subclasses wrap or replace it."""
-        return compile_interned_plan(
-            self.dictionary, self.target(target), source, fixed_variables, self.selectivity
-        )
 
     # ------------------------------------------------------------------ #
     # Backend interface
@@ -485,123 +392,8 @@ class InternedBackend(Backend):
         return "\n".join(lines)
 
 
-class GeneratedBackend(InternedBackend):
-    """Closure-compiled execution over the interned data plane.
-
-    Shares everything structural with :class:`InternedBackend` — the term
-    dictionary, the columnar targets, the selectivity counters, the
-    cost-ordered planner — but wraps each compiled plan in a
-    :class:`~repro.engine.generated.GeneratedPlan`: the plan suffix is
-    emitted as one specialized nested-loop function per execution mode (no
-    per-row step dispatch, no trail), and the driver samples the live
-    selectivity counters every ``replan_interval`` top-level rows,
-    re-ordering and recompiling the unexecuted suffix when observations
-    diverge from the planned estimates by ``replan_threshold`` (a ratio).
-    Replanning permutes enumeration order only, so all four backends stay
-    verdict-, certificate- and count-identical.
-
-    Plans hold compiled closures, which are deliberately *not* picklable —
-    parallel workers rebuild backends by name from a
-    :class:`~repro.session.SessionSpec` and regenerate the closures from
-    their own dictionaries, which is the only sound thing to do anyway
-    (term ids are per-process).
-    """
-
-    name = "generated"
-    _plan_tag = "generated"
-
-    def __init__(
-        self,
-        cache: EngineCache | None = None,
-        collect_stats: bool = True,
-        replan_interval: int = DEFAULT_REPLAN_INTERVAL,
-        replan_threshold: float = DEFAULT_REPLAN_THRESHOLD,
-    ) -> None:
-        super().__init__(cache=cache, collect_stats=collect_stats)
-        self.replan_interval = int(replan_interval)
-        self.replan_threshold = float(replan_threshold)
-        #: Shared ``[checks, replans]`` counters, aggregated across every
-        #: plan this backend compiled — what ``--engine-stats`` reports.
-        self.replan_events: list[int] = [0, 0]
-
-    def _compile_plan(
-        self,
-        source: tuple[Atom, ...],
-        target: tuple[Atom, ...],
-        fixed_variables: frozenset[Variable],
-    ) -> GeneratedPlan:
-        interned_target = self.target(target)
-        base = compile_interned_plan(
-            self.dictionary, interned_target, source, fixed_variables, self.selectivity
-        )
-        return GeneratedPlan(
-            base,
-            self.dictionary,
-            interned_target,
-            self.selectivity,
-            replan_interval=self.replan_interval,
-            replan_threshold=self.replan_threshold,
-            events=self.replan_events,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Backend interface
-    # ------------------------------------------------------------------ #
-    def iterate(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> Iterator[Substitution]:
-        plan = self.plan(source_atoms, target_atoms, fixed)
-        return generated_iterate(plan, self.dictionary, fixed, stats=self.stats)
-
-    def count(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> int:
-        source = tuple(source_atoms)
-        target = tuple(target_atoms)
-        key = self._result_key("count", source, target, fixed)
-        return self.cache.result(  # type: ignore[return-value]
-            key,
-            lambda: generated_count(
-                self.plan(source, target, fixed), self.dictionary, fixed, stats=self.stats
-            ),
-        )
-
-    def exists(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> bool:
-        source = tuple(source_atoms)
-        target = tuple(target_atoms)
-        key = self._result_key("exists", source, target, fixed)
-        return self.cache.result(  # type: ignore[return-value]
-            key,
-            lambda: generated_exists(
-                self.plan(source, target, fixed), self.dictionary, fixed, stats=self.stats
-            ),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Replanning statistics
-    # ------------------------------------------------------------------ #
-    def describe_replanning(self) -> str:
-        """One line of replan activity for ``--engine-stats``."""
-        checks, replans = self.replan_events
-        return (
-            f"replan checks: {checks}, replans triggered: {replans} "
-            f"(interval {self.replan_interval} rows, threshold {self.replan_threshold:g}x)"
-        )
-
-
 #: The canonical built-in backend names, in CLI presentation order.
-BACKEND_NAMES = ("naive", "indexed", "interned", "generated")
+BACKEND_NAMES = ("naive", "interned")
 
 #: A backend factory: given an (optional) cache to share, build an instance.
 #: Factories that need no cache (like the naive reference) ignore the argument.
@@ -609,9 +401,7 @@ BackendFactory = Callable[[EngineCache | None], Backend]
 
 _FACTORIES: dict[str, BackendFactory] = {
     "naive": lambda cache: NaiveBackend(),
-    "indexed": lambda cache: IndexedBackend(cache=cache),
     "interned": lambda cache: InternedBackend(cache=cache),
-    "generated": lambda cache: GeneratedBackend(cache=cache),
 }
 
 #: Lazily built process-wide shared instances (the legacy, session-less path).
@@ -619,7 +409,7 @@ _SHARED: dict[str, Backend] = {}
 _SHARED_LOCK = threading.Lock()
 
 #: The backend explicitly selected in the *current context* (``use_backend``,
-#: ``set_default_backend``, or an active session), or ``None`` for "indexed".
+#: ``set_default_backend``, or an active session), or ``None`` for "interned".
 _ACTIVE_BACKEND: ContextVar[Backend | None] = ContextVar("repro_active_backend", default=None)
 
 #: Name → instance resolver installed by an active session so that lookups
@@ -669,7 +459,7 @@ def _shared_instance(name: str) -> Backend:
     instance = _SHARED.get(name)
     if instance is None:
         # Locked: concurrent first lookups must agree on one shared instance
-        # (and, for the indexed backend, one shared cache).
+        # (and, for the interned backend, one shared cache).
         with _SHARED_LOCK:
             instance = _SHARED.get(name)
             if instance is None:
@@ -691,14 +481,14 @@ def get_default_backend() -> Backend:
 
     Resolution is context-local: an explicit :func:`use_backend` /
     :func:`set_default_backend` selection in this context wins, then an
-    active session's backend, then the process-wide shared ``indexed``
+    active session's backend, then the process-wide shared ``interned``
     instance.  New threads start from the base default, so a selection made
     in one thread never leaks into another.
     """
     active = _ACTIVE_BACKEND.get()
     if active is not None:
         return active
-    return get_backend("indexed")
+    return get_backend("interned")
 
 
 def set_default_backend(name: str) -> str:
@@ -724,12 +514,12 @@ def use_backend(name: str):
 
 
 def default_cache() -> EngineCache:
-    """The cache of the current indexed backend (for stats and invalidation).
+    """The cache of the current interned backend (for stats and invalidation).
 
     Inside an active session this is the *session's* cache; otherwise the
-    process-wide shared indexed backend's cache.
+    process-wide shared interned backend's cache.
     """
-    backend = get_backend("indexed")
-    if not isinstance(backend, IndexedBackend):
-        raise ReproError("the 'indexed' backend registration does not produce an IndexedBackend")
+    backend = get_backend("interned")
+    if not isinstance(backend, InternedBackend):
+        raise ReproError("the 'interned' backend registration does not produce an InternedBackend")
     return backend.cache

@@ -1,16 +1,17 @@
-"""Batch entry points: one compiled plan, many probe tuples / bags / targets.
+"""Batch entry points: many probe tuples / bags / targets per call.
 
 The decision procedures and baselines of this library are embarrassingly
 repetitive: the all-probes strategy re-maps the same containing query into a
 freshly grounded containee once per probe tuple, and the brute-force
 refuters re-evaluate the same grounded containee on thousands of candidate
-bags that differ only in fact multiplicities.  The batch APIs amortise the
-per-call compilation (and, for bags, the homomorphism enumeration itself)
-across the whole workload:
+bags that differ only in fact multiplicities.  The batch APIs give those
+sweeps one entry point each (compiled plans are shared through the
+backend's cache) and, for bags, amortise the homomorphism enumeration
+itself:
 
-* :func:`count_many` — one plan, one count per fixed-binding assignment;
-* :func:`containment_mappings_many` — the containing query's join order is
-  compiled once and re-instantiated against each grounded containee;
+* :func:`count_many` — one count per fixed-binding assignment;
+* :func:`containment_mappings_many` — ``CM(q2, q1(t))`` per grounded
+  containee, through one :class:`ContainmentMappingBatcher`;
 * :func:`evaluate_bag_many` / :class:`BagBatchEvaluator` — homomorphisms
   only depend on the *support* of a bag, so they are enumerated once over
   the union support and each bag merely re-weights the cached contribution
@@ -21,9 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.engine.backends import Backend, IndexedBackend, get_default_backend
-from repro.engine.executor import execute_count, execute_iterate
-from repro.engine.plan import compile_template
+from repro.engine.backends import Backend, get_default_backend
 from repro.exceptions import ReproError
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
@@ -41,11 +40,6 @@ __all__ = [
 ]
 
 
-def _indexed(backend: Backend | None) -> IndexedBackend | None:
-    backend = backend if backend is not None else get_default_backend()
-    return backend if isinstance(backend, IndexedBackend) else None
-
-
 def count_many(
     source_atoms: Iterable[Atom],
     target_atoms: Iterable[Atom],
@@ -54,9 +48,9 @@ def count_many(
 ) -> tuple[int, ...]:
     """Count homomorphisms for many fixed-binding assignments at once.
 
-    Every mapping in *fixed_list* must bind the same set of variables (the
-    plan's signature indexes are keyed on that set); a typical caller fixes
-    the head variables of a query and sweeps the answer tuples.
+    Every mapping in *fixed_list* must bind the same set of variables, so
+    one compiled plan serves the whole sweep; a typical caller fixes the
+    head variables of a query and sweeps the answer tuples.
     """
     fixed_list = list(fixed_list)
     if not fixed_list:
@@ -65,14 +59,10 @@ def count_many(
     for fixed in fixed_list[1:]:
         if frozenset(fixed) != key_set:
             raise ReproError("count_many requires every fixed mapping to bind the same variables")
-    indexed = _indexed(backend)
-    if indexed is None:
-        naive = backend if backend is not None else get_default_backend()
-        source = tuple(source_atoms)
-        target = tuple(target_atoms)
-        return tuple(naive.count(source, target, fixed) for fixed in fixed_list)
-    plan = indexed.plan(source_atoms, target_atoms, key_set)
-    return tuple(execute_count(plan, fixed, stats=indexed.stats) for fixed in fixed_list)
+    resolved = backend if backend is not None else get_default_backend()
+    source = tuple(source_atoms)
+    target = tuple(target_atoms)
+    return tuple(resolved.count(source, target, fixed) for fixed in fixed_list)
 
 
 def head_fixing(head: Sequence[Term], target: Sequence[Term]) -> dict[Variable, Term] | None:
@@ -97,54 +87,36 @@ def head_fixing(head: Sequence[Term], target: Sequence[Term]) -> dict[Variable, 
 
 
 class ContainmentMappingBatcher:
-    """Shares the containing query's compiled join order across many targets.
+    """``CM(containing, grounded@probe)`` for a stream of grounded containees.
 
-    The fail-first order of a containment-mapping search depends only on the
-    source side (the containing query's body) and on the set of pre-bound
-    head variables — not on which grounded containee it is aimed at.  The
-    batcher compiles that :class:`~repro.engine.plan.JoinTemplate` on first
-    use and re-instantiates it per grounded target, so a probe-tuple sweep
-    pays compilation once and per-probe cost is index bucketing plus
-    execution.  Streaming callers (the all-probes decision strategy stops at
-    the first refuting probe) use this class directly;
-    :func:`containment_mappings_many` is the eager list-in/list-out wrapper.
+    The containing query's body and its head variables are extracted once;
+    each :meth:`mappings` call then fixes the head against the probe and
+    enumerates through the backend, whose cache shares the compiled plan
+    across every probe aimed at the same grounded target.  Streaming
+    callers (the all-probes decision strategy stops at the first refuting
+    probe) use this class directly; :func:`containment_mappings_many` is
+    the eager list-in/list-out wrapper.
     """
 
-    __slots__ = ("containing", "_source", "_fixed_variables", "_backend", "_template")
+    __slots__ = ("containing", "_source", "_backend")
 
     def __init__(self, containing: ConjunctiveQuery, backend: Backend | None = None) -> None:
         self.containing = containing
         self._source = containing.body_atoms()
-        self._fixed_variables = frozenset(
-            term for term in containing.head if isinstance(term, Variable)
-        )
         self._backend = backend
-        self._template = None
 
     def mappings(
         self, grounded: ConjunctiveQuery, probe: Sequence[Term]
     ) -> tuple[Substitution, ...]:
-        """``CM(containing, grounded@probe)`` through the shared template."""
+        """``CM(containing, grounded@probe)``."""
         probe = tuple(probe)
         if self.containing.arity != len(probe):
             return ()
         fixed = head_fixing(self.containing.head, probe)
         if fixed is None:
             return ()
-        target = grounded.body_atoms()
-        indexed = _indexed(self._backend)
-        if indexed is None:
-            naive = self._backend if self._backend is not None else get_default_backend()
-            return tuple(naive.iterate(self._source, target, fixed))
-        if self._template is None:
-            index = indexed.cache.target_index(target)
-            self._template = compile_template(
-                self._source, self._fixed_variables, index.relation_sizes()
-            )
-        plan = indexed.cache.plan(
-            self._source, target, self._fixed_variables, template=self._template
-        )
-        return tuple(execute_iterate(plan, fixed, stats=indexed.stats))
+        backend = self._backend if self._backend is not None else get_default_backend()
+        return tuple(backend.iterate(self._source, grounded.body_atoms(), fixed))
 
 
 def containment_mappings_many(
@@ -155,8 +127,7 @@ def containment_mappings_many(
     """``CM(q2(x2), q1(t))`` for a batch of grounded containees.
 
     *grounded_targets* is a sequence of ``(grounded containee, probe)``
-    pairs, typically one per probe tuple of a single containee; the
-    containing query is compiled once and re-targeted per pair (see
+    pairs, typically one per probe tuple of a single containee (see
     :class:`ContainmentMappingBatcher`).
     """
     batcher = ContainmentMappingBatcher(containing, backend=backend)

@@ -1,4 +1,4 @@
-"""The memoising engine cache: compiled plans, shared indexes, result memos.
+"""The memoising engine cache: compiled plans, shared targets, result memos.
 
 Compilation is cheap but not free (join ordering plus index bucketing is
 linear in the source and target sizes), and the library's hot paths compile
@@ -7,9 +7,9 @@ re-targets the same containing query, every candidate bag of a refuter
 re-evaluates the same grounded containee, every minimisation round re-folds
 the same body.  :class:`EngineCache` memoises three layers:
 
-* **target indexes**, keyed by the instance fingerprint — shared by every
-  query probing the same instance;
-* **match plans**, keyed by ``(source, target, fixed-variable-set)``
+* **indexes**: interned target images, keyed by the instance fingerprint —
+  shared by every query probing the same instance;
+* **plans**: compiled plans, keyed by ``(source, target, fixed-variable-set)``
   fingerprints — shared by every execution of the same logical search, no
   matter which values the fixed variables take;
 * **scalar results** (``count`` / ``exists``), keyed by the full execution
@@ -21,10 +21,10 @@ All three layers keep LRU order and expose hit/miss/eviction statistics;
 everything), which is the hook instance-mutating callers use.
 
 A cache can additionally be backed by a persistent tier
-(:meth:`EngineCache.attach_persistent`): an in-memory miss then falls
-through to the disk store before building, and freshly built eligible
-entries are written back — see :mod:`repro.engine.persist` for the key
-discipline and the corruption-tolerance guarantees.
+(:meth:`EngineCache.attach_persistent`): an in-memory result-layer miss
+then falls through to the disk store before computing, and freshly
+computed eligible entries are written back — see :mod:`repro.engine.persist`
+for the key discipline and the corruption-tolerance guarantees.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 from repro.engine.fingerprints import atoms_fingerprint
 from repro.engine.persist import MISS, PersistentCache
-from repro.engine.plan import JoinTemplate, MatchPlan, TargetIndex, compile_plan
 from repro.relational.atoms import Atom
-from repro.relational.terms import Variable
 
 __all__ = ["CacheStats", "EngineCache", "describe_snapshot", "merge_snapshots", "snapshot_delta"]
 
@@ -89,7 +87,7 @@ def merge_snapshots(
     totals: dict[str, list[int]] = {}
     for snapshot in snapshots:
         for layer, counts in snapshot.items():
-            bucket = totals.setdefault(layer, [0, 0, 0])
+            bucket = totals.setdefault(layer, [0] * len(counts))
             for index, value in enumerate(counts):
                 bucket[index] += value
     return {layer: tuple(bucket) for layer, bucket in totals.items()}
@@ -180,13 +178,12 @@ class EngineCache:
     def attach_persistent(self, persistent: PersistentCache | None) -> None:
         """Back (or stop backing) this cache with a persistent tier.
 
-        Only the plan and result layers consult the store — target indexes
-        are cheap per-process rebuilds, and the persistent tier itself
-        refuses entries keyed by process-local state (interned dictionary
-        serials, compiled closures).  Passing ``None`` detaches.
+        Only the result layer consults the store: interned targets and
+        plans are keyed by a process-local term-dictionary serial, so they
+        are cheap per-process rebuilds that never persist.  Passing
+        ``None`` detaches.
         """
         self._persistent = persistent
-        self._plans.persistent = persistent
         self._results.persistent = persistent
 
     @property
@@ -211,53 +208,23 @@ class EngineCache:
     # ------------------------------------------------------------------ #
     # Lookup / build
     # ------------------------------------------------------------------ #
-    def target_index(self, target_atoms: Iterable[Atom]) -> TargetIndex:
-        """The shared :class:`TargetIndex` for a target fingerprint."""
-        target = tuple(target_atoms)
-        key = atoms_fingerprint(target)
-        return self._indexes.get_or_build(key, lambda: TargetIndex(target))  # type: ignore[return-value]
-
-    def plan(
-        self,
-        source_atoms: tuple[Atom, ...],
-        target_atoms: Iterable[Atom],
-        fixed_variables: frozenset[Variable],
-        template: JoinTemplate | None = None,
-    ) -> MatchPlan:
-        """The shared :class:`MatchPlan` for a ``(source, target, fixed)`` triple."""
-        target = tuple(target_atoms)
-        target_key = atoms_fingerprint(target)
-        key = (atoms_fingerprint(source_atoms), target_key, fixed_variables)
-
-        def build() -> MatchPlan:
-            index = self.target_index(target)
-            return compile_plan(source_atoms, target, fixed_variables, template=template, index=index)
-
-        return self._plans.get_or_build(key, build)  # type: ignore[return-value]
-
     def result(self, key: Hashable, compute: Callable[[], object]) -> object:
         """Memoise a scalar (count/exists) result under an execution key."""
         return self._results.get_or_build(key, compute)
 
-    # ------------------------------------------------------------------ #
-    # Generic layer entries (alternate backends)
-    # ------------------------------------------------------------------ #
     def index_entry(self, key: Hashable, build: Callable[[], object]) -> object:
-        """Memoise an arbitrary per-target artefact in the index layer.
+        """Memoise a per-target artefact (an interned target) in the index layer.
 
-        Alternate backends (the interned engine) store their own target
-        representations here so they share the layer's LRU bound, statistics
-        and invalidation with the classic :class:`TargetIndex` entries.
         Tuple keys must put the target fingerprint first — that is what
         :meth:`invalidate` matches on.
         """
         return self._indexes.get_or_build(key, build)
 
     def plan_entry(self, key: Hashable, build: Callable[[], object]) -> object:
-        """Memoise an arbitrary compiled plan in the plan layer.
+        """Memoise a compiled plan in the plan layer.
 
-        Tuple keys must put the target fingerprint second (matching the
-        classic plan keys), so :meth:`invalidate` covers them.
+        Tuple keys must put the target fingerprint second, so
+        :meth:`invalidate` covers them.
         """
         return self._plans.get_or_build(key, build)
 
@@ -283,9 +250,9 @@ class EngineCache:
             lambda key: key == target_key
             or (isinstance(key, tuple) and len(key) > 0 and key[0] == target_key)
         )
-        # Classic plan keys and interned/generated plan_entry keys both put
-        # the target fingerprint second; the isinstance/length guard keeps
-        # exotic plan_entry keys from crashing the sweep (they simply stay).
+        # Plan keys put the target fingerprint second; the isinstance/length
+        # guard keeps exotic plan_entry keys from crashing the sweep (they
+        # simply stay).
         dropped += self._plans.drop(
             lambda key: isinstance(key, tuple) and len(key) > 1 and key[1] == target_key
         )

@@ -1,6 +1,6 @@
 """The interned backend: integer-only plans, cost-ordered, over columnar data.
 
-This is the third engine backend (after ``naive`` and ``indexed``).  It
+This is the production engine backend (``naive`` is the reference).  It
 answers the same three questions — ``iterate`` / ``count`` / ``exists`` —
 but its compiled artefacts never touch a :class:`~repro.relational.terms.Term`
 inside the inner loop:
@@ -17,11 +17,15 @@ inside the inner loop:
   have never been probed — the planner learns from the index statistics the
   executor accumulates.
 
-The executor mirrors :mod:`repro.engine.executor` exactly (iterative loop,
-explicit trail, early-exit ``exists``), so the three backends remain
-solution-for-solution interchangeable; substitutions are materialised only
-in ``iterate`` mode, by translating slot bindings back through the backend's
+The executor is an iterative loop with an explicit binding trail and an
+early-exit ``exists`` mode, solution-for-solution interchangeable with the
+naive reference; substitutions are materialised only in ``iterate`` mode,
+by translating slot bindings back through the backend's
 :class:`~repro.engine.interning.TermDictionary`.
+
+:class:`ExecutionStats` counts candidates tried and solutions found, which
+the test-suite uses to prove that ``exists`` genuinely early-exits instead
+of enumerating everything and taking the first element.
 """
 
 from __future__ import annotations
@@ -29,9 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from repro.engine.executor import ExecutionStats, _Run
 from repro.engine.interning import ID_BITS, InternedTarget, TermDictionary
-from repro.engine.plan import greedy_order
 from repro.faults.runtime import TICK_INTERVAL, tick_handle
 from repro.exceptions import ReproError
 from repro.relational.atoms import Atom
@@ -39,6 +41,7 @@ from repro.relational.substitutions import Substitution
 from repro.relational.terms import Term, Variable
 
 __all__ = [
+    "ExecutionStats",
     "InternedPlan",
     "InternedStep",
     "atom_signature",
@@ -52,6 +55,28 @@ __all__ = [
 
 #: Selectivity counters: ``[probes, candidates returned]`` per signature.
 SelectivityCounters = dict[tuple[str, int, tuple[int, ...]], list[int]]
+
+
+@dataclass
+class ExecutionStats:
+    """Counters accumulated by plan executions that opt into stats."""
+
+    candidates_tried: int = 0
+    solutions_found: int = 0
+    executions: int = 0
+
+    def merge(self, other: "ExecutionStats") -> None:
+        self.candidates_tried += other.candidates_tried
+        self.solutions_found += other.solutions_found
+        self.executions += other.executions
+
+
+@dataclass
+class _Run:
+    """Mutable per-execution state shared by the mode wrappers."""
+
+    candidates: int = 0
+    solutions: int = 0
 
 
 class InternedStep:
@@ -135,8 +160,9 @@ class InternedPlan:
     def check_fixed(self, fixed: Mapping[Variable, Term]) -> None:
         """Reject execution-time bindings the plan was not compiled for.
 
-        Same contract (and messages) as
-        :meth:`repro.engine.plan.MatchPlan.check_fixed`.
+        A source variable bound at execution time must have been fixed at
+        compile time, and every compiled fixed source variable must be
+        bound; extra bindings for non-source variables are allowed.
         """
         unplanned = [
             variable
@@ -181,27 +207,20 @@ def atom_signature(atom: Atom, bound: set[Variable]) -> tuple[int, ...]:
 
 def step_cost(
     target: InternedTarget,
-    selectivity: SelectivityCounters,
     atom: Atom,
     bound: set[Variable],
-    live: bool = False,
 ) -> tuple[float, int]:
     """Greedy scheduling cost of matching *atom* next.
 
     The primary component is the candidates-per-probe estimate of the
     atom's bound-position signature (see
     :meth:`~repro.engine.interning.InternedTarget.cost_estimate`); ties
-    prefer more determined positions.  With ``live=True`` the running
-    ``[probes, candidates]`` counters take precedence — the adaptive
-    replanner's view of the world.  Compile time keeps ``live=False`` so a
-    plan's order is a deterministic function of the target's built-index
-    state, never of how often earlier executions probed it.
+    prefer more determined positions.  A plan's order is therefore a
+    deterministic function of the target's built-index state, never of how
+    often earlier executions probed it.
     """
     determined = atom_signature(atom, bound)
-    counter = (
-        selectivity.get((atom.relation, atom.arity, determined)) if live else None
-    )
-    cost = target.cost_estimate(atom.relation, atom.arity, determined, counter)
+    cost = target.cost_estimate(atom.relation, atom.arity, determined)
     return (cost, -len(determined))
 
 
@@ -213,11 +232,7 @@ def compile_step(
     atom: Atom,
     bound: set[Variable],
 ) -> InternedStep:
-    """Compile one atom into an :class:`InternedStep` under *bound*.
-
-    Shared by the plan compiler and the generated backend's mid-execution
-    replanner (which re-derives key/new ops for a re-ordered plan suffix).
-    """
+    """Compile one atom into an :class:`InternedStep` under *bound*."""
     key_ops: list[int] = []
     new_ops: list[tuple[int, int]] = []
     for position, term in enumerate(atom.terms):
@@ -250,10 +265,10 @@ def compile_interned_plan(
 ) -> InternedPlan:
     """Compile a cost-ordered integer plan against an interned target.
 
-    The join order is greedy like the indexed compiler's, but the per-atom
-    cost is the *observed* selectivity of the atom's bound-position
-    signature whenever the target has already built (and therefore
-    measured) that signature index: ``len(bucket) / groups`` is exactly the
+    The join order is greedy fail-first, and the per-atom cost is the
+    *observed* selectivity of the atom's bound-position signature whenever
+    the target has already built (and therefore measured) that signature
+    index: ``len(bucket) / groups`` is exactly the
     average number of candidates a probe returns.  Signatures never probed
     fall back to the static ``bucket / 4^determined`` guess.  Ties prefer
     more determined positions, then the original atom order — deterministic
@@ -268,13 +283,18 @@ def compile_interned_plan(
     slot_of = {variable: slot for slot, variable in enumerate(slot_variables)}
     self_ids = tuple(dictionary.intern(variable) for variable in slot_variables)
 
-    def estimate(atom: Atom, bound: set[Variable]) -> tuple[float, int]:
-        return step_cost(target, selectivity, atom, bound)
-
+    # Greedy fail-first: schedule the cheapest atom under the running bound
+    # set (``min`` keeps the first of equal costs, so ties follow the source
+    # order and compilation is deterministic).
     bound: set[Variable] = set(fixed_variables)
     steps: list[InternedStep] = []
-    for atom, _ in greedy_order(source, bound, estimate):
+    remaining = list(source)
+    while remaining:
+        atom = remaining.pop(
+            min(range(len(remaining)), key=lambda i: step_cost(target, remaining[i], bound))
+        )
         steps.append(compile_step(dictionary, target, selectivity, slot_of, atom, bound))
+        bound.update(atom.variables())
 
     # Hoist the pure preconditions: filter steps (no fresh slots) whose keys
     # read only constants and pre-fixed slots hold independently of every
@@ -308,14 +328,20 @@ def compile_interned_plan(
 def _solutions(plan: InternedPlan, binding: list[int], run: _Run) -> Iterator[list[int]]:
     """Core integer loop: yields the *live* binding list once per solution.
 
-    Mirrors :func:`repro.engine.executor._solutions` — same trail-based
-    backtracking, same counter semantics — with all object-protocol costs
-    replaced by list indexing and machine-int comparisons.
+    Trail-based backtracking over list indexing and machine-int
+    comparisons.  Callers must not retain the yielded list across
+    iterations — ``iterate`` snapshots it, ``count`` and ``exists``
+    consume it immediately.
     """
     steps = plan.steps
     n = len(steps)
 
     candidates = 0
+    # Deadline/fault tick, fetched before any probe so that every execution
+    # (static-only plans included) observes an already-expired deadline and
+    # the ``executor.start`` site; when nothing is armed it is None and the
+    # loop below pays one falsy integer test per iteration.
+    tick = tick_handle()
     try:
         # The static preconditions: a flat conjunction of probes, at most
         # one candidate each, independent of every search choice below.
@@ -350,9 +376,6 @@ def _solutions(plan: InternedPlan, binding: list[int], run: _Run) -> Iterator[li
 
         depth = 0
         entering = True
-        # Deadline/fault tick: one falsy integer test per iteration when no
-        # deadline and no fault plan are armed (tick is then None).
-        tick = tick_handle()
         countdown = TICK_INTERVAL if tick is not None else 0
         while depth >= 0:
             if countdown:
@@ -446,7 +469,7 @@ def _prepare(
     """Initial slot bindings plus the fixed entries that have no slot.
 
     Fixed bindings for variables outside the plan's slot space (neither
-    source nor compiled-fixed — the indexed executor simply carries them
+    source nor compiled-fixed — the reference semantics carry them
     through) are returned separately so ``iterate`` can include them in the
     yielded substitutions, matching the reference semantics.
     """

@@ -1,12 +1,12 @@
 """Term interning and columnar target storage for the interned backend.
 
-The compiled engine of :mod:`repro.engine.plan` still manipulates the
-library's value objects directly: every candidate probe hashes tuples of
-:class:`~repro.relational.terms.Term` dataclasses, every binding check runs
-a dataclass ``__eq__``, and every signature-index lookup rebuilds a term
+A search over the library's value objects pays object-protocol costs on
+every step: each candidate probe hashes tuples of
+:class:`~repro.relational.terms.Term` dataclasses, each binding check runs
+a dataclass ``__eq__``, and each signature-index lookup rebuilds a term
 tuple.  For the hot loops — homomorphism enumeration, counting and existence
-— those object-protocol costs dominate once plans are cached.  This module
-replaces the representation underneath:
+— those costs dominate once plans are cached.  This module replaces the
+representation underneath:
 
 :class:`TermDictionary`
     A per-backend bijection between terms and dense integer ids.  Interning
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.relational.atoms import Atom
 from repro.relational.terms import Term
@@ -42,7 +42,6 @@ __all__ = [
     "InternedRelation",
     "InternedTarget",
     "TermDictionary",
-    "observed_average",
     "pack_ids",
 ]
 
@@ -136,18 +135,6 @@ def pack_ids(ids: Iterable[int]) -> int:
     return packed
 
 
-def observed_average(counter: Sequence[int] | None) -> float | None:
-    """Candidates-per-probe of a live ``[probes, candidates]`` counter stream.
-
-    ``None`` before the first probe — callers then fall back to the static
-    index statistics.  This is the *measured* selectivity the adaptive
-    replanner compares against a plan's compile-time estimates.
-    """
-    if not counter or not counter[0]:
-        return None
-    return counter[1] / counter[0]
-
-
 class InternedRelation:
     """Columnar storage of one ``(relation, arity)`` target bucket."""
 
@@ -178,22 +165,15 @@ class InternedTarget:
     by.
     """
 
-    __slots__ = ("_dictionary", "_relations", "_groups", "_atoms", "term_ids")
+    __slots__ = ("_dictionary", "_relations", "_groups", "_atoms")
 
     def __init__(self, dictionary: TermDictionary, target_atoms: Iterable[Atom]) -> None:
         self._dictionary = dictionary
         self._atoms: tuple[Atom, ...] = tuple(dict.fromkeys(target_atoms))
         buckets: dict[tuple[str, int], list[tuple[int, ...]]] = {}
-        ids: set[int] = set()
         for atom in self._atoms:
             row = dictionary.intern_many(atom.terms)
-            ids.update(row)
             buckets.setdefault((atom.relation, atom.arity), []).append(row)
-        #: Every term id appearing in the target's rows.  A plan whose slot
-        #: self-ids are disjoint from this set can never produce an identity
-        #: binding (``x -> x``), which unlocks the generated backend's
-        #: C-level substitution materialisation.
-        self.term_ids: frozenset[int] = frozenset(ids)
         self._relations: dict[tuple[str, int], InternedRelation] = {
             (relation, arity): InternedRelation(arity, rows)
             for (relation, arity), rows in buckets.items()
@@ -261,22 +241,13 @@ class InternedTarget:
         relation: str,
         arity: int,
         signature: tuple[int, ...],
-        counter: Sequence[int] | None = None,
     ) -> float:
         """The best available candidates-per-probe estimate for one signature.
 
-        Three tiers, most-informed first: the *live* probe counters (what
-        executions actually observed, including key skew), then the built
-        signature index's structural average (``bucket / groups``), then the
-        static fail-first guess (``bucket / 4^determined``).  Every planner
-        in the integer data plane — the interned compiler and the generated
-        backend's mid-execution replanner — prices join steps through this
-        one method, so compile-time and replan-time decisions are always
-        comparable.
+        Two tiers, most-informed first: the built signature index's
+        structural average (``bucket / groups``), then the static fail-first
+        guess (``bucket / 4^determined``).
         """
-        live = observed_average(counter)
-        if live is not None:
-            return live
         structural = self.selectivity(relation, arity, signature)
         if structural is not None:
             return structural

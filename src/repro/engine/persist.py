@@ -1,13 +1,13 @@
-"""The persistent cache tier: compiled plans and memos that survive restarts.
+"""The persistent cache tier: result and decision memos that survive restarts.
 
-PR 1/5 made compiled plans worth 7-112x, but every process rebuilt them from
-scratch: a service restart, a parallel worker, or the next CI corpus replay
-always started cold.  :class:`PersistentCache` is a disk-backed tier (stdlib
-``sqlite3`` in WAL mode) that an :class:`~repro.engine.cache.EngineCache`
-consults *behind* its in-memory LRU layers: an in-memory miss falls through
-to the store, and a freshly built entry is written back — so plans,
-``count``/``exists`` result memos and whole session decision verdicts warm
-across processes, workers and runs.
+Without it every process recomputes from scratch: a service restart, a
+parallel worker, or the next CI corpus replay always starts cold.
+:class:`PersistentCache` is a disk-backed tier (stdlib ``sqlite3`` in WAL
+mode) that an :class:`~repro.engine.cache.EngineCache` consults *behind*
+its in-memory result layer: an in-memory miss falls through to the store,
+and a freshly computed entry is written back — so ``count``/``exists``
+result memos and whole session decision verdicts warm across processes,
+workers and runs.
 
 **Key discipline.**  Rows are keyed by the four-part fingerprint the ISSUE
 and ROADMAP demand — ``(structural key digest, backend name, limits
@@ -21,19 +21,17 @@ fingerprint, schema version)``:
   session's configuration (a different backend or a different enumeration
   budget must never serve the other's rows);
 * :data:`SCHEMA_VERSION` stamps the pickled-value layout.  **Bump it
-  whenever the pickled shape of any persisted value changes** (plan layout,
-  decision-result fields, certificate representation): old rows then
+  whenever the pickled shape of any persisted value changes** (decision-result
+  fields, certificate representation): old rows then
   silently miss instead of unpickling into the wrong shape.
 
 Any component mismatch is a miss — never a wrong answer.
 
 **What persists.**  Only entries whose keys canonically serialize *and*
-whose values are process-independent: classic :class:`MatchPlan` objects
-(the ``(source, target, fixed)`` frozenset-keyed plan layer), backend-tagged
-``count``/``exists`` scalar memos, and session decision memos.  Entries
-keyed by process-local state — interned/generated plans carry a term
-dictionary serial, target indexes are cheap per-process rebuilds — are
-skipped, not persisted unsoundly.
+whose values are process-independent: backend-tagged ``count``/``exists``
+scalar memos and session decision memos.  Compiled plans and interned
+targets are keyed by a process-local term-dictionary serial and are cheap
+per-process rebuilds, so they are never persisted.
 
 **Corruption tolerance.**  Every read path — connect, query, unpickle — is
 wrapped: a torn write, a truncated file, a garbage blob or a concurrent
@@ -94,10 +92,11 @@ class _Miss:
 MISS = _Miss()
 
 #: The pickled-value layout version.  Bump on ANY change to the pickled
-#: shape of persisted values (MatchPlan layout, decision-result fields,
-#: certificate representation); old rows then miss instead of loading the
-#: wrong shape.  The rule is documented in README "Warm starts".
-SCHEMA_VERSION = 1
+#: shape of persisted values (decision-result fields, certificate
+#: representation) or to the set of persisted value types; old rows then
+#: miss instead of loading the wrong shape.  The rule is documented in
+#: README "Warm starts".
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -266,7 +265,7 @@ class PersistentCache:
     def __init__(
         self,
         path: str | Path,
-        backend: str = "indexed",
+        backend: str = "interned",
         limits_fingerprint: str = "",
         schema_version: int = SCHEMA_VERSION,
         breaker_threshold: int = 5,
@@ -376,24 +375,12 @@ class PersistentCache:
         The shapes recognised here are the documented key layouts of
         :class:`~repro.engine.cache.EngineCache`:
 
-        * ``plans``: the classic ``(source_fp, target_fp, fixed_variables)``
-          triple of frozensets (a picklable :class:`MatchPlan`).  Interned
-          and generated plan entries carry a process-local term-dictionary
-          serial and compiled closures — never persisted.
         * ``results``: backend-tagged ``count``/``exists`` scalar memos
           (``key[0] == "count-exists"``, target fingerprint at ``key[1]``)
           and session decision memos (``key[0] == "session"``, no target).
-        * ``indexes``: never persisted — target indexes are cheap
-          per-process rebuilds keyed partly by process-local serials.
+        * ``plans`` and ``indexes``: never persisted — interned plans and
+          targets are keyed by a process-local term-dictionary serial.
         """
-        if layer == "plans":
-            if (
-                isinstance(key, tuple)
-                and len(key) == 3
-                and all(isinstance(part, frozenset) for part in key)
-            ):
-                return key, key[1]
-            return None, None
         if layer == "results":
             if isinstance(key, tuple) and len(key) >= 2 and key[0] == "count-exists":
                 return key, key[1]

@@ -20,7 +20,7 @@ query-level API:
   reference backend — the original recursive backtracker — so downstream
   code (and the property tests) always have the executable specification;
 * every other entry point routes through the engine's default backend
-  (``indexed`` unless reconfigured), picking the cheapest execution mode:
+  (``interned`` unless reconfigured), picking the cheapest execution mode:
   :func:`has_homomorphism` uses ``exists`` and never materialises a
   substitution, :func:`count_homomorphisms` uses ``count``.
 """

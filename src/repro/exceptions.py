@@ -154,7 +154,7 @@ class AnalysisError(ReproError):
 
 
 class PlanVerificationError(AnalysisError):
-    """A compiled plan or generated function failed soundness verification.
+    """A compiled plan failed soundness verification.
 
     ``violations`` carries the individual
     :class:`~repro.analysis.soundness.Violation` records the verifier

@@ -68,7 +68,7 @@ class ChaosConfig:
     seed: int = 0
     schedule: str = "mixed"
     jobs: int = 2
-    backend: str = "indexed"
+    backend: str = "interned"
     chunk_size: int = 4
     #: Wall-clock bound per worker task; hung/crashed shards are retried
     #: and bisected by :func:`repro.parallel.parallel_batch` within it.

@@ -20,16 +20,19 @@ A floating-point solver can only be trusted up to a tolerance, so the module
 never *asserts* infeasibility on its own authority: callers that need an
 exact answer either verify the returned witness exactly (a rational
 rounding of the LP solution) or fall back to Fourier–Motzkin.
+
+scipy (and numpy) are optional: they are imported on the first LP call, so
+``import repro`` and every exact decision work without them, and an LP call
+without them raises :class:`~repro.exceptions.LinearSystemError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-import numpy as np
-from scipy.optimize import linprog
-
+from repro.exceptions import LinearSystemError
 from repro.linalg.systems import HomogeneousStrictSystem
 
 __all__ = ["LpFeasibility", "lp_feasibility", "lp_witness"]
@@ -57,7 +60,7 @@ class LpFeasibility:
 
 
 def _round_witness(
-    system: HomogeneousStrictSystem, point: np.ndarray, denominator: int = 10**6
+    system: HomogeneousStrictSystem, point: Sequence[float], denominator: int = 10**6
 ) -> tuple[Fraction, ...] | None:
     """Round an LP point to rationals and keep it only if it verifies exactly."""
     candidate = tuple(Fraction(round(float(value) * denominator), denominator) for value in point)
@@ -84,6 +87,14 @@ def lp_feasibility(
     if m == 0:
         witness = tuple(Fraction(0) for _ in range(n))
         return LpFeasibility(True, 1.0, witness, True)
+
+    try:
+        import numpy as np
+        from scipy.optimize import linprog
+    except ImportError as error:
+        raise LinearSystemError(
+            f"the LP fast path needs scipy and numpy, which are not installed ({error})"
+        ) from None
 
     matrix = np.array([[float(value) for value in row] for row in working.rows], dtype=float)
 

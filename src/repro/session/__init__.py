@@ -6,7 +6,7 @@ and exposes every workload of the library behind a uniform facade::
 
     from repro.session import Session
 
-    session = Session(backend="indexed")
+    session = Session(backend="interned")
     outcome = session.decide(q1, q2)           # bag containment
     outcome.verdict, outcome.certificate, outcome.elapsed, outcome.cache
 

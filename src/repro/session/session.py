@@ -119,7 +119,7 @@ class SessionSpec:
     the module that registers the plugin before the spec is built.
     """
 
-    backend: str = "indexed"
+    backend: str = "interned"
     limits: Limits = Limits()
     memoize: bool = True
     name: str = "worker"
@@ -129,10 +129,10 @@ class SessionSpec:
     cache_capacities: tuple[int, int, int] = (512, 128, 4096)
     #: The parent session's persistent store path, if any: workers attach
     #: to the *same* store (SQLite WAL + short write transactions make the
-    #: sharing safe), so plans and memos built anywhere in the fleet warm
+    #: sharing safe), so memos built anywhere in the fleet warm
     #: every process — and the next run.
     persist_path: str | None = None
-    #: Whether the source session verified plans/generated code online —
+    #: Whether the source session verified plans online —
     #: workers inherit the same debugging posture.
     debug_verify_plans: bool = False
     #: The parent session's fault plan, if any: a frozen picklable value,
@@ -175,7 +175,7 @@ class Session:
     ----------
     backend:
         The default engine backend name for this session (any registered
-        name; ``indexed`` unless overridden).
+        name; ``interned`` unless overridden).
     cache:
         The engine cache the session's stateful backends share; a fresh
         :class:`EngineCache` is created when omitted.
@@ -190,8 +190,8 @@ class Session:
         pipeline, and show up as ``results`` hits in outcome cache deltas.
     persist_path:
         Back the session cache with a disk store at this path
-        (:class:`~repro.engine.persist.PersistentCache`): compiled plans,
-        count/exists memos and decision verdicts warm across restarts, and
+        (:class:`~repro.engine.persist.PersistentCache`): count/exists
+        memos and decision verdicts warm across restarts, and
         parallel workers built from :meth:`spec` share the same store.  A
         missing/corrupt store silently degrades to cold behaviour.
     fault_plan:
@@ -204,7 +204,7 @@ class Session:
 
     def __init__(
         self,
-        backend: str = "indexed",
+        backend: str = "interned",
         cache: EngineCache | None = None,
         limits: Limits | None = None,
         name: str | None = None,
@@ -218,8 +218,7 @@ class Session:
         self.limits = limits if limits is not None else Limits()
         self.memoize = memoize
         #: When true, every plan compiled or retrieved while this session is
-        #: active is soundness-verified, and every generated function is
-        #: AST-verified at compile time (see :mod:`repro.analysis`).
+        #: active is soundness-verified (see :mod:`repro.analysis`).
         self.debug_verify_plans = debug_verify_plans
         self._backends: dict[str, Backend] = {}
         if backend not in backend_names():

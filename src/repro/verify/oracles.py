@@ -2,10 +2,9 @@
 
 The library derives the bag-containment verdict along independently
 implemented routes — three decision strategies (most-general probe,
-all-probes, bounded guess-&-check), four homomorphism backends (naive
-reference, compiled indexed engine, integer-interned data plane, and the
-codegen backend with adaptive replanning), two Diophantine feasibility paths
-(exact Fourier–Motzkin vs the scipy LP fast path) — plus the sound-but-
+all-probes, bounded guess-&-check), two homomorphism backends (the naive
+reference and the integer-interned engine), two Diophantine feasibility
+paths (exact Fourier–Motzkin vs the scipy LP fast path) — plus the sound-but-
 incomplete refuter baselines and the cross-semantics implications.  A
 *differential oracle* runs one (containee, containing) pair through every
 requested combination and reports a :class:`Discrepancy` whenever

@@ -92,7 +92,7 @@ class CampaignConfig:
     chunk_size: int = 25
     num_atoms: int = 3
     head_size: int = 2
-    #: Verify every compiled plan and generated function online during the
+    #: Verify every compiled plan online during the
     #: campaign (see :mod:`repro.analysis`); the per-chunk verification
     #: counts ride the snapshot under the ``verify`` pseudo-layer.
     debug_verify_plans: bool = False
@@ -490,11 +490,8 @@ class CampaignReport:
                     f"  persist  {hits} hits / {misses} misses ({rate:.0%}), {stores} stored"
                 )
             if verify is not None:
-                plans, functions, violations = verify
-                lines.append(
-                    f"  verify   {plans} plans / {functions} generated functions "
-                    f"checked, {violations} violations"
-                )
+                plans, violations = verify
+                lines.append(f"  verify   {plans} plans checked, {violations} violations")
         if self.failures:
             lines.append(f"{len(self.failures)} DISCREPANCIES:")
             for failure in self.failures:

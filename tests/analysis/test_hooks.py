@@ -39,21 +39,18 @@ class TestContextFlag:
 
 
 class TestSessionIntegration:
-    @pytest.mark.parametrize("backend", ["indexed", "interned", "generated"])
-    def test_decisions_are_verified_when_enabled(self, backend):
-        session = Session(backend=backend, debug_verify_plans=True)
+    def test_decisions_are_verified_when_enabled(self):
+        session = Session(backend="interned", debug_verify_plans=True)
         outcome = session.decide(Q2, Q1)
         assert outcome.value is not None
-        plans, generated, violations = hooks.verification_counts()
+        plans, violations = hooks.verification_counts()
         assert plans > 0
         assert violations == 0
-        if backend == "generated":
-            assert generated > 0
 
     def test_flag_off_verifies_nothing(self):
         session = Session(backend="interned")
         session.decide(Q2, Q1)
-        assert hooks.verification_counts() == (0, 0, 0)
+        assert hooks.verification_counts() == (0, 0)
 
     def test_flag_does_not_leak_outside_activation(self):
         session = Session(backend="interned", debug_verify_plans=True)
@@ -62,19 +59,19 @@ class TestSessionIntegration:
         assert not hooks.verification_enabled()
 
     def test_spec_round_trips_the_flag(self):
-        session = Session(backend="generated", debug_verify_plans=True)
+        session = Session(backend="interned", debug_verify_plans=True)
         spec = session.spec()
         assert spec.debug_verify_plans is True
         rebuilt = spec.build()
         assert rebuilt.debug_verify_plans is True
-        assert Session(backend="indexed").spec().debug_verify_plans is False
+        assert Session(backend="naive").spec().debug_verify_plans is False
 
     def test_evaluation_and_mpi_paths_are_covered(self):
         from repro.relational.instances import BagInstance
         from repro.relational.atoms import Atom
         from repro.relational.terms import Constant
 
-        session = Session(backend="generated", debug_verify_plans=True)
+        session = Session(backend="interned", debug_verify_plans=True)
         instance = BagInstance({Atom("e", (Constant("a"), Constant("b"))): 2})
         session.evaluate(Q2, instance)
         assert hooks.verification_counts()[0] > 0
@@ -93,24 +90,52 @@ class TestRaisingChecks:
                 dictionary=backend.dictionary,
             )
         assert excinfo.value.violations
-        assert hooks.verification_counts()[2] == len(excinfo.value.violations)
+        assert hooks.verification_counts()[1] == len(excinfo.value.violations)
 
-    def test_check_generated_raises_on_tampered_source(self):
+    def test_check_plan_passes_a_clean_plan_and_counts_it(self):
         from repro.engine import EngineCache, create_backend
 
-        backend = create_backend("generated", cache=EngineCache())
-        source = parse_cq("q() :- e(x,y), e(y,z)").body_atoms()
-        target = parse_cq("p() :- e('a','b'), e('b','c')").body_atoms()
+        backend = create_backend("interned", cache=EngineCache())
+        plan = backend.plan(Q1.body_atoms(), Q2.body_atoms(), frozenset())
+        hooks.check_plan(
+            plan,
+            source_atoms=Q1.body_atoms(),
+            fixed_variables=frozenset(),
+            dictionary=backend.dictionary,
+        )
+        assert hooks.verification_counts() == (1, 0)
+
+    def test_memoised_plans_are_reverified_on_retrieval(self):
+        from repro.engine import EngineCache, create_backend
+
+        backend = create_backend("interned", cache=EngineCache())
+        source, target = Q1.body_atoms(), Q2.body_atoms()
+        with hooks.debug_verify_plans():
+            first = backend.plan(source, target, frozenset())
+            assert backend.plan(source, target, frozenset()) is first
+        assert hooks.verification_counts() == (2, 0)
+
+    def test_corrupted_memoised_plan_is_rejected_online(self):
+        from repro.engine import EngineCache, create_backend
+
+        backend = create_backend("interned", cache=EngineCache())
+        source, target = Q1.body_atoms(), Q2.body_atoms()
         plan = backend.plan(source, target, frozenset())
-        assert backend.count(source, target, None) == 1
-        fn = plan.chains["count"]
-        with pytest.raises(PlanVerificationError):
-            hooks.check_generated(fn.__source__.replace("+= 1", "+= 3"), plan, "count")
+        step = (plan.static_steps + plan.steps)[-1]
+        # InternedStep uses __slots__: corrupt the cached step in place.
+        type(step).__init__(
+            step, step.atom, step.group, step.bucket, step.key_ops[:-1], step.new_ops, step.counter
+        )
+        with hooks.debug_verify_plans():
+            with pytest.raises(PlanVerificationError):
+                backend.plan(source, target, frozenset())
+        plans, violations = hooks.verification_counts()
+        assert plans == 1 and violations > 0
 
 
 class TestCampaignReporting:
     def test_verify_pseudo_layer_rides_the_snapshot(self):
-        session = Session(backend="generated")
+        session = Session(backend="interned")
         report = session.fuzz(
             cases=3,
             seed=0,
@@ -119,7 +144,7 @@ class TestCampaignReporting:
             shrink_failures=False,
         ).value
         assert "verify" in report.engine_stats
-        plans, generated, violations = report.engine_stats["verify"]
+        plans, violations = report.engine_stats["verify"]
         assert plans > 0
         assert violations == 0
         assert "verify" in report.describe()

@@ -47,9 +47,9 @@ class TestRealTree:
     def test_fingerprint_covers_the_persisted_roots_transitively(self):
         fingerprint = current_fingerprint()
         names = set(fingerprint.types)
-        assert "repro.engine.plan.MatchPlan" in names
+        assert "repro.core.encoding.MpiEncoding" in names
         assert "repro.core.decision.BagContainmentResult" in names
-        # Transitive reach: terms referenced through plan/encoding fields.
+        # Transitive reach: terms referenced through encoding fields.
         assert "repro.relational.terms.Variable" in names
         assert len(names) >= 15
 

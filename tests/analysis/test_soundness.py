@@ -1,14 +1,13 @@
-"""Unit tests for the plan/codegen soundness verifier."""
+"""Unit tests for the plan soundness verifier."""
 
 import dataclasses
 
-import pytest
-
-from repro.analysis.soundness import Violation, verify_generated, verify_plan
+from repro.analysis.soundness import Violation, verify_plan
 from repro.engine import EngineCache, create_backend
+from repro.engine.interned import InternedStep
 from repro.engine.interning import ID_BITS, TermDictionary
 from repro.queries.parser import parse_cq
-from repro.relational.terms import Constant, Variable
+from repro.relational.terms import Variable
 
 
 def plan_for(backend_name, source_text, target_text, fixed=frozenset()):
@@ -23,33 +22,6 @@ SOURCE = "q() :- e(x,y), e(y,z), e(z,x), f(x,w)"
 TARGET = "p() :- e('a','b'), e('b','c'), e('c','a'), e('a','a'), f('a','u'), f('b','v')"
 
 
-class TestVerifyMatchPlan:
-    def test_compiled_plan_is_clean(self):
-        _, plan, source, _ = plan_for("indexed", SOURCE, TARGET)
-        assert verify_plan(plan, source_atoms=source, fixed_variables=frozenset()) == []
-
-    def test_accepts_query_objects_for_source(self):
-        _, plan, _, _ = plan_for("indexed", SOURCE, TARGET)
-        assert verify_plan(plan, source_atoms=parse_cq(SOURCE)) == []
-
-    def test_fixed_contract_mismatch_is_reported(self):
-        _, plan, source, _ = plan_for("indexed", SOURCE, TARGET)
-        violations = verify_plan(
-            plan, source_atoms=source, fixed_variables=frozenset({Variable("x")})
-        )
-        assert any(v.code == "fixed-mismatch" for v in violations)
-
-    def test_wrong_source_atoms_break_the_permutation(self):
-        _, plan, _, _ = plan_for("indexed", SOURCE, TARGET)
-        other = parse_cq("q() :- e(x,y)").body_atoms()
-        violations = verify_plan(plan, source_atoms=other)
-        assert any(v.code == "order-permutation" for v in violations)
-
-    def test_unknown_plan_type_is_reported(self):
-        violations = verify_plan(object())
-        assert [v.code for v in violations] == ["unknown-plan"]
-
-
 class TestVerifyInternedPlan:
     def test_compiled_plan_is_clean(self):
         backend, plan, source, _ = plan_for("interned", SOURCE, TARGET)
@@ -62,6 +34,27 @@ class TestVerifyInternedPlan:
             )
             == []
         )
+
+    def test_accepts_query_objects_for_source(self):
+        _, plan, _, _ = plan_for("interned", SOURCE, TARGET)
+        assert verify_plan(plan, source_atoms=parse_cq(SOURCE)) == []
+
+    def test_fixed_contract_mismatch_is_reported(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        violations = verify_plan(
+            plan, source_atoms=source, fixed_variables=frozenset({Variable("x")})
+        )
+        assert any(v.code == "fixed-mismatch" for v in violations)
+
+    def test_wrong_source_atoms_break_the_permutation(self):
+        _, plan, _, _ = plan_for("interned", SOURCE, TARGET)
+        other = parse_cq("q() :- e(x,y)").body_atoms()
+        violations = verify_plan(plan, source_atoms=other)
+        assert any(v.code == "order-permutation" for v in violations)
+
+    def test_unknown_plan_type_is_reported(self):
+        violations = verify_plan(object())
+        assert [v.code for v in violations] == ["unknown-plan"]
 
     def test_fixed_plan_with_static_filter_is_clean(self):
         fixed = frozenset({Variable("x")})
@@ -128,120 +121,127 @@ class TestVerifyInternedPlan:
         assert "unbound-read" in text and "step 2" in text
 
 
-class TestVerifyGeneratedPlan:
-    def test_plan_and_all_chains_are_clean(self):
-        backend, plan, source, target = plan_for("generated", SOURCE, TARGET)
-        assert backend.count(source, target, None) > 0
-        assert backend.exists(source, target, None)
-        assert sum(1 for _ in backend.iterate(source, target, None)) > 0
-        assert sorted(plan.chains) == ["collect", "count", "exists"]
-        assert (
-            verify_plan(plan, source_atoms=source, fixed_variables=frozenset()) == []
-        )
+def rebuilt(step, **changes):
+    """A copy of an :class:`InternedStep` with some fields replaced."""
+    fields = {
+        name: getattr(step, name)
+        for name in ("atom", "group", "bucket", "key_ops", "new_ops", "counter")
+    }
+    fields.update(changes)
+    return InternedStep(**fields)
 
-    def test_static_chain_is_verified(self):
+
+def codes_of(plan, source, dictionary=None, fixed_variables=None):
+    return {
+        v.code
+        for v in verify_plan(
+            plan,
+            source_atoms=source,
+            fixed_variables=fixed_variables,
+            dictionary=dictionary,
+        )
+    }
+
+
+class TestInternedMutations:
+    """Each hand-corrupted plan must trip the check that guards its defect."""
+
+    def test_slot_of_that_does_not_invert_the_layout(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        slot_of = dict(plan.slot_of)
+        first, second = plan.slot_variables[:2]
+        slot_of[first], slot_of[second] = slot_of[second], slot_of[first]
+        tampered = dataclasses.replace(plan, slot_of=slot_of)
+        assert codes_of(tampered, source) == {"slot-layout"}
+
+    def test_self_ids_must_cover_every_slot(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        tampered = dataclasses.replace(plan, self_ids=plan.self_ids[:-1])
+        assert codes_of(tampered, source) == {"slot-layout"}
+
+    def test_self_ids_must_be_dictionary_ids(self):
+        backend, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        tampered = dataclasses.replace(plan, self_ids=tuple(reversed(plan.self_ids)))
+        assert "slot-layout" in codes_of(tampered, source, backend.dictionary)
+        assert codes_of(plan, source, backend.dictionary) == set()
+
+    def test_source_variable_without_a_slot(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        dropped = Variable("w")
+        slot_variables = tuple(v for v in plan.slot_variables if v != dropped)
+        tampered = dataclasses.replace(
+            plan,
+            slot_variables=slot_variables,
+            slot_of={variable: slot for slot, variable in enumerate(slot_variables)},
+            self_ids=plan.self_ids[: len(slot_variables)],
+        )
+        violations = verify_plan(tampered, source_atoms=source)
+        assert any(v.code == "slot-layout" and "no slot" in v.message for v in violations)
+
+    def test_fixed_slots_must_match_the_fixed_variables(self):
         fixed = frozenset({Variable("x")})
+        _, plan, source, _ = plan_for("interned", "q(x) :- e(x,x), e(x,y)", TARGET, fixed)
+        tampered = dataclasses.replace(plan, fixed_slots=())
+        assert "fixed-mismatch" in codes_of(tampered, source, fixed_variables=fixed)
+
+    def test_atom_scheduled_twice(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        tampered = dataclasses.replace(plan, steps=plan.steps + (plan.steps[-1],))
+        violations = verify_plan(tampered, source_atoms=source)
+        assert any(
+            v.code == "order-permutation" and "more than once" in v.message for v in violations
+        )
+
+    def test_static_filter_that_binds_slots(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        tampered = dataclasses.replace(
+            plan, static_steps=plan.steps[:1], steps=plan.steps[1:]
+        )
+        assert {"static-binds", "arity-mismatch"} <= codes_of(tampered, source)
+
+    def test_static_filter_reading_an_unfixed_slot(self):
+        fixed = frozenset({Variable("x")})
+        _, plan, source, _ = plan_for("interned", "q(x) :- e(x,x), e(x,y)", TARGET, fixed)
+        assert plan.static_steps
+        # Drop the fixed contract the hoisted filter relies on.
+        tampered = dataclasses.replace(plan, fixed_variables=frozenset(), fixed_slots=())
+        assert "unbound-read" in codes_of(tampered, source)
+
+    def test_step_ops_that_do_not_cover_the_arity(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        step = plan.steps[0]
+        tampered = dataclasses.replace(
+            plan, steps=(rebuilt(step, new_ops=step.new_ops[:-1]),) + plan.steps[1:]
+        )
+        assert "arity-mismatch" in codes_of(tampered, source)
+
+    def test_fresh_ops_with_swapped_slots(self):
+        _, plan, source, _ = plan_for("interned", SOURCE, TARGET)
+        step = next(s for s in plan.steps if len(s.new_ops) == 2)
+        (p0, s0), (p1, s1) = step.new_ops
+        swapped = rebuilt(step, new_ops=((p0, s1), (p1, s0)))
+        tampered = dataclasses.replace(
+            plan, steps=tuple(swapped if s is step else s for s in plan.steps)
+        )
+        assert "signature-mismatch" in codes_of(tampered, source)
+
+    def test_constant_key_op_replaced_by_a_slot_read(self):
+        _, plan, source, _ = plan_for("interned", "q() :- e(x,'a')", "p() :- e('a','a')")
+        step = plan.steps[0]
+        key_ops = tuple(0 if op < 0 else op for op in step.key_ops)
+        tampered = dataclasses.replace(plan, steps=(rebuilt(step, key_ops=key_ops),))
+        # Caught even without a dictionary: a constant position never reads a slot.
+        violations = verify_plan(tampered, source_atoms=source)
+        assert any(
+            v.code == "signature-mismatch" and "constant" in v.message for v in violations
+        )
+
+    def test_constant_missing_from_the_dictionary(self):
         backend, plan, source, _ = plan_for(
-            "generated", "q(x) :- e(x,x), e(x,y)", TARGET, fixed
+            "interned", "q() :- e(x,'a')", "p() :- e('a','a')"
         )
-        assert plan.base.static_steps
-        assert verify_plan(plan, source_atoms=source, fixed_variables=fixed) == []
-
-    def test_shuffled_suffix_without_recompilation_is_caught(self):
-        backend, plan, source, _ = plan_for(
-            "generated", "q() :- e(x,y), e(y,z), e(z,w)", "p() :- e('a','b'), e('b','c')"
-        )
-        assert len(plan.suffix) == 2
-        plan.suffix[0], plan.suffix[1] = plan.suffix[1], plan.suffix[0]
-        violations = verify_plan(plan, source_atoms=source, include_chains=False)
-        assert violations
-
-    def test_foreign_suffix_step_breaks_the_permutation(self):
-        backend, plan, source, _ = plan_for("generated", SOURCE, TARGET)
-        _, other_plan, _, _ = plan_for(
-            "generated", "q() :- g(x,y), g(y,x)", "p() :- g('a','b'), g('b','a')"
-        )
-        plan.suffix[-1] = other_plan.base.steps[0]
-        violations = verify_plan(plan, source_atoms=source, include_chains=False)
-        assert any(v.code == "order-permutation" for v in violations)
-
-
-class TestVerifyGenerated:
-    def _compiled(self):
-        backend, plan, source, target = plan_for("generated", SOURCE, TARGET)
-        backend.count(source, target, None)
-        backend.exists(source, target, None)
-        list(backend.iterate(source, target, None))
-        return plan
-
-    def test_every_mode_verifies_clean(self):
-        plan = self._compiled()
-        for mode, function in plan.chains.items():
-            assert verify_generated(function.__source__, plan, mode) == []
-        assert verify_generated(plan.static_chain.__source__, plan, "static") == []
-
-    def test_missing_counter_tick_is_caught(self):
-        plan = self._compiled()
-        source = plan.chains["count"].__source__
-        broken = source.replace("C0[0] += 1", "C0[0] += 2", 1)
-        assert any(
-            "counter tick" in v.message
-            for v in verify_generated(broken, plan, "count")
-        )
-
-    def test_wrong_probe_key_is_caught(self):
-        plan = self._compiled()
-        source = plan.chains["count"].__source__
-        assert "<< 32" in source
-        broken = source.replace("<< 32", "<< 16", 1)
-        assert any(
-            "probe expression" in v.message
-            for v in verify_generated(broken, plan, "count")
-        )
-
-    def test_illegal_names_and_imports_are_caught(self):
-        plan = self._compiled()
-        source = plan.chains["exists"].__source__
-        header = "def _run(binding):"
-        evil = source.replace(header, header + "\n    import os\n    os.system('x')", 1)
-        codes = {v.code for v in verify_generated(evil, plan, "exists")}
-        assert "illegal-node" in codes
-
-    def test_foreign_call_is_caught(self):
-        plan = self._compiled()
-        source = plan.chains["count"].__source__
-        broken = source.replace("len(rows0)", "eval(rows0)", 1)
-        codes = {v.code for v in verify_generated(broken, plan, "count")}
-        assert "illegal-call" in codes or "illegal-name" in codes
-
-    def test_dropped_duplicate_check_is_caught(self):
-        # e(z,z) forces a duplicate-fresh-variable row check in the suffix.
-        backend, plan, source, target = plan_for(
-            "generated",
-            "q() :- e(x,y), f(y,z,z)",
-            "p() :- e('a','b'), f('b','c','c'), f('b','c','d')",
-        )
-        assert backend.count(source, target, None) == 1
-        fn_source = plan.chains["count"].__source__
-        assert "!=" in fn_source
-        import re
-
-        broken = re.sub(r" *if row\d+\[\d+\] != row\d+\[\d+\]:\n *continue\n", "", fn_source)
-        assert broken != fn_source
-        assert any(
-            "duplicate" in v.message or "structure" == v.code
-            for v in verify_generated(broken, plan, "count")
-        )
-
-    def test_unknown_mode_and_unparseable_source(self):
-        plan = self._compiled()
-        assert verify_generated("def _run(binding): pass", plan, "nope")[0].code == "unknown-mode"
-        assert verify_generated("def _run(:", plan, "count")[0].code == "syntax-error"
-
-    def test_empty_suffix_single_atom_query(self):
-        backend, plan, source, target = plan_for(
-            "generated", "q() :- e(x,y)", "p() :- e('a','b')"
-        )
-        assert backend.count(source, target, None) == 1
-        for mode, function in plan.chains.items():
-            assert verify_generated(function.__source__, plan, mode) == []
+        foreign = TermDictionary()
+        for variable in plan.slot_variables:
+            foreign.intern(variable)
+        assert "constant-id" in codes_of(plan, source, foreign)
+        assert codes_of(plan, source, backend.dictionary) == set()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import (
     EngineCache,
-    IndexedBackend,
+    InternedBackend,
     NaiveBackend,
     get_backend,
     get_default_backend,
@@ -21,31 +21,45 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b = Constant("a"), Constant("b")
 
 
+def fresh_backend(**capacities) -> InternedBackend:
+    return InternedBackend(cache=EngineCache(**capacities))
+
+
+def layer_plan(backend: InternedBackend, source, target, fixed=frozenset()):
+    """Plan lookup through the cache's plan layer.
+
+    Fresh list containers miss the backend's identity memo, so every call
+    reaches (and is counted by) the fingerprint-keyed plan layer.
+    """
+    return backend.plan(list(source), list(target), fixed)
+
+
 class TestEngineCache:
     def test_plan_reuse_counts_as_hit(self):
-        cache = EngineCache()
+        backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
-        first = cache.plan(source, target, frozenset())
-        second = cache.plan(source, target, frozenset())
+        first = layer_plan(backend, source, target)
+        second = layer_plan(backend, source, target)
         assert first is second
-        assert cache.plan_stats.hits == 1
-        assert cache.plan_stats.misses == 1
+        assert backend.cache.plan_stats.hits == 1
+        assert backend.cache.plan_stats.misses == 1
 
     def test_different_fixed_sets_get_different_plans(self):
-        cache = EngineCache()
+        backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
-        unfixed = cache.plan(source, target, frozenset())
-        fixed = cache.plan(source, target, frozenset({x}))
+        unfixed = layer_plan(backend, source, target)
+        fixed = layer_plan(backend, source, target, frozenset({x}))
         assert unfixed is not fixed
 
     def test_target_index_is_shared_across_sources(self):
-        cache = EngineCache()
+        backend = fresh_backend()
         target = (Atom("R", (a, b)),)
-        plan_one = cache.plan((Atom("R", (x, y)),), target, frozenset())
-        plan_two = cache.plan((Atom("R", (x, x)),), target, frozenset())
-        assert plan_one.index is plan_two.index
+        layer_plan(backend, (Atom("R", (x, y)),), target)
+        layer_plan(backend, (Atom("R", (x, x)),), target)
+        assert backend.cache.index_stats.misses == 1
+        assert backend.cache.index_stats.hits == 1
 
     def test_result_memoisation(self):
         cache = EngineCache()
@@ -61,30 +75,30 @@ class TestEngineCache:
         assert cache.result_stats.hits == 1
 
     def test_invalidate_by_target(self):
-        cache = EngineCache()
+        backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
         other = (Atom("R", (b, a)),)
-        cache.plan(source, target, frozenset())
-        cache.plan(source, other, frozenset())
-        dropped = cache.invalidate(target)
-        assert dropped == 2  # the plan and its index
-        cache.plan(source, other, frozenset())
-        assert cache.plan_stats.hits == 1  # the untouched target still hits
+        layer_plan(backend, source, target)
+        layer_plan(backend, source, other)
+        dropped = backend.cache.invalidate(target)
+        assert dropped == 2  # the plan and its interned target
+        layer_plan(backend, source, other)
+        assert backend.cache.plan_stats.hits == 1  # the untouched target still hits
 
     def test_invalidate_everything(self):
-        cache = EngineCache()
-        cache.plan((Atom("R", (x, y)),), (Atom("R", (a, b)),), frozenset())
-        assert cache.invalidate() >= 1
-        cache.plan((Atom("R", (x, y)),), (Atom("R", (a, b)),), frozenset())
-        assert cache.plan_stats.misses == 2
+        backend = fresh_backend()
+        layer_plan(backend, (Atom("R", (x, y)),), (Atom("R", (a, b)),))
+        assert backend.cache.invalidate() >= 1
+        layer_plan(backend, (Atom("R", (x, y)),), (Atom("R", (a, b)),))
+        assert backend.cache.plan_stats.misses == 2
 
     def test_lru_eviction(self):
-        cache = EngineCache(max_plans=2)
+        backend = fresh_backend(max_plans=2)
         targets = [(Atom("R", (Constant(f"c{i}"), b)),) for i in range(3)]
         for target in targets:
-            cache.plan((Atom("R", (x, y)),), target, frozenset())
-        assert cache.plan_stats.evictions == 1
+            layer_plan(backend, (Atom("R", (x, y)),), target)
+        assert backend.cache.plan_stats.evictions == 1
 
     def test_describe_reports_all_layers(self):
         cache = EngineCache()
@@ -124,24 +138,24 @@ class TestQueryFingerprint:
 class TestBackendSelection:
     def test_registry(self):
         assert isinstance(get_backend("naive"), NaiveBackend)
-        assert isinstance(get_backend("indexed"), IndexedBackend)
+        assert isinstance(get_backend("interned"), InternedBackend)
         with pytest.raises(ReproError):
             get_backend("quantum")
 
-    def test_default_backend_is_indexed(self):
-        assert get_default_backend().name == "indexed"
+    def test_default_backend_is_interned(self):
+        assert get_default_backend().name == "interned"
 
     def test_use_backend_restores_the_previous_default(self):
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == "interned"
         with use_backend("naive") as backend:
             assert backend.name == "naive"
             assert get_default_backend().name == "naive"
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == "interned"
 
     def test_set_default_backend_returns_previous(self):
         previous = set_default_backend("naive")
         try:
-            assert previous == "indexed"
+            assert previous == "interned"
             assert get_default_backend().name == "naive"
         finally:
             set_default_backend(previous)
@@ -157,11 +171,11 @@ class TestBackendAgreement:
 
     def test_iterate_agrees(self):
         naive = sorted(repr(s) for s in get_backend("naive").iterate(self.SOURCE, self.TARGET))
-        indexed = sorted(repr(s) for s in get_backend("indexed").iterate(self.SOURCE, self.TARGET))
-        assert naive == indexed
+        interned = sorted(repr(s) for s in get_backend("interned").iterate(self.SOURCE, self.TARGET))
+        assert naive == interned
 
     def test_count_and_exists_agree(self):
         naive = get_backend("naive")
-        indexed = get_backend("indexed")
-        assert naive.count(self.SOURCE, self.TARGET) == indexed.count(self.SOURCE, self.TARGET)
-        assert naive.exists(self.SOURCE, self.TARGET) == indexed.exists(self.SOURCE, self.TARGET)
+        interned = get_backend("interned")
+        assert naive.count(self.SOURCE, self.TARGET) == interned.count(self.SOURCE, self.TARGET)
+        assert naive.exists(self.SOURCE, self.TARGET) == interned.exists(self.SOURCE, self.TARGET)

@@ -12,7 +12,7 @@ These pin two behaviours the fuzz runner's stats aggregation relies on:
 
 from repro.engine import (
     EngineCache,
-    IndexedBackend,
+    InternedBackend,
     count_many,
     evaluate_bag_many,
     merge_snapshots,
@@ -27,8 +27,8 @@ x, y = Variable("x"), Variable("y")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
 
-def fresh_backend() -> IndexedBackend:
-    return IndexedBackend(cache=EngineCache())
+def fresh_backend() -> InternedBackend:
+    return InternedBackend(cache=EngineCache())
 
 
 class TestMemoisedResultsSurviveUnrelatedInvalidation:
@@ -80,22 +80,23 @@ class TestMemoisedResultsSurviveUnrelatedInvalidation:
         backend.plan(source, unrelated)
         backend.cache.invalidate(unrelated)
         hits_before = backend.cache.plan_stats.hits
-        backend.plan(source, target)
+        # A fresh container misses the identity memo, so the lookup reaches
+        # the fingerprint-keyed plan layer.
+        backend.plan(source, list(target))
         assert backend.cache.plan_stats.hits == hits_before + 1
 
 
 class TestInvalidationCoversEveryLayer:
     """No stale verdict survives an instance mutation — in *any* layer.
 
-    The interned backend stores its entries through the generic
+    The interned backend stores its entries through the
     ``index_entry``/``plan_entry`` hooks and tags its result memos with the
-    backend name; a targeted invalidation must sweep those exactly like the
-    classic entries, and propagate to an attached persistent store
-    (covered in ``test_persist.py``).
+    backend name; a targeted invalidation must sweep all three layers, and
+    propagate to an attached persistent store (covered in
+    ``test_persist.py``).
     """
 
     def test_interned_backend_entries_are_swept(self):
-        from repro.engine.backends import InternedBackend
 
         cache = EngineCache()
         backend = InternedBackend(cache=cache)

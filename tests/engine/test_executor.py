@@ -1,18 +1,32 @@
-"""Unit tests for the iterative executor: modes, stats, and early exit."""
+"""Unit tests for the interned executor: modes, stats, and early exit."""
 
-from repro.engine import get_backend
-from repro.engine.executor import (
+from repro.engine import InternedBackend
+from repro.engine.interned import (
     ExecutionStats,
-    execute_count,
-    execute_exists,
-    execute_iterate,
+    compile_interned_plan,
+    interned_count,
+    interned_exists,
+    interned_iterate,
 )
-from repro.engine.plan import compile_plan
+from repro.engine.interning import InternedTarget, TermDictionary
 from repro.relational.atoms import Atom
 from repro.relational.terms import Constant, Variable
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
+
+
+def compile_plan(source, target, fixed_variables=()):
+    """Compile *source* against a fresh dictionary; returns ``(plan, dictionary)``."""
+    dictionary = TermDictionary()
+    plan = compile_interned_plan(
+        dictionary,
+        InternedTarget(dictionary, target),
+        source,
+        frozenset(fixed_variables),
+        {},
+    )
+    return plan, dictionary
 
 
 def _path_facts(n: int) -> list[Atom]:
@@ -22,30 +36,31 @@ def _path_facts(n: int) -> list[Atom]:
 
 class TestModes:
     def test_iterate_yields_substitutions_with_fixed_included(self):
-        plan = compile_plan([Atom("R", (x, y))], [Atom("R", (a, b))], fixed_variables=[x])
-        (solution,) = list(execute_iterate(plan, {x: a}))
+        plan, dictionary = compile_plan([Atom("R", (x, y))], [Atom("R", (a, b))], [x])
+        (solution,) = list(interned_iterate(plan, dictionary, {x: a}))
         assert solution.apply_term(x) == a
         assert solution.apply_term(y) == b
 
     def test_count_matches_iterate(self):
-        facts = _path_facts(6)
-        plan = compile_plan([Atom("R", (x, y)), Atom("R", (y, z))], facts)
-        assert execute_count(plan) == len(list(execute_iterate(plan))) == 5
+        plan, dictionary = compile_plan([Atom("R", (x, y)), Atom("R", (y, z))], _path_facts(6))
+        assert interned_count(plan, dictionary) == len(list(interned_iterate(plan, dictionary))) == 5
 
     def test_exists_on_empty_target(self):
-        plan = compile_plan([Atom("R", (x, y))], [])
-        assert execute_exists(plan) is False
-        assert execute_count(plan) == 0
+        plan, dictionary = compile_plan([Atom("R", (x, y))], [])
+        assert interned_exists(plan, dictionary) is False
+        assert interned_count(plan, dictionary) == 0
 
     def test_empty_source_yields_the_fixed_bindings_once(self):
-        plan = compile_plan([], [Atom("R", (a, b))])
-        solutions = list(execute_iterate(plan, {x: a}))
+        plan, dictionary = compile_plan([], [Atom("R", (a, b))])
+        solutions = list(interned_iterate(plan, dictionary, {x: a}))
         assert len(solutions) == 1
         assert solutions[0].apply_term(x) == a
 
     def test_repeated_variable_within_atom(self):
-        plan = compile_plan([Atom("R", (x, x))], [Atom("R", (a, b)), Atom("R", (b, b))])
-        (solution,) = list(execute_iterate(plan))
+        plan, dictionary = compile_plan(
+            [Atom("R", (x, x))], [Atom("R", (a, b)), Atom("R", (b, b))]
+        )
+        (solution,) = list(interned_iterate(plan, dictionary))
         assert solution.apply_term(x) == b
 
 
@@ -53,17 +68,17 @@ class TestEarlyExit:
     def test_exists_stops_at_the_first_solution(self):
         # 50 facts, 50 solutions: exists must not visit them all.
         facts = [Atom("R", (Constant(f"u{i}"), Constant(f"v{i}"))) for i in range(50)]
-        plan = compile_plan([Atom("R", (x, y))], facts)
+        plan, dictionary = compile_plan([Atom("R", (x, y))], facts)
         stats = ExecutionStats()
-        assert execute_exists(plan, stats=stats)
+        assert interned_exists(plan, dictionary, stats=stats)
         assert stats.candidates_tried == 1
         assert stats.solutions_found == 1
 
     def test_count_visits_everything(self):
         facts = [Atom("R", (Constant(f"u{i}"), Constant(f"v{i}"))) for i in range(50)]
-        plan = compile_plan([Atom("R", (x, y))], facts)
+        plan, dictionary = compile_plan([Atom("R", (x, y))], facts)
         stats = ExecutionStats()
-        assert execute_count(plan, stats=stats) == 50
+        assert interned_count(plan, dictionary, stats=stats) == 50
         assert stats.candidates_tried == 50
 
     def test_has_homomorphism_routes_through_exists_mode(self):
@@ -74,23 +89,57 @@ class TestEarlyExit:
         exists mode must touch a bounded prefix of the search only.
         """
         from repro.evaluation.homomorphisms import count_homomorphisms, has_homomorphism
+        from repro.session import Session
 
         hub = Constant("hub")
         facts = [Atom("R", (hub, Constant(f"s{i}"))) for i in range(40)]
         facts += [Atom("S", (hub, Constant(f"t{i}"))) for i in range(40)]
         source = [Atom("R", (x, y)), Atom("S", (x, z))]
 
-        backend = get_backend("indexed")
+        # A fresh session owns a fresh backend, so no earlier memoised
+        # result can answer for the executor.
+        session = Session(backend="interned")
+        backend = session.backend
+        assert isinstance(backend, InternedBackend)
         assert backend.stats is not None
-        before = backend.stats.candidates_tried
-        assert has_homomorphism(source, facts)
-        tried = backend.stats.candidates_tried - before
-        # 1600 homomorphisms exist; the early exit needs one per join level.
-        assert count_homomorphisms(source, facts) == 1600
-        assert tried <= len(source) + 1
+        with session.activate():
+            assert has_homomorphism(source, facts)
+            tried = backend.stats.candidates_tried
+            assert backend.stats.executions == 1
+            # 1600 homomorphisms exist; the early exit needs one per join level.
+            assert count_homomorphisms(source, facts) == 1600
+        assert 0 < tried <= len(source) + 1
+
+    def test_failed_static_filter_ends_the_run_before_any_search(self):
+        # R(x, x) with x fixed hoists to a static filter; a miss there must
+        # stop the execution before the search step over S is entered.
+        source = [Atom("R", (x, x)), Atom("S", (x, y))]
+        target = [Atom("R", (a, b))] + [Atom("S", (a, Constant(f"v{i}"))) for i in range(20)]
+        plan, dictionary = compile_plan(source, target, [x])
+        assert plan.static_steps
+        stats = ExecutionStats()
+        assert interned_count(plan, dictionary, {x: a}, stats=stats) == 0
+        assert stats.candidates_tried == 0
 
 
 class TestStats:
+    def test_abandoned_iteration_still_records_its_stats(self):
+        facts = [Atom("R", (Constant(f"u{i}"), Constant(f"v{i}"))) for i in range(10)]
+        plan, dictionary = compile_plan([Atom("R", (x, y))], facts)
+        stats = ExecutionStats()
+        solutions = interned_iterate(plan, dictionary, stats=stats)
+        next(solutions)
+        solutions.close()
+        assert stats.executions == 1
+        assert stats.solutions_found == 1
+
+    def test_fixed_binding_to_an_absent_term_finds_nothing(self):
+        plan, dictionary = compile_plan([Atom("R", (x, y))], [Atom("R", (a, b))], [x])
+        stats = ExecutionStats()
+        assert interned_count(plan, dictionary, {x: Constant("absent")}, stats=stats) == 0
+        assert interned_exists(plan, dictionary, {x: a})
+        assert stats.solutions_found == 0
+
     def test_merge_accumulates(self):
         first = ExecutionStats(candidates_tried=2, solutions_found=1, executions=1)
         second = ExecutionStats(candidates_tried=3, solutions_found=0, executions=1)

@@ -43,7 +43,7 @@ def sample_keys():
         frozenset({Atom("R", (x, y))}),
         frozenset({(x, a)}),
         "count",
-        "indexed",
+        "interned",
     )
     return {
         "plan": plan_key,

@@ -6,6 +6,7 @@ from repro.engine import EngineCache, InternedBackend, create_backend, get_backe
 from repro.engine.interning import ID_BITS, InternedTarget, TermDictionary, pack_ids
 from repro.exceptions import ReproError
 from repro.relational.atoms import Atom
+from repro.relational.substitutions import Substitution
 from repro.relational.terms import Constant, Variable
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -126,7 +127,7 @@ class TestPlanShapes:
         first = (plan.static_steps + plan.steps)[0]
         assert first.atom.relation == "S"
 
-    def test_check_fixed_contract_matches_the_indexed_plan(self):
+    def test_check_fixed_contract(self):
         backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
@@ -181,12 +182,15 @@ class TestBackendBehaviour:
     def test_result_memos_are_backend_private(self):
         # Two backends sharing one cache must not serve each other's
         # count/exists results — the differential oracle depends on it.
+        class Twin(InternedBackend):
+            name = "twin"
+
         cache = EngineCache()
-        indexed = create_backend("indexed", cache)
+        twin = Twin(cache=cache)
         interned = create_backend("interned", cache)
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)), Atom("R", (a, c)))
-        assert indexed.count(source, target) == 2
+        assert twin.count(source, target) == 2
         misses_before = cache.result_stats.misses
         assert interned.count(source, target) == 2
         assert cache.result_stats.misses == misses_before + 1  # not a shared hit
@@ -209,6 +213,70 @@ class TestBackendBehaviour:
         backend = fresh_backend()
         assert backend.count((Atom("R", ()),), (Atom("R", ()),)) == 1
         assert backend.count((Atom("R", ()),), (Atom("S", ()),)) == 0
+
+
+class TestAgreesWithNaive:
+    def test_duplicate_fresh_variables_become_row_checks(self):
+        # S(y, y) inside one atom: both occurrences come from the same row.
+        backend = fresh_backend()
+        source = [Atom("R", (x,)), Atom("S", (x, y, y))]
+        target = [
+            Atom("R", (a,)),
+            Atom("S", (a, b, b)),
+            Atom("S", (a, b, c)),  # mismatched duplicate: must be filtered
+        ]
+        naive = get_backend("naive")
+        assert backend.count(source, target) == naive.count(source, target) == 1
+
+    def test_modes_agree_on_a_joined_source(self):
+        backend = fresh_backend()
+        naive = get_backend("naive")
+        source = [Atom("R", (x, y)), Atom("S", (y, z))]
+        target = [Atom("R", (a, b)), Atom("S", (b, c)), Atom("S", (b, b))]
+        count = naive.count(source, target)
+        assert backend.count(source, target) == count
+        assert backend.exists(source, target) == (count > 0)
+        assert len(list(backend.iterate(source, target))) == count
+
+    def test_substitutions_behave_like_eager_ones(self):
+        backend = fresh_backend()
+        (solution,) = backend.iterate([Atom("R", (x, y))], [Atom("R", (a, b))])
+        eager = Substitution({x: a, y: b})
+        assert solution == eager
+        assert hash(solution) == hash(eager)
+        assert dict(solution) == {x: a, y: b}
+        assert solution.apply_atom(Atom("S", (x, y))) == Atom("S", (a, b))
+
+    def test_substitutions_pickle_as_plain_substitutions(self):
+        import pickle
+
+        backend = fresh_backend()
+        (solution,) = backend.iterate([Atom("R", (x, y))], [Atom("R", (a, b))])
+        restored = pickle.loads(pickle.dumps(solution))
+        assert type(restored) is Substitution
+        assert restored == solution
+
+    def test_identity_fixed_bindings_match_the_reference(self):
+        # fixed={x: x} pins the slot to the variable's own id; the result
+        # must match the naive reference for every fixed shape.
+        backend = fresh_backend()
+        naive = get_backend("naive")
+        source = [Atom("R", (x, y))]
+        target = [Atom("R", (x, b)), Atom("R", (a, b))]
+        for fixed in ({x: x}, {x: a}, {}):
+            expected = sorted(map(repr, naive.iterate(source, target, fixed)))
+            actual = sorted(map(repr, backend.iterate(source, target, fixed)))
+            assert actual == expected, fixed
+
+    def test_variable_targets_drop_identity_bindings(self):
+        # The target mentions x itself, so x -> x is a possible image; the
+        # materialised substitution must omit it, like the reference does.
+        backend = fresh_backend()
+        (solution,) = backend.iterate([Atom("R", (x, y))], [Atom("R", (x, b))])
+        assert x not in solution
+        assert solution[y] == b
+        (reference,) = get_backend("naive").iterate([Atom("R", (x, y))], [Atom("R", (x, b))])
+        assert solution == reference
 
 
 class TestParallelRehydration:

@@ -12,7 +12,7 @@ import sqlite3
 
 import pytest
 
-from repro.engine import EngineCache, IndexedBackend
+from repro.engine import EngineCache, InternedBackend
 from repro.engine.persist import MISS, PersistentCache
 from repro.relational.atoms import Atom
 from repro.relational.terms import Constant, Variable
@@ -21,24 +21,21 @@ x, y = Variable("x"), Variable("y")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
 
-def classic_plan_key():
-    source = frozenset({Atom("R", (x, y))})
-    target = frozenset({Atom("R", (a, b)), Atom("R", (b, c))})
-    return (source, target, frozenset())
+def result_key(target, mode="count"):
+    return ("count-exists", target, frozenset({Atom("R", (x, y))}), frozenset(), mode, "interned")
 
 
-def result_key(target):
-    return ("count-exists", target, frozenset({Atom("R", (x, y))}), frozenset(), "count", "indexed")
+TARGET = frozenset({Atom("R", (a, b)), Atom("R", (b, c))})
 
 
 class TestRoundTrip:
-    def test_plan_row_round_trips(self, tmp_path):
-        store = PersistentCache(tmp_path / "store.db", backend="indexed")
-        key = classic_plan_key()
-        assert store.load("plans", key) is MISS
+    def test_result_row_round_trips(self, tmp_path):
+        store = PersistentCache(tmp_path / "store.db", backend="interned")
+        key = result_key(TARGET)
+        assert store.load("results", key) is MISS
         assert store.stats.misses == 1
-        assert store.store("plans", key, {"payload": 42})
-        assert store.load("plans", key) == {"payload": 42}
+        assert store.store("results", key, {"payload": 42})
+        assert store.load("results", key) == {"payload": 42}
         assert store.stats.hits == 1
         store.close()
 
@@ -62,11 +59,11 @@ class TestRoundTrip:
 class TestFingerprintComponentMismatchIsAMiss:
     def test_backend_mismatch(self, tmp_path):
         path = tmp_path / "store.db"
-        key = classic_plan_key()
-        with PersistentCache(path, backend="indexed") as writer:
-            writer.store("plans", key, "indexed-plan")
+        key = result_key(TARGET)
+        with PersistentCache(path, backend="naive") as writer:
+            writer.store("results", key, 2)
         with PersistentCache(path, backend="interned") as reader:
-            assert reader.load("plans", key) is MISS
+            assert reader.load("results", key) is MISS
             assert reader.stats.misses == 1
 
     def test_limits_mismatch(self, tmp_path):
@@ -87,20 +84,24 @@ class TestFingerprintComponentMismatchIsAMiss:
 
     def test_structural_key_mismatch(self, tmp_path):
         store = PersistentCache(tmp_path / "store.db")
-        source = frozenset({Atom("R", (x, y))})
         target = frozenset({Atom("R", (a, b))})
         other = frozenset({Atom("R", (b, a))})
-        store.store("plans", (source, target, frozenset()), "plan")
-        assert store.load("plans", (source, other, frozenset())) is MISS
+        store.store("results", result_key(target), 1)
+        assert store.load("results", result_key(other)) is MISS
         store.close()
 
 
 class TestEligibility:
-    def test_interned_plan_entry_keys_never_persist(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key",
+        [
+            # Interned plan keys carry a process-local dictionary serial.
+            (frozenset(), frozenset(), frozenset(), "interned", 7),
+            (frozenset(), frozenset(), frozenset()),
+        ],
+    )
+    def test_plan_layer_never_persists(self, tmp_path, key):
         store = PersistentCache(tmp_path / "store.db")
-        # Interned/generated plan keys carry a tag string and a
-        # process-local dictionary serial — not the 3-frozenset shape.
-        key = (frozenset(), frozenset(), frozenset(), "interned", 7)
         assert not store.store("plans", key, "never")
         assert store.load("plans", key) is MISS
         assert store.stats.lookups == 0  # ineligible traffic is not counted
@@ -165,14 +166,13 @@ class TestInvalidation:
         store = PersistentCache(tmp_path / "store.db")
         target = frozenset({Atom("R", (a, b))})
         other = frozenset({Atom("R", (b, c))})
-        source = frozenset({Atom("R", (x, y))})
-        store.store("plans", (source, target, frozenset()), "doomed-plan")
+        store.store("results", result_key(target, "exists"), True)
         store.store("results", result_key(target), 3)
-        store.store("plans", (source, other, frozenset()), "survivor")
+        store.store("results", result_key(other), "survivor")
         assert store.invalidate_target(target) == 2
-        assert store.load("plans", (source, target, frozenset())) is MISS
+        assert store.load("results", result_key(target, "exists")) is MISS
         assert store.load("results", result_key(target)) is MISS
-        assert store.load("plans", (source, other, frozenset())) == "survivor"
+        assert store.load("results", result_key(other)) == "survivor"
         assert store.stats.invalidated == 2
         store.close()
 
@@ -190,23 +190,23 @@ class TestInvalidation:
 
 
 class TestEngineCacheIntegration:
-    def test_backend_plans_and_memos_warm_across_caches(self, tmp_path):
+    def test_backend_memos_warm_across_caches(self, tmp_path):
         path = tmp_path / "store.db"
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)), Atom("R", (b, c)))
 
         cold_cache = EngineCache()
-        cold_cache.attach_persistent(PersistentCache(path, backend="indexed"))
-        cold = IndexedBackend(cache=cold_cache)
+        cold_cache.attach_persistent(PersistentCache(path, backend="interned"))
+        cold = InternedBackend(cache=cold_cache)
         assert cold.count(source, target) == 2
-        assert cold_cache.persistent.stats.stores >= 2  # the plan and the memo
+        assert cold_cache.persistent.stats.stores == 1  # the memo; plans never persist
         cold_cache.persistent.close()
 
         warm_cache = EngineCache()
-        warm_cache.attach_persistent(PersistentCache(path, backend="indexed"))
-        warm = IndexedBackend(cache=warm_cache)
+        warm_cache.attach_persistent(PersistentCache(path, backend="interned"))
+        warm = InternedBackend(cache=warm_cache)
         assert warm.count(source, target) == 2
-        assert warm_cache.persistent.stats.hits >= 2
+        assert warm_cache.persistent.stats.hits == 1
         # A persistent hit is still an in-memory miss: the layer counters
         # keep measuring this process's working set.
         assert warm_cache.result_stats.misses == 1
@@ -219,16 +219,16 @@ class TestEngineCacheIntegration:
         target = (Atom("R", (a, b)),)
 
         cache = EngineCache()
-        cache.attach_persistent(PersistentCache(path, backend="indexed"))
-        backend = IndexedBackend(cache=cache)
+        cache.attach_persistent(PersistentCache(path, backend="interned"))
+        backend = InternedBackend(cache=cache)
         backend.count(source, target)
         assert cache.invalidate(target) > 0
         cache.persistent.close()
 
         # A fresh process must not see any row for the invalidated target.
         fresh = EngineCache()
-        fresh.attach_persistent(PersistentCache(path, backend="indexed"))
-        rebuilt = IndexedBackend(cache=fresh)
+        fresh.attach_persistent(PersistentCache(path, backend="interned"))
+        rebuilt = InternedBackend(cache=fresh)
         stats = fresh.persistent.stats
         assert rebuilt.count(source, target) == 1
         assert stats.hits == 0
@@ -237,8 +237,8 @@ class TestEngineCacheIntegration:
     def test_invalidate_all_clears_the_store_too(self, tmp_path):
         path = tmp_path / "store.db"
         cache = EngineCache()
-        cache.attach_persistent(PersistentCache(path, backend="indexed"))
-        backend = IndexedBackend(cache=cache)
+        cache.attach_persistent(PersistentCache(path, backend="interned"))
+        backend = InternedBackend(cache=cache)
         backend.count((Atom("R", (x, y)),), (Atom("R", (a, b)),))
         assert cache.invalidate() > 0
         assert cache.persistent.info()["entries"] == 0
@@ -257,9 +257,9 @@ class TestEngineCacheIntegration:
     def test_detach_stops_consulting_the_store(self, tmp_path):
         path = tmp_path / "store.db"
         cache = EngineCache()
-        store = PersistentCache(path, backend="indexed")
+        store = PersistentCache(path, backend="interned")
         cache.attach_persistent(store)
-        backend = IndexedBackend(cache=cache)
+        backend = InternedBackend(cache=cache)
         backend.count((Atom("R", (x, y)),), (Atom("R", (a, b)),))
         cache.attach_persistent(None)
         lookups_before = store.stats.lookups

@@ -49,9 +49,9 @@ CASES = 300
 #: (strategy, backend) grid, matching the session-vs-legacy property test;
 #: bounded-guess rides along on a slice of small pairs further down.
 GRID = [
-    ("most-general", "indexed"),
+    ("most-general", "interned"),
     ("most-general", "naive"),
-    ("all-probes", "indexed"),
+    ("all-probes", "interned"),
     ("all-probes", "naive"),
 ]
 

@@ -82,20 +82,23 @@ class TestKillRestartCampaign:
         store = tmp_path / "campaign-store.db"
 
         # The reference: a cold run with no persistence at all.
+        started = time.monotonic()
         code, cold_stdout, cold_stderr = _run_cli(["decide", "--batch", str(corpus)])
+        cold_seconds = time.monotonic() - started
         assert code == 0, f"cold reference run failed:\n{cold_stdout}\n{cold_stderr}"
         assert "Traceback" not in cold_stderr
 
         # SIGKILL a persisting session at a random point, INTERRUPTIONS
-        # times.  Delays are seeded (reproducible) and spread from
-        # mid-import to mid-corpus; whatever half-written state each kill
-        # leaves behind, the next session must start and the store must
-        # keep serving.
+        # times.  Delays are seeded (reproducible) fractions of the cold
+        # run's wall time, so they spread from mid-import to mid-corpus on
+        # any host and however fast the CLI starts; whatever half-written
+        # state each kill leaves behind, the next session must start and
+        # the store must keep serving.
         rng = random.Random(0xC0FFEE)
         killed = 0
         for round_index in range(INTERRUPTIONS):
             process = _cli(["decide", "--batch", str(corpus), "--persist", str(store)])
-            time.sleep(rng.uniform(0.05, 1.0))
+            time.sleep(rng.uniform(0.05, 0.9) * cold_seconds)
             process.send_signal(signal.SIGKILL)
             stdout, stderr = process.communicate(timeout=60)
             if process.returncode == -signal.SIGKILL:
@@ -149,7 +152,7 @@ class TestTwoProcessesOneStore:
             blocker.execute("BEGIN IMMEDIATE")
             blocker.execute(
                 "INSERT INTO entries (layer, key, backend, limits, schema, target, value, created) "
-                "VALUES ('results', 'uncommitted', 'indexed', '', 1, '', x'00', 0)"
+                "VALUES ('results', 'uncommitted', 'interned', '', 1, '', x'00', 0)"
             )
             reader = PersistentCache(store_path)
             assert reader.load("results", ("session", ("committed",))) == "visible"

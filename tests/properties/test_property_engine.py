@@ -1,14 +1,14 @@
-"""Property tests: the compiled engines agree with the naive reference.
+"""Property tests: the interned engine agrees with the naive reference.
 
 Random CQ/instance pairs (and raw atom-set pairs, which also exercise
 variables in the target as containment mappings do) must yield identical
-results from the naive, indexed, interned and generated backends in all
-three execution modes, and a memoising cache must never change an answer.
-Together the properties in :class:`TestBackendEquivalence` run 300 random
-cases per suite execution; :class:`TestInternedDecisionEquivalence` adds
-another 300 seeded adversarial decisions proving the interned and
-generated backends are verdict-, certificate- and count-identical to the
-other two across all three decision strategies.
+results from the naive and interned backends in all three execution
+modes, and a memoising cache must never change an answer.  Together the
+properties in :class:`TestBackendEquivalence` run 300 random cases per
+suite execution; :class:`TestInternedDecisionEquivalence` adds another 300
+seeded adversarial decisions proving the interned backend is verdict-,
+certificate- and count-identical to the naive reference across all three
+decision strategies.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import EngineCache, GeneratedBackend, IndexedBackend, InternedBackend, get_backend
+from repro.engine import EngineCache, InternedBackend, get_backend
 from repro.evaluation.bag_evaluation import evaluate_bag
 from repro.relational.atoms import Atom
 from repro.relational.terms import Constant, Variable
@@ -48,18 +48,16 @@ class TestBackendEquivalence:
     @given(source=atom_sets(3), target=atom_sets(5), fixed=fixed_bindings())
     def test_iterate_agrees_as_multisets(self, source, target, fixed):
         naive = _multiset(get_backend("naive").iterate(source, target, fixed))
-        for name in ("indexed", "interned", "generated"):
-            assert _multiset(get_backend(name).iterate(source, target, fixed)) == naive, name
+        assert _multiset(get_backend("interned").iterate(source, target, fixed)) == naive
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(source=atom_sets(3), target=atom_sets(5), fixed=fixed_bindings())
     def test_count_and_exists_agree(self, source, target, fixed):
         naive = get_backend("naive")
         count = naive.count(source, target, fixed)
-        for name in ("indexed", "interned", "generated"):
-            backend = get_backend(name)
-            assert backend.count(source, target, fixed) == count, name
-            assert backend.exists(source, target, fixed) == (count > 0), name
+        interned = get_backend("interned")
+        assert interned.count(source, target, fixed) == count
+        assert interned.exists(source, target, fixed) == (count > 0)
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(query=queries_over_shared_head(), bag=bag_instances())
@@ -68,30 +66,22 @@ class TestBackendEquivalence:
 
         with use_backend("naive"):
             expected = evaluate_bag(query, bag)
-        for name in ("indexed", "interned", "generated"):
-            with use_backend(name):
-                assert evaluate_bag(query, bag) == expected, name
+        with use_backend("interned"):
+            assert evaluate_bag(query, bag) == expected
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(source=atom_sets(3), target=atom_sets(5), fixed=fixed_bindings())
     def test_cached_and_uncached_results_agree(self, source, target, fixed):
-        cold = IndexedBackend(cache=EngineCache())
-        warm = IndexedBackend(cache=EngineCache())
-        expected_count = cold.count(source, target, fixed)
-        expected_exists = cold.exists(source, target, fixed)
+        naive = get_backend("naive")
+        expected_count = naive.count(source, target, fixed)
+        expected_exists = naive.exists(source, target, fixed)
+        warm = InternedBackend(cache=EngineCache())
         # First call populates the cache, second call must hit it.
         assert warm.count(source, target, fixed) == expected_count
         assert warm.count(source, target, fixed) == expected_count
         assert warm.exists(source, target, fixed) == expected_exists
         assert warm.exists(source, target, fixed) == expected_exists
         assert warm.cache.result_stats.hits >= 2
-        # Same guarantee for the interned backend and its identity memo.
-        for cls in (InternedBackend, GeneratedBackend):
-            warm_integer = cls(cache=EngineCache())
-            assert warm_integer.count(source, target, fixed) == expected_count
-            assert warm_integer.count(source, target, fixed) == expected_count
-            assert warm_integer.exists(source, target, fixed) == expected_exists
-            assert warm_integer.cache.result_stats.hits >= 1
 
 
 #: (strategy, backend) grid for the interned decision-equivalence sweep;
@@ -101,17 +91,17 @@ _STRATEGY_GRID = ("most-general", "all-probes", "bounded-guess")
 
 
 class TestInternedDecisionEquivalence:
-    """300 adversarial decisions: all four backends agree, all strategies.
+    """300 adversarial decisions: both backends agree, all strategies.
 
     Adversarial pairs (shared core, one perturbed multiplicity) are the
     regime where the decision procedures have least slack; each seed is
     decided by every backend under one strategy, rotating through the
     grid, and verdicts, certificates and encoding mapping counts must be
-    identical across the four backends.
+    identical across the two backends.
     """
 
     @pytest.mark.parametrize("chunk", range(10))
-    def test_interned_decisions_match_other_backends(self, chunk):
+    def test_interned_decisions_match_naive(self, chunk):
         from repro.core.decision import decide_bag_containment
         from repro.engine import use_backend
         from repro.exceptions import EnumerationBudgetError
@@ -126,7 +116,7 @@ class TestInternedDecisionEquivalence:
             )
             results = {}
             skipped = False
-            for backend in ("naive", "indexed", "interned", "generated"):
+            for backend in ("naive", "interned"):
                 try:
                     with use_backend(backend):
                         results[backend] = decide_bag_containment(
@@ -140,14 +130,13 @@ class TestInternedDecisionEquivalence:
             context = f"seed={seed} strategy={strategy}"
             verdicts = {name: result.contained for name, result in results.items()}
             assert len(set(verdicts.values())) == 1, f"{context}: {verdicts}"
-            reference = results["naive"]
-            for name in ("indexed", "interned", "generated"):
-                assert results[name].counterexample == reference.counterexample, (
-                    f"{context}: {name} certificate diverges"
+            reference, interned = results["naive"], results["interned"]
+            assert interned.counterexample == reference.counterexample, (
+                f"{context}: certificate diverges"
+            )
+            assert interned.reason == reference.reason, context
+            assert len(interned.encodings) == len(reference.encodings), context
+            for mine, theirs in zip(interned.encodings, reference.encodings):
+                assert mine.num_mappings == theirs.num_mappings, (
+                    f"{context}: mapping count diverges"
                 )
-                assert results[name].reason == reference.reason, context
-                assert len(results[name].encodings) == len(reference.encodings), context
-                for mine, theirs in zip(results[name].encodings, reference.encodings):
-                    assert mine.num_mappings == theirs.num_mappings, (
-                        f"{context}: {name} mapping count diverges"
-                    )

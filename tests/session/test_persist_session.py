@@ -93,14 +93,14 @@ class TestSessionWarmStart:
     def test_backend_change_invalidates_silently(self, tmp_path):
         store = tmp_path / "store.db"
         containee, containing = parse_cq(CONTAINEE), parse_cq(CONTAINING)
-        indexed = Session(backend="indexed", persist_path=store)
-        indexed_outcome = indexed.decide(containee, containing)
-        indexed.close()
+        naive = Session(backend="naive", persist_path=store)
+        naive_outcome = naive.decide(containee, containing)
+        naive.close()
 
         interned = Session(backend="interned", persist_path=store)
         interned_outcome = interned.decide(containee, containing)
         assert interned.persistent.stats.hits == 0
-        assert interned_outcome.verdict == indexed_outcome.verdict
+        assert interned_outcome.verdict == naive_outcome.verdict
         interned.close()
 
     def test_close_detaches_and_session_stays_usable(self, tmp_path):

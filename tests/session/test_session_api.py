@@ -238,7 +238,7 @@ class TestIsolationAndContext:
             assert current_session() is session
             assert get_default_backend() is session.backend
         assert current_session() is None
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == "interned"
 
     def test_nested_sessions_restore_in_order(self):
         outer, inner = Session(name="outer"), Session(name="inner", backend="naive")
@@ -249,9 +249,13 @@ class TestIsolationAndContext:
             assert current_session() is outer
             assert get_default_backend() is outer.backend
 
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(SessionError):
-            Session(backend="quantum")
+    @pytest.mark.parametrize("name", ["quantum", "indexed", "generated"])
+    def test_unknown_backend_is_rejected(self, name):
+        with pytest.raises(SessionError) as raised:
+            Session(backend=name)
+        message = str(raised.value)
+        assert f"unknown engine backend {name!r}" in message
+        assert "'naive', 'interned'" in message
 
     def test_shared_cache_injection(self, q1, q2):
         cache = EngineCache()
@@ -274,7 +278,7 @@ class TestRegistries:
 
     def test_register_backend_rejects_duplicates(self):
         with pytest.raises(Exception):
-            register_backend("indexed", lambda cache: NaiveBackend())
+            register_backend("interned", lambda cache: NaiveBackend())
 
     def test_register_strategy_is_selectable_by_sessions(self, q1, q2):
         from repro.core.decision import decide_via_most_general_probe

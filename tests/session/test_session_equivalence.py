@@ -20,9 +20,9 @@ CASES = 300
 #: (strategy, backend) grid; bounded-guess is covered on a slice of the
 #: seeds below to keep the enumeration inside the test budget.
 GRID = [
-    ("most-general", "indexed"),
+    ("most-general", "interned"),
     ("most-general", "naive"),
-    ("all-probes", "indexed"),
+    ("all-probes", "interned"),
     ("all-probes", "naive"),
 ]
 
@@ -58,12 +58,12 @@ def test_session_matches_legacy_with_bounded_guess():
     checked = 0
     for seed in range(40):
         containee, containing = random_adversarial_pair(seed, num_atoms=2, head_size=1)
-        session = Session(backend="indexed")
+        session = Session(backend="interned")
         from repro.exceptions import EnumerationBudgetError
 
         try:
             legacy = _legacy(
-                containee, containing, "bounded-guess", "indexed", max_candidates=20_000
+                containee, containing, "bounded-guess", "interned", max_candidates=20_000
             )
         except EnumerationBudgetError:
             continue

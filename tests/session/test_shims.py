@@ -77,7 +77,7 @@ class TestWarningBehaviour:
             with repro.use_backend("naive") as backend:
                 assert backend.name == "naive"
                 assert get_default_backend().name == "naive"
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == "interned"
         assert any(issubclass(w.category, DeprecationWarning) for w in caught)
 
     def test_set_default_backend_shim_warns_and_still_sets(self):
@@ -144,7 +144,7 @@ class TestShimResultsMatchSessions:
         """A legacy ``use_backend`` scope must govern shimmed calls (regression).
 
         The shim's default-session activation used to override the
-        context's explicit backend with the session's ``indexed`` instance.
+        context's explicit backend with the session's ``interned`` instance.
         """
         from repro.engine.backends import NaiveBackend
 

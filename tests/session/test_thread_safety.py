@@ -48,8 +48,8 @@ class TestThreadIsolation:
             thread.join(timeout=10)
         assert not errors
         assert names["switcher"] == "naive"
-        assert names["observer"] == "indexed"  # the switch never leaked
-        assert names["switcher-after"] == "indexed"
+        assert names["observer"] == "interned"  # the switch never leaked
+        assert names["switcher-after"] == "interned"
 
     def test_set_default_backend_is_thread_local(self):
         results: dict[str, str] = {}
@@ -72,13 +72,13 @@ class TestThreadIsolation:
             thread.start()
         for thread in threads:
             thread.join(timeout=10)
-        assert results == {"setter": "naive", "checker": "indexed"}
+        assert results == {"setter": "naive", "checker": "interned"}
 
     def test_two_threads_run_two_sessions_concurrently(self):
         """Each thread decides through its own session, backend and cache."""
         q1 = parse_cq("q1(x1, x2) <- R^2(x1, x2), P^3(x2, x2)")
         q2 = parse_cq("q2(x1, x2) <- R^3(x1, x2), P^3(x2, x2)")
-        sessions = {"a": Session(backend="indexed"), "b": Session(backend="naive")}
+        sessions = {"a": Session(backend="interned"), "b": Session(backend="naive")}
         barrier = threading.Barrier(2, timeout=10)
         backend_seen: dict[str, str] = {}
         verdicts: dict[str, bool] = {}
@@ -96,9 +96,9 @@ class TestThreadIsolation:
         for thread in threads:
             thread.join(timeout=10)
 
-        assert backend_seen == {"a": "indexed", "b": "naive"}
+        assert backend_seen == {"a": "interned", "b": "naive"}
         assert verdicts == {"a": True, "b": True}
-        # Only the indexed session compiled plans; the naive session's cache
+        # Only the interned session compiled plans; the naive session's cache
         # saw nothing but its own decision memo (the naive backend bypasses
         # the plan/index layers entirely).
         assert sessions["a"].cache.snapshot()["plans"][1] > 0
@@ -111,4 +111,4 @@ class TestThreadIsolation:
             thread = threading.Thread(target=lambda: seen.append(get_default_backend().name))
             thread.start()
             thread.join(timeout=10)
-        assert seen == ["indexed"]
+        assert seen == ["interned"]

@@ -127,15 +127,15 @@ class TestEngineFlags:
         ]
         assert main(["--engine-backend", "naive"] + args) == 0
         naive_out = capsys.readouterr().out
-        assert main(["--engine-backend", "indexed"] + args) == 0
-        indexed_out = capsys.readouterr().out
-        assert naive_out == indexed_out
+        assert main(["--engine-backend", "interned"] + args) == 0
+        interned_out = capsys.readouterr().out
+        assert naive_out == interned_out
 
     def test_backend_selection_is_restored_after_the_command(self):
         from repro.engine import get_default_backend
 
         main(["--engine-backend", "naive", "set-decide", "q1(x) <- R(x, x)", "q2(x) <- R(x, y)"])
-        assert get_default_backend().name == "indexed"
+        assert get_default_backend().name == "interned"
 
     def test_engine_stats_are_printed(self, capsys):
         code = main(["--engine-stats", "evaluate", "q(x) <- R(x, y)", "R(a,b)=2"])
@@ -150,9 +150,15 @@ class TestEngineFlags:
         assert code == 2
         assert "engine cache statistics" in captured.out
 
-    def test_unknown_backend_is_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--engine-backend", "quantum", "set-decide", "a", "b"])
+    @pytest.mark.parametrize("name", ["quantum", "indexed", "generated"])
+    def test_unknown_backend_is_rejected_by_argparse(self, capsys, name):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["--engine-backend", name, "set-decide", "a", "b"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: {name!r}" in err
+        assert "'naive', 'interned'" in err
+        assert "Traceback" not in err
 
 
 class TestDecideBatch:
@@ -306,11 +312,14 @@ class TestFuzz:
         assert code == 2
         assert "error:" in captured.err
 
-    def test_unknown_backend_is_a_clean_error(self, capsys):
-        code = main(["fuzz", "--cases", "1", "--backends", "gpu"])
+    @pytest.mark.parametrize("name", ["gpu", "indexed", "generated"])
+    def test_unknown_backend_is_a_clean_error(self, capsys, name):
+        code = main(["fuzz", "--cases", "1", "--backends", name])
         captured = capsys.readouterr()
         assert code == 2
-        assert "error:" in captured.err
+        assert f"error: unknown backend {name!r}" in captured.err
+        assert "'naive', 'interned'" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_replay_rejects_save_corpus(self, capsys, tmp_path):
         code = main(

@@ -28,7 +28,7 @@ from repro.verify.runner import (
 #: A light oracle configuration so runner tests stay fast.
 FAST = dict(
     strategies=("most-general", "all-probes"),
-    backends=("indexed",),
+    backends=("interned",),
     diophantine_paths=("exact",),
 )
 
@@ -175,7 +175,7 @@ class TestPlantedBug:
             seed=0,
             jobs=1,
             strategies=("most-general", "all-probes"),
-            backends=("indexed",),
+            backends=("interned",),
             mutation_rate=0.0,
         )
         report = run_campaign(config)

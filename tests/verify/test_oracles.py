@@ -16,14 +16,15 @@ class TestOracleConfig:
     def test_defaults_cover_every_axis(self):
         config = OracleConfig()
         assert set(config.strategies) == {"most-general", "all-probes", "bounded-guess"}
-        assert set(config.backends) == {"naive", "indexed", "interned", "generated"}
+        assert set(config.backends) == {"naive", "interned"}
         assert set(config.diophantine_paths) == set(DIOPHANTINE_PATHS)
 
     def test_unknown_names_are_rejected(self):
         with pytest.raises(VerifyError):
             OracleConfig(strategies=("most-general", "telepathy"))
-        with pytest.raises(VerifyError):
-            OracleConfig(backends=("gpu",))
+        for removed in ("gpu", "indexed", "generated"):
+            with pytest.raises(VerifyError):
+                OracleConfig(backends=(removed,))
         with pytest.raises(VerifyError):
             OracleConfig(diophantine_paths=("sat",))
         with pytest.raises(VerifyError):
@@ -46,12 +47,11 @@ class TestBuiltinPairs:
         containee, containing = builtin_pairs()[0]
         report = run_differential_oracle(containee, containing)
         labels = {run.label for run in report.runs}
-        # 2 strategies x 2 paths x 4 backends + bounded-guess x 1 path x 4 backends
-        assert len(labels) == 20
+        # 2 strategies x 2 paths x 2 backends + bounded-guess x 1 path x 2 backends
+        assert len(labels) == 10
         assert "most-general/lp/naive" in labels
-        assert "bounded-guess/exact/indexed" in labels
+        assert "bounded-guess/exact/interned" in labels
         assert "most-general/exact/interned" in labels
-        assert "most-general/exact/generated" in labels
 
 
 class TestOracleRobustness:
@@ -76,7 +76,7 @@ class TestOracleRobustness:
         config = OracleConfig(strategies=("most-general",))
         report = run_differential_oracle(containee, containing, config)
         assert {run.strategy for run in report.runs} == {"most-general"}
-        assert report.decisions == 8  # 2 paths x 4 backends
+        assert report.decisions == 4  # 2 paths x 2 backends
 
     def test_consensus_matches_the_decision_procedure(self):
         positive = run_differential_oracle(*builtin_pairs()[0])
