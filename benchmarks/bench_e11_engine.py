@@ -51,13 +51,13 @@ from record import write_record  # noqa: E402
 
 from repro.core.decision import decide_bag_containment
 from repro.core.probe_tuples import most_general_probe_tuple
-from repro.engine import use_backend
 from repro.evaluation.bag_evaluation import evaluate_bag
 from repro.evaluation.homomorphisms import containment_mappings_to_ground
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
 from repro.relational.terms import Constant
+from repro.session import Session
 from repro.workloads.paper_examples import section2_q1, section2_q2, section2_query
 from repro.workloads.structured import chain_containment_pair, star_containment_pair
 
@@ -93,14 +93,14 @@ def _best_of(fn: Callable[[], object], repeats: int = 5) -> float:
 
 
 def _timed(fn: Callable[[], object], backend: str, repeats: int = 5) -> float:
-    with use_backend(backend):
+    with Session(backend=backend).activate():
         fn()  # warm the plan caches once; steady-state is what the engine sells
         return _best_of(fn, repeats)
 
 
 def _ab(fn: Callable[[], object], repeats: int = 5) -> float:
     """Naive-over-interned speedup for one workload closure."""
-    with use_backend("naive"):
+    with Session(backend="naive").activate():
         naive = _best_of(fn, repeats)
     return naive / _timed(fn, "interned", repeats)
 
@@ -196,7 +196,7 @@ def bench_e11_backends_agree():
                      star_mapping_workload(3)]:
         counts = {}
         for backend in BACKENDS:
-            with use_backend(backend):
+            with Session(backend=backend).activate():
                 counts[backend] = workload()
         assert len(set(counts.values())) == 1, f"mapping counts diverge: {counts}"
 
@@ -205,7 +205,7 @@ def bench_e11_backends_agree():
     bag = scaled_section2_bag(2)
     answers = {}
     for backend in BACKENDS:
-        with use_backend(backend):
+        with Session(backend=backend).activate():
             answers[backend] = evaluate_bag(query, bag)
     assert answers["interned"] == answers["naive"], f"answer bags diverge: {answers}"
 
@@ -218,7 +218,7 @@ def bench_e11_backends_agree():
     for containee, containing in pairs:
         results = {}
         for backend in BACKENDS:
-            with use_backend(backend):
+            with Session(backend=backend).activate():
                 results[backend] = decide_bag_containment(containee, containing)
         verdicts = {backend: result.contained for backend, result in results.items()}
         assert len(set(verdicts.values())) == 1, f"verdicts diverge: {verdicts}"

@@ -46,9 +46,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from record import write_record  # noqa: E402
 
 from repro.core.probe_tuples import most_general_probe_tuple
-from repro.engine import use_backend
 from repro.evaluation.homomorphisms import containment_mappings_to_ground
 from repro.faults import FaultPlan, FaultRule, use_faults
+from repro.session import Session
 from repro.workloads.structured import chain_containment_pair, star_containment_pair
 
 #: Maximum tolerated slowdown of the armed-never-firing run over baseline.
@@ -159,7 +159,7 @@ def bench_e16_dormant_hooks() -> None:
     dormant = _armed_elsewhere_plan()
     executor = _executor_armed_plan()
     per_family = {}
-    with use_backend("interned"):
+    with Session(backend="interned").activate():
         for family in ("chain", "star"):
             baseline, dormant_ratio, executor_ratio = _paired_ratios(
                 _mapping_workload(family), dormant, executor

@@ -24,9 +24,10 @@ True
 >>> session.decide(q2, q1).verdict
 False
 
-The loose top-level functions of earlier releases (``decide_bag_containment``
-and friends) keep working as thin deprecation shims over a default module
-session; see the README's *Session API* section for the migration table.
+Every service call goes through a :class:`Session`.  The loose top-level
+functions of 1.x (``decide_bag_containment`` and friends) and the
+process-global backend switch were removed in 2.0; the README's *Session
+API* section names each replacement.
 """
 
 from repro.baselines import bounded_bag_refuter, random_bag_refuter
@@ -86,37 +87,8 @@ from repro.session import (
     SessionSpec,
     backend_names,
     current_session,
-    default_session,
-    register_backend,
-    register_strategy,
     strategy_names,
     use_session,
-)
-
-# The legacy service-style call paths live on as deprecation shims over the
-# default module session (repro.session.shims); calling one emits a
-# DeprecationWarning pointing at its Session replacement.
-from repro.session.shims import (
-    are_bag_equivalent,
-    are_bag_set_equivalent,
-    are_set_equivalent,
-    compare,
-    cross_check,
-    decide_bag_containment,
-    decide_bag_set_containment,
-    decide_set_containment,
-    encode,
-    encode_most_general,
-    evaluate_bag,
-    evaluate_bag_many,
-    evaluate_bag_set,
-    evaluate_set,
-    is_bag_contained,
-    is_set_contained,
-    run_campaign,
-    run_differential_oracle,
-    set_default_backend,
-    use_backend,
 )
 from repro.verify import (
     CampaignConfig,
@@ -126,7 +98,7 @@ from repro.verify import (
     shrink_pair,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnswerBag",
@@ -163,46 +135,23 @@ __all__ = [
     "Substitution",
     "UnionOfConjunctiveQueries",
     "Variable",
-    "are_bag_equivalent",
-    "are_bag_set_equivalent",
-    "are_set_equivalent",
     "backend_names",
     "bounded_bag_refuter",
-    "compare",
     "containment_mappings_many",
     "count_many",
-    "cross_check",
     "current_session",
-    "decide_bag_containment",
-    "decide_bag_set_containment",
     "decide_mpi",
-    "decide_set_containment",
     "default_cache",
-    "default_session",
-    "encode",
-    "encode_most_general",
-    "evaluate_bag",
-    "evaluate_bag_many",
-    "evaluate_bag_set",
-    "evaluate_set",
     "get_backend",
-    "is_bag_contained",
-    "is_set_contained",
     "minimal_core",
     "most_general_probe_tuple",
     "parse_cq",
     "parse_ucq",
     "probe_tuples",
     "random_bag_refuter",
-    "register_backend",
-    "register_strategy",
-    "run_campaign",
-    "run_differential_oracle",
-    "set_default_backend",
     "shrink_pair",
     "strategy_names",
     "three_colorability_instance",
-    "use_backend",
     "use_session",
     "__version__",
 ]

@@ -11,7 +11,7 @@ Two halves live here:
 
 :mod:`repro.analysis.lint`
     A repo-wide AST lint framework with repro-specific rules (determinism
-    hazards, mutable defaults, global state, shim calls, bare excepts),
+    hazards, mutable defaults, global state, bare excepts),
     exposed as ``repro lint`` on the command line.
 
 The soundness names are re-exported lazily: the verifier imports the

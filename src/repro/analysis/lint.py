@@ -4,8 +4,7 @@ The rules (:mod:`repro.analysis.rules`) target the hazards that matter to
 *this* codebase: nondeterministic iteration inside the fingerprint and
 serialisation paths (which would silently break ``persistent_digest`` warm
 starts and bit-identical parallel replay), mutable defaults, process-global
-mutable state outside the sanctioned registries, internal calls into the
-deprecation shims, and bare ``except`` clauses.
+mutable state, and bare ``except`` clauses.
 
 The framework is deliberately tiny: a rule is a named check over one
 parsed module, findings are ``path:line`` records, and suppressions are

@@ -129,16 +129,7 @@ def _check_mutable_default(context: LintContext) -> Iterator[tuple[int, str]]:
 # --------------------------------------------------------------------------- #
 # global-mutable-state
 # --------------------------------------------------------------------------- #
-
-#: Modules allowed to hold module-level mutable containers: the sanctioned
-#: registries (backend factories and the decision-strategy registry).
-_REGISTRY_FILES = ("engine/backends.py", "core/decision.py")
-
-
 def _check_global_mutable_state(context: LintContext) -> Iterator[tuple[int, str]]:
-    posix = context.path.replace("\\", "/")
-    if any(posix.endswith(registry) for registry in _REGISTRY_FILES):
-        return
     for statement in context.tree.body:
         if isinstance(statement, ast.Assign):
             targets, value = statement.targets, statement.value
@@ -153,71 +144,9 @@ def _check_global_mutable_state(context: LintContext) -> Iterator[tuple[int, str
             yield (
                 statement.lineno,
                 f"module-level mutable state {', '.join(names)}; process-global "
-                "mutability belongs in the sanctioned registries — justify with "
-                "a suppression if this one is deliberate",
-            )
-
-
-# --------------------------------------------------------------------------- #
-# internal-shim-call
-# --------------------------------------------------------------------------- #
-
-#: The shim module itself may touch its own machinery.
-_SHIM_EXEMPT = ("session/shims.py",)
-
-
-def _shim_names() -> frozenset[str]:
-    from repro.session.shims import DEPRECATED_SHIMS
-
-    return frozenset(DEPRECATED_SHIMS)
-
-
-def _check_internal_shim_call(context: LintContext) -> Iterator[tuple[int, str]]:
-    posix = context.path.replace("\\", "/")
-    if any(posix.endswith(exempt) for exempt in _SHIM_EXEMPT):
-        return
-    shims = _shim_names()
-
-    # Aliases under which the shim namespace (top-level ``repro`` or the
-    # shims module) is reachable, and shim functions imported by name.
-    module_aliases: set[str] = set()
-    direct_names: set[str] = set()
-    for node in context.nodes(ast.Import):
-        assert isinstance(node, ast.Import)
-        for alias in node.names:
-            if alias.name in ("repro", "repro.session.shims"):
-                module_aliases.add(alias.asname or alias.name.split(".")[0])
-    for node in context.nodes(ast.ImportFrom):
-        assert isinstance(node, ast.ImportFrom)
-        if node.module in ("repro", "repro.session.shims"):
-            for alias in node.names:
-                if alias.name in shims:
-                    direct_names.add(alias.asname or alias.name)
-        elif node.module == "repro.session":
-            for alias in node.names:
-                if alias.name == "shims":
-                    module_aliases.add(alias.asname or "shims")
-
-    if not module_aliases and not direct_names:
-        return
-    for node in context.nodes(ast.Call):
-        assert isinstance(node, ast.Call)
-        target = node.func
-        name = None
-        if isinstance(target, ast.Name) and target.id in direct_names:
-            name = target.id
-        elif (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id in module_aliases
-            and target.attr in shims
-        ):
-            name = target.attr
-        if name is not None:
-            yield (
-                node.lineno,
-                f"internal call into deprecation shim {name}(); library code "
-                "must use sessions or the underlying submodules directly",
+                "mutability belongs in a session — use a read-only constant "
+                "(tuple, frozenset, MappingProxyType), or justify with a "
+                "suppression if this one is deliberate",
             )
 
 
@@ -286,25 +215,16 @@ RULES: tuple[LintRule, ...] = (
     ),
     LintRule(
         name="global-mutable-state",
-        summary="no process-global mutable containers outside the registries",
+        summary="no process-global mutable containers",
         check=_check_global_mutable_state,
         explanation=(
             "Module-level mutable containers are process-global hidden state: "
             "they survive across sessions, are not keyed into any fingerprint, "
             "and fork into inconsistent per-process copies under "
-            "multiprocessing.  The sanctioned registries (backend factories, "
-            "decision strategies) are the deliberate exceptions; anything else "
-            "needs a justified suppression."
-        ),
-    ),
-    LintRule(
-        name="internal-shim-call",
-        summary="library code must not call its own deprecation shims",
-        check=_check_internal_shim_call,
-        explanation=(
-            "The top-level deprecation shims exist for external callers during "
-            "migration; internal use would re-entrench the deprecated surface "
-            "and bypass the session layer's caching and memoisation."
+            "multiprocessing.  Name tables are read-only constants "
+            "(MappingProxyType); the few deliberate exceptions, such as the "
+            "session-less shared backend instances, carry a justified "
+            "suppression."
         ),
     ),
     LintRule(

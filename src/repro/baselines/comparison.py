@@ -55,23 +55,18 @@ def cross_check(
     Raises :class:`ContainmentError` when an inconsistency is detected, so
     tests can simply call this function on generated workloads.
 
-    All decisions run through a :class:`repro.session.Session` — the one
-    passed in, else the session active in the current context, else the
-    default module session — so repeated cross-checks share the session's
-    compiled plans and the exact decider and the baselines see the same
-    backend.  A backend explicitly selected in the context (``use_backend``
-    / ``set_default_backend``) without a session keeps governing the call:
-    the default session only takes over when the context made no choice.
+    All decisions run through the session passed in, else the session
+    active in the current context, so repeated cross-checks share the
+    session's compiled plans and the exact decider and the baselines see the
+    same backend.  Without either, the call runs on the shared session-less
+    instances, like every other session-less call.
     """
     from contextlib import nullcontext
 
-    from repro.engine.backends import _ACTIVE_BACKEND
-    from repro.session.session import current_session, default_session
+    from repro.session.session import current_session
 
     if session is None:
         session = current_session()
-    if session is None and _ACTIVE_BACKEND.get() is None:
-        session = default_session()
     context = session.activate() if session is not None else nullcontext()
     with context:
         exact = decide_bag_containment(containee, containing, strategy=strategy)

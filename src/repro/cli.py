@@ -45,8 +45,8 @@ Sub-commands
 ``lint``
     Run the repro-specific static checks (``repro.analysis.lint``) over
     source trees: the syntactic rules (determinism hazards in the
-    fingerprint/serialisation paths, mutable defaults, unsanctioned
-    global state, internal shim calls, bare excepts) plus the
+    fingerprint/serialisation paths, mutable defaults, process-global
+    state, bare excepts) plus the
     flow-sensitive dataflow analyzers.  ``--check`` is the quiet CI mode
     (a timing line goes to stderr); suppressions require a justification.
 
@@ -71,9 +71,7 @@ Every command runs through one :class:`repro.session.Session` built for the
 invocation: the global options pick its engine backend
 (``--engine-backend``; the interned engine is the default) and
 print its engine-cache statistics after the command (``--engine-stats``),
-which is how the benchmarks A/B the backends.  Backends and strategies
-registered through :mod:`repro.session.registry` before parser construction
-appear in the respective choice lists automatically.
+which is how the benchmarks A/B the backends.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ counterexample certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.certificates import (
     ContainmentCounterexample,
@@ -50,26 +51,18 @@ from repro.relational.terms import Term
 
 __all__ = [
     "BagContainmentResult",
-    "StrategyFn",
     "decide_bag_containment",
     "is_bag_contained",
     "are_bag_equivalent",
     "decide_via_most_general_probe",
     "decide_via_all_probes",
     "decide_via_bounded_guess",
-    "register_strategy",
     "strategy_names",
     "STRATEGIES",
 ]
 
-#: Names of the built-in decision strategies.
+#: Names of the decision strategies.
 STRATEGIES = ("most-general", "all-probes", "bounded-guess")
-
-#: A registered strategy: decide ``containee ⊑b containing`` and return a
-#: :class:`BagContainmentResult`.  Strategies receive every tunable as a
-#: keyword and must tolerate tunables they do not use (``use_lp`` for
-#: enumeration strategies, ``max_candidates`` for solver strategies).
-StrategyFn = Callable[..., "BagContainmentResult"]
 
 
 @dataclass(frozen=True)
@@ -371,33 +364,22 @@ def _bounded_guess_strategy(
     )
 
 
-#: The pluggable strategy registry: name → :data:`StrategyFn`.
-_STRATEGY_REGISTRY: dict[str, StrategyFn] = {
-    "most-general": _most_general_strategy,
-    "all-probes": _all_probes_strategy,
-    "bounded-guess": _bounded_guess_strategy,
-}
+#: Name → strategy.  A strategy decides ``containee ⊑b containing`` and
+#: returns a :class:`BagContainmentResult`; it receives every tunable as a
+#: keyword and ignores those it does not use (``use_lp`` for enumeration
+#: strategies, ``max_candidates`` for solver strategies).
+_STRATEGIES: Mapping[str, Callable[..., BagContainmentResult]] = MappingProxyType(
+    {
+        "most-general": _most_general_strategy,
+        "all-probes": _all_probes_strategy,
+        "bounded-guess": _bounded_guess_strategy,
+    }
+)
 
 
 def strategy_names() -> tuple[str, ...]:
-    """Every registered strategy name (built-ins first, then plugins)."""
-    return tuple(_STRATEGY_REGISTRY)
-
-
-def register_strategy(name: str, strategy: StrategyFn, replace: bool = False) -> None:
-    """Register a decision strategy under *name*.
-
-    Once registered, the name works everywhere a built-in does — sessions,
-    :func:`decide_bag_containment`, the differential oracle and the CLI.
-    Re-registering an existing name requires ``replace=True``.
-    """
-    if not name or not isinstance(name, str):
-        raise ContainmentError("a strategy name must be a non-empty string")
-    if name in _STRATEGY_REGISTRY and not replace:
-        raise ContainmentError(
-            f"strategy {name!r} is already registered (pass replace=True to override)"
-        )
-    _STRATEGY_REGISTRY[name] = strategy
+    """Every strategy name, default first."""
+    return STRATEGIES
 
 
 def decide_bag_containment(
@@ -411,13 +393,12 @@ def decide_bag_containment(
     """Decide ``containee ⊑b containing`` with the requested strategy.
 
     The containee must be projection-free; the containing query is an
-    arbitrary CQ.  The strategy is resolved through the registry, so plugin
-    strategies added via :func:`register_strategy` are selectable by name;
-    see the module docstring for the built-ins.  ``max_candidates`` caps the
-    bounded-guess enumeration (ignored by the solver strategies).
+    arbitrary CQ.  See the module docstring for the strategies.
+    ``max_candidates`` caps the bounded-guess enumeration (ignored by the
+    solver strategies).
     """
     try:
-        fn = _STRATEGY_REGISTRY[strategy]
+        fn = _STRATEGIES[strategy]
     except KeyError:
         raise ContainmentError(
             f"unknown strategy {strategy!r}; expected one of {strategy_names()}"

@@ -27,17 +27,17 @@ package turns that question into a compiled subsystem:
 Two backends implement the common interface: ``naive`` (the original
 recursive backtracker, kept as the executable specification and the oracle
 the tests compare against) and ``interned`` (the production engine above,
-and the default).  Select globally with :func:`set_default_backend` /
-:func:`use_backend`, or per call via the ``backend=`` keyword; the CLI
-exposes the same choice as ``--engine-backend`` and prints
-:func:`default_cache` statistics under ``--engine-stats``.
+and the default).  A :class:`repro.session.Session` selects the backend
+for everything run while it is active (``Session(backend="naive")``);
+callers may also pass an instance per call via the ``backend=`` keyword.
+The CLI exposes the session's choice as ``--engine-backend`` and prints the
+session cache's statistics under ``--engine-stats``.
 """
 
 from repro.engine.api import count_homomorphisms, has_homomorphism, iterate_homomorphisms
 from repro.engine.backends import (
     BACKEND_NAMES,
     Backend,
-    BackendFactory,
     InternedBackend,
     NaiveBackend,
     backend_names,
@@ -45,9 +45,6 @@ from repro.engine.backends import (
     default_cache,
     get_backend,
     get_default_backend,
-    register_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.engine.batch import (
     BagBatchEvaluator,
@@ -84,7 +81,6 @@ from repro.engine.persist import MISS, PersistentCache, PersistStats, SCHEMA_VER
 __all__ = [
     "BACKEND_NAMES",
     "Backend",
-    "BackendFactory",
     "BagBatchEvaluator",
     "CacheStats",
     "ContainmentMappingBatcher",
@@ -120,8 +116,5 @@ __all__ = [
     "iterate_homomorphisms",
     "merge_snapshots",
     "query_fingerprint",
-    "register_backend",
-    "set_default_backend",
     "snapshot_delta",
-    "use_backend",
 ]

@@ -19,22 +19,22 @@ baselines, CLI) can switch implementations without code changes:
     executor.  ``count`` and ``exists`` results are additionally memoised,
     keyed by the full execution fingerprint.
 
-The module also owns the backend *registry* — a name → factory mapping that
-third-party backends join through :func:`register_backend` — and the
-**context-local** default selection (`get_backend`, `set_default_backend`,
-`use_backend`), which the CLI exposes as ``--engine-backend``.  Selection is
-backed by :mod:`contextvars`, so two threads (or two asyncio tasks) can run
-different backends concurrently without leaking state into each other; a
-:class:`repro.session.Session` additionally installs a *provider* so that
-name lookups made while the session is active resolve to the session's own
-backend instances (and therefore its own cache).
+The module also owns the read-only name → factory table and the lookups
+(:func:`get_backend`, :func:`get_default_backend`).  Which backend runs is
+decided by the active :class:`repro.session.Session` alone: while a session
+is active it installs a context-local *provider* (backed by
+:mod:`contextvars`), so lookups resolve to the session's own backend
+instances and cache; two threads (or two asyncio tasks) holding different
+sessions never see each other's choice.  Outside any session, lookups
+resolve to lazily built process-wide shared instances, and the default is
+``interned``.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from contextvars import ContextVar
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.analysis import hooks as _verify_hooks
@@ -59,14 +59,10 @@ __all__ = [
     "NaiveBackend",
     "InternedBackend",
     "BACKEND_NAMES",
-    "BackendFactory",
     "backend_names",
     "create_backend",
-    "register_backend",
     "get_backend",
     "get_default_backend",
-    "set_default_backend",
-    "use_backend",
     "default_cache",
 ]
 
@@ -392,54 +388,33 @@ class InternedBackend(Backend):
         return "\n".join(lines)
 
 
-#: The canonical built-in backend names, in CLI presentation order.
+#: The backend names, in CLI presentation order.
 BACKEND_NAMES = ("naive", "interned")
 
-#: A backend factory: given an (optional) cache to share, build an instance.
-#: Factories that need no cache (like the naive reference) ignore the argument.
-BackendFactory = Callable[[EngineCache | None], Backend]
+#: Name → factory: given an (optional) cache to share, build an instance.
+#: The naive reference needs no cache and ignores the argument.
+_FACTORIES: Mapping[str, Callable[[EngineCache | None], Backend]] = MappingProxyType(
+    {
+        "naive": lambda cache: NaiveBackend(),
+        "interned": lambda cache: InternedBackend(cache=cache),
+    }
+)
 
-_FACTORIES: dict[str, BackendFactory] = {
-    "naive": lambda cache: NaiveBackend(),
-    "interned": lambda cache: InternedBackend(cache=cache),
-}
-
-#: Lazily built process-wide shared instances (the legacy, session-less path).
-_SHARED: dict[str, Backend] = {}
+#: Lazily built process-wide shared instances (the session-less path).
+_SHARED: dict[str, Backend] = {}  # lint: disable=global-mutable-state -- the session-less shared instances; filled once per name under _SHARED_LOCK
 _SHARED_LOCK = threading.Lock()
 
-#: The backend explicitly selected in the *current context* (``use_backend``,
-#: ``set_default_backend``, or an active session), or ``None`` for "interned".
-_ACTIVE_BACKEND: ContextVar[Backend | None] = ContextVar("repro_active_backend", default=None)
-
-#: Name → instance resolver installed by an active session so that lookups
-#: (including ``use_backend`` switches *inside* the session) resolve to the
-#: session's own instances rather than the process-wide shared ones.
-_ACTIVE_PROVIDER: ContextVar[Callable[[str], Backend] | None] = ContextVar(
+#: Backend resolver installed by the active session (``Session.activate``):
+#: called with a name it returns the session-owned instance, called with
+#: none the session's default backend.
+_ACTIVE_PROVIDER: ContextVar[Callable[..., Backend] | None] = ContextVar(
     "repro_backend_provider", default=None
 )
 
 
 def backend_names() -> tuple[str, ...]:
-    """Every registered backend name (built-ins first, then plugins)."""
-    return tuple(_FACTORIES)
-
-
-def register_backend(name: str, factory: BackendFactory, replace: bool = False) -> None:
-    """Register a backend factory under *name*.
-
-    Third-party backends join the registry without touching core modules:
-    once registered, the name works everywhere a built-in does — sessions,
-    ``use_backend``, the differential oracle and the CLI.  Re-registering an
-    existing name requires ``replace=True``.
-    """
-    if not name or not isinstance(name, str):
-        raise ReproError("a backend name must be a non-empty string")
-    if name in _FACTORIES and not replace:
-        raise ReproError(f"backend {name!r} is already registered (pass replace=True to override)")
-    _FACTORIES[name] = factory
-    with _SHARED_LOCK:
-        _SHARED.pop(name, None)
+    """Every backend name, in CLI presentation order."""
+    return BACKEND_NAMES
 
 
 def create_backend(name: str, cache: EngineCache | None = None) -> Backend:
@@ -454,8 +429,6 @@ def create_backend(name: str, cache: EngineCache | None = None) -> Backend:
 
 
 def _shared_instance(name: str) -> Backend:
-    if name not in _FACTORIES:
-        raise ReproError(f"unknown engine backend {name!r}; expected one of {backend_names()}")
     instance = _SHARED.get(name)
     if instance is None:
         # Locked: concurrent first lookups must agree on one shared instance
@@ -479,38 +452,15 @@ def get_backend(name: str) -> Backend:
 def get_default_backend() -> Backend:
     """The backend used when callers do not pass one explicitly.
 
-    Resolution is context-local: an explicit :func:`use_backend` /
-    :func:`set_default_backend` selection in this context wins, then an
-    active session's backend, then the process-wide shared ``interned``
-    instance.  New threads start from the base default, so a selection made
-    in one thread never leaks into another.
+    Inside an active session this is the session's backend; otherwise the
+    process-wide shared ``interned`` instance.  Resolution is context-local,
+    so new threads start outside any session, on the shared ``interned``
+    instance.
     """
-    active = _ACTIVE_BACKEND.get()
-    if active is not None:
-        return active
-    return get_backend("interned")
-
-
-def set_default_backend(name: str) -> str:
-    """Select the default backend for the current context; returns the previous name."""
-    previous = get_default_backend().name
-    _ACTIVE_BACKEND.set(get_backend(name))
-    return previous
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch the default backend (restored on exit).
-
-    The switch is scoped to the current context (thread / asyncio task), so
-    concurrent workloads can hold different backends at the same time.
-    """
-    backend = get_backend(name)
-    token = _ACTIVE_BACKEND.set(backend)
-    try:
-        yield backend
-    finally:
-        _ACTIVE_BACKEND.reset(token)
+    provider = _ACTIVE_PROVIDER.get()
+    if provider is not None:
+        return provider()
+    return _shared_instance("interned")
 
 
 def default_cache() -> EngineCache:
@@ -520,6 +470,5 @@ def default_cache() -> EngineCache:
     process-wide shared interned backend's cache.
     """
     backend = get_backend("interned")
-    if not isinstance(backend, InternedBackend):
-        raise ReproError("the 'interned' backend registration does not produce an InternedBackend")
+    assert isinstance(backend, InternedBackend)
     return backend.cache

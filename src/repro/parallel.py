@@ -298,8 +298,8 @@ def _reraise(failure: _WorkerFailure) -> None:
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    # fork (where available) inherits registered plugin backends/strategies
-    # and imported modules; spawn works too but re-imports from scratch.
+    # fork (where available) inherits the parent's imported modules; spawn
+    # works too but re-imports from scratch.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -352,9 +352,9 @@ def pool_imap(
 #: or the recorded rehydration failure.  An initializer must never raise: a
 #: worker dying during bootstrap makes the pool respawn it in an unbounded
 #: loop (the lost task is never executed, so the pool blocks forever) —
-#: reachable e.g. under ``spawn`` when a plugin backend is not registered in
-#: the re-imported worker.  The first task re-raises the recorded failure
-#: instead, which ships back to the parent as a :class:`ParallelError`.
+#: reachable e.g. when a hand-built spec names an unknown backend.  The
+#: first task re-raises the recorded failure instead, which ships back to the
+#: parent as a :class:`ParallelError`.
 _WORKER_SESSION: Session | None = None
 _WORKER_INIT_ERROR: str | None = None
 

@@ -13,23 +13,16 @@ and exposes every workload of the library behind a uniform facade::
     for outcome in session.batch(requests):    # streaming, plan-amortised
         ...
 
-Sessions replace the process-global mutable defaults of earlier API
-generations: resolution is :mod:`contextvars`-backed, so concurrent threads
-and tasks can hold different sessions (different backends, different
-caches) without interference.  The legacy top-level functions survive as
-deprecation shims over a default module session (:mod:`repro.session.shims`);
-new backends and strategies plug in through the registries
-(:mod:`repro.session.registry`) without edits to core modules.
+The active session is the only place that says which backend runs:
+resolution is :mod:`contextvars`-backed, so concurrent threads and tasks can
+hold different sessions (different backends, different caches) without
+interference.  Code that runs outside any session uses the shared
+process-wide ``interned`` instance.  The backend and strategy names are
+fixed (:func:`backend_names`, :func:`strategy_names`).
 """
 
-from repro.session.registry import (
-    BackendFactory,
-    StrategyFn,
-    backend_names,
-    register_backend,
-    register_strategy,
-    strategy_names,
-)
+from repro.core.decision import strategy_names
+from repro.engine.backends import backend_names
 from repro.session.requests import (
     CONTAINMENT_SEMANTICS,
     EVALUATION_SEMANTICS,
@@ -43,12 +36,10 @@ from repro.session.session import (
     Session,
     SessionSpec,
     current_session,
-    default_session,
     use_session,
 )
 
 __all__ = [
-    "BackendFactory",
     "CONTAINMENT_SEMANTICS",
     "ContainmentRequest",
     "EVALUATION_SEMANTICS",
@@ -58,12 +49,8 @@ __all__ = [
     "Outcome",
     "Session",
     "SessionSpec",
-    "StrategyFn",
     "backend_names",
     "current_session",
-    "default_session",
-    "register_backend",
-    "register_strategy",
     "strategy_names",
     "use_session",
 ]

@@ -22,7 +22,7 @@ flow through one compositional surface:
 
 Every call returns a uniform :class:`~repro.session.requests.Outcome`
 (verdict + certificate + timing + cache delta).  Sessions are isolated from
-each other and from the legacy module-level defaults through
+each other and from the shared session-less instances through
 :mod:`contextvars`: while a session call runs (or a ``with use_session(s):``
 block is active), backend-by-name lookups anywhere in the library resolve to
 the session's own backend instances, so two threads can safely run two
@@ -31,8 +31,8 @@ sessions with different backends and caches concurrently.
 
 from __future__ import annotations
 
+import copy
 import itertools
-import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -64,7 +64,6 @@ __all__ = [
     "Session",
     "SessionSpec",
     "current_session",
-    "default_session",
     "use_session",
 ]
 
@@ -112,11 +111,6 @@ class SessionSpec:
     session (fresh cache, same behaviour) on the other side.  This is what
     :mod:`repro.parallel` sends through pool initializers, and it works under
     both ``fork`` and ``spawn`` start methods.
-
-    Note that backends registered through
-    :func:`~repro.session.register_backend` are resolved *by name* at
-    :meth:`build` time: under ``spawn`` the worker process must have imported
-    the module that registers the plugin before the spec is built.
     """
 
     backend: str = "interned"
@@ -163,10 +157,6 @@ _CURRENT_SESSION: ContextVar["Session | None"] = ContextVar(
     "repro_current_session", default=None
 )
 
-#: The lazily created module-default session the legacy shims delegate to.
-_DEFAULT_SESSION: "Session | None" = None
-_DEFAULT_SESSION_LOCK = threading.Lock()
-
 
 class Session:
     """A self-contained service instance of the whole library.
@@ -174,8 +164,9 @@ class Session:
     Parameters
     ----------
     backend:
-        The default engine backend name for this session (any registered
-        name; ``interned`` unless overridden).
+        The default engine backend name for this session (one of
+        :func:`~repro.engine.backend_names`; ``interned`` unless
+        overridden).
     cache:
         The engine cache the session's stateful backends share; a fresh
         :class:`EngineCache` is created when omitted.
@@ -282,6 +273,18 @@ class Session:
             self._backends[resolved] = create_backend(resolved, cache=self.cache)
         return self._backends[resolved]
 
+    def _with_backend(self, name: str) -> "Session":
+        """A sibling that differs from this session only in ``backend_name``.
+
+        It shares the cache and the backend-instance dict, so activating it
+        runs *name* on this session's own instances — the differential
+        oracle compares backends this way without recompiling anything
+        (plan and index keys include each instance's dictionary serial).
+        """
+        sibling = copy.copy(self)
+        sibling.backend_name = name
+        return sibling
+
     @property
     def backend(self) -> Backend:
         """The session's default backend instance."""
@@ -292,15 +295,11 @@ class Session:
         """Make this session the context-local default for the enclosed block.
 
         Inside the block, :func:`repro.engine.get_default_backend` resolves
-        to the session's backend and name-based lookups (including
-        ``use_backend`` switches made by nested code such as the
-        differential oracle) resolve to session-owned instances.  Activation
-        nests and is restored on exit, so sessions compose with each other
-        and with the legacy context managers.
+        to the session's backend and name-based lookups resolve to
+        session-owned instances.  Activation nests and is restored on exit.
         """
         session_token = _CURRENT_SESSION.set(self)
         provider_token = _backends._ACTIVE_PROVIDER.set(self.backend_instance)
-        backend_token = _backends._ACTIVE_BACKEND.set(self.backend_instance())
         verify_token = (
             _verify_hooks.set_enabled(True) if self.debug_verify_plans else None
         )
@@ -316,7 +315,6 @@ class Session:
                 _faults._ACTIVE.reset(faults_token)
             if verify_token is not None:
                 _verify_hooks.reset(verify_token)
-            _backends._ACTIVE_BACKEND.reset(backend_token)
             _backends._ACTIVE_PROVIDER.reset(provider_token)
             _CURRENT_SESSION.reset(session_token)
 
@@ -789,20 +787,6 @@ class Session:
 def current_session() -> Session | None:
     """The session active in the current context, or ``None``."""
     return _CURRENT_SESSION.get()
-
-
-def default_session() -> Session:
-    """The lazily created module-default session the legacy shims delegate to.
-
-    Initialisation is locked: concurrent first calls from two threads must
-    agree on one session (and therefore one cache), not race to build two.
-    """
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        with _DEFAULT_SESSION_LOCK:
-            if _DEFAULT_SESSION is None:
-                _DEFAULT_SESSION = Session(name="default")
-    return _DEFAULT_SESSION
 
 
 @contextmanager

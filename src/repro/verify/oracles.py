@@ -34,7 +34,7 @@ from repro.core.decision import (
     decide_bag_containment,
     strategy_names,
 )
-from repro.engine import BACKEND_NAMES, backend_names, use_backend
+from repro.engine import BACKEND_NAMES, backend_names
 from repro.exceptions import (
     CertificateError,
     ContainmentError,
@@ -42,6 +42,7 @@ from repro.exceptions import (
     VerifyError,
 )
 from repro.queries.cq import ConjunctiveQuery
+from repro.session.session import Session, current_session
 
 __all__ = [
     "DIOPHANTINE_PATHS",
@@ -153,12 +154,17 @@ def _run_one(
     path: str,
     backend: str,
     config: OracleConfig,
+    session: Session,
 ) -> tuple[StrategyRun, list[Discrepancy]]:
-    """Run one combination; certificate replay failures become discrepancies."""
+    """Run one combination; certificate replay failures become discrepancies.
+
+    The run activates a sibling of *session* that selects *backend*, so
+    every backend runs on the session's own instances and cache.
+    """
     discrepancies: list[Discrepancy] = []
     label = f"{strategy}/{path}/{backend}"
     try:
-        with use_backend(backend):
+        with session._with_backend(backend).activate():
             result = decide_bag_containment(
                 containee,
                 containing,
@@ -222,6 +228,7 @@ def run_differential_oracle(
     oracle do not have to be perfect).
     """
     config = config or OracleConfig()
+    session = current_session() or Session()
     runs: list[StrategyRun] = []
     discrepancies: list[Discrepancy] = []
 
@@ -231,7 +238,7 @@ def run_differential_oracle(
         for path in paths:
             for backend in config.backends:
                 run, new_discrepancies = _run_one(
-                    containee, containing, strategy, path, backend, config
+                    containee, containing, strategy, path, backend, config, session
                 )
                 runs.append(run)
                 discrepancies.extend(new_discrepancies)

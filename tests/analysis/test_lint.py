@@ -150,40 +150,16 @@ class TestGlobalMutableState:
     def test_immutables_and_dunders_are_clean(self):
         assert run("NAMES = ('a', 'b')\nLIMIT = 3\n__all__ = ['NAMES']\n") == []
 
-    def test_registry_modules_are_exempt(self):
-        assert run("REGISTRY = {}\n", "src/repro/engine/backends.py") == []
-        assert run("REGISTRY = {}\n", "src/repro/core/decision.py") == []
+    def test_former_registry_modules_are_not_exempt(self):
+        for path in ("src/repro/engine/backends.py", "src/repro/core/decision.py"):
+            assert codes(run("REGISTRY = {}\n", path)) == ["global-mutable-state"]
+
+    def test_read_only_mapping_constants_are_clean(self):
+        source = "from types import MappingProxyType\n\nTABLE = MappingProxyType({'a': 1})\n"
+        assert run(source, "src/repro/engine/backends.py") == []
 
     def test_function_locals_are_not_module_level(self):
         assert run("def f():\n    local = {}\n    return local\n") == []
-
-
-class TestInternalShimCall:
-    def test_attribute_call_through_repro_alias(self):
-        source = "import repro\n\n\ndef f(q1, q2):\n    return repro.compare(q1, q2)\n"
-        assert "internal-shim-call" in codes(run(source))
-
-    def test_direct_import_call(self):
-        source = "from repro import evaluate_bag\n\n\ndef f(q, i):\n    return evaluate_bag(q, i)\n"
-        assert "internal-shim-call" in codes(run(source))
-
-    def test_shims_module_import_call(self):
-        source = (
-            "from repro.session import shims\n\n\ndef f(q1, q2):\n"
-            "    return shims.compare(q1, q2)\n"
-        )
-        assert "internal-shim-call" in codes(run(source))
-
-    def test_unrelated_names_are_clean(self):
-        source = (
-            "from repro.core.spectrum import compare\n\n\ndef f(q1, q2):\n"
-            "    return compare(q1, q2)\n"
-        )
-        assert run(source) == []
-
-    def test_the_shim_module_itself_is_exempt(self):
-        source = "import repro\n\n\ndef f(q1, q2):\n    return repro.compare(q1, q2)\n"
-        assert run(source, "src/repro/session/shims.py") == []
 
 
 class TestBareExcept:
@@ -203,7 +179,6 @@ class TestRepoIsClean:
             "set-order-iteration",
             "mutable-default",
             "global-mutable-state",
-            "internal-shim-call",
             "bare-except",
             "determinism-taint",
             "fork-unpicklable",

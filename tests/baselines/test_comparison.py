@@ -47,3 +47,46 @@ class TestCrossCheck:
                 continue
             report = cross_check(containee, containing, max_multiplicity=2, random_trials=25)
             assert report.consistent
+
+
+class TestCrossCheckBackend:
+    @staticmethod
+    def _spy_naive(monkeypatch):
+        from repro.engine.backends import NaiveBackend
+
+        calls = []
+        original = NaiveBackend.iterate
+
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(NaiveBackend, "iterate", spy)
+        return calls
+
+    def test_cross_check_runs_on_the_active_sessions_backend(self, monkeypatch):
+        from repro.session import Session, use_session
+
+        calls = self._spy_naive(monkeypatch)
+        with use_session(Session(backend="naive")):
+            report = cross_check(section2_q1(), section2_q2())
+        assert report.consistent
+        assert calls, "cross_check must run on the active session's backend"
+
+    def test_cross_check_runs_on_the_passed_sessions_backend(self, monkeypatch):
+        from repro.session import Session
+
+        calls = self._spy_naive(monkeypatch)
+        report = cross_check(section2_q1(), section2_q2(), session=Session(backend="naive"))
+        assert report.consistent
+        assert calls, "cross_check must run on the passed session's backend"
+
+    def test_cross_check_without_a_session_uses_the_shared_instances(self):
+        from repro.engine import default_cache
+
+        cache = default_cache()
+        before = sum(counts[0] + counts[1] for counts in cache.snapshot().values())
+        report = cross_check(section2_q1().with_name("shared"), section2_q2())
+        assert report.consistent
+        after = sum(counts[0] + counts[1] for counts in cache.snapshot().values())
+        assert after > before

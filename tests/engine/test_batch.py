@@ -8,7 +8,6 @@ from repro.engine import (
     containment_mappings_many,
     count_many,
     evaluate_bag_many,
-    use_backend,
 )
 from repro.evaluation.bag_evaluation import bag_multiplicity, evaluate_bag
 from repro.evaluation.homomorphisms import containment_mappings_to_ground
@@ -17,6 +16,7 @@ from repro.queries.parser import parse_cq
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
 from repro.relational.terms import Constant, Variable
+from repro.session import Session
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -40,7 +40,7 @@ class TestCountMany:
 
     def test_naive_backend_path(self):
         source = [Atom("R", (x, y))]
-        with use_backend("naive"):
+        with Session(backend="naive").activate():
             counts = count_many(source, self.TARGET, [{x: a}, {x: b}])
         assert counts == (2, 1)
 

@@ -7,15 +7,15 @@ from repro.engine import (
     InternedBackend,
     NaiveBackend,
     get_backend,
+    default_cache,
     get_default_backend,
     query_fingerprint,
-    set_default_backend,
-    use_backend,
 )
 from repro.exceptions import ReproError
 from repro.queries.parser import parse_cq
 from repro.relational.atoms import Atom
 from repro.relational.terms import Constant, Variable
+from repro.session import Session
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b = Constant("a"), Constant("b")
@@ -145,24 +145,49 @@ class TestBackendSelection:
     def test_default_backend_is_interned(self):
         assert get_default_backend().name == "interned"
 
-    def test_use_backend_restores_the_previous_default(self):
+    def test_session_activation_restores_the_previous_default(self):
         assert get_default_backend().name == "interned"
-        with use_backend("naive") as backend:
-            assert backend.name == "naive"
-            assert get_default_backend().name == "naive"
+        with Session(backend="naive").activate() as session:
+            assert session.backend.name == "naive"
+            assert get_default_backend() is session.backend
         assert get_default_backend().name == "interned"
 
-    def test_set_default_backend_returns_previous(self):
-        previous = set_default_backend("naive")
-        try:
-            assert previous == "interned"
-            assert get_default_backend().name == "naive"
-        finally:
-            set_default_backend(previous)
+    def test_lookup_inside_a_session_rejects_unknown(self):
+        with Session().activate():
+            with pytest.raises(ReproError):
+                get_backend("quantum")
 
-    def test_set_default_backend_rejects_unknown(self):
-        with pytest.raises(ReproError):
-            set_default_backend("quantum")
+    def test_verify_runs_both_backends_on_the_session_cache(self, monkeypatch):
+        """The oracle's naive and interned runs use the session's instances
+        and cache, never the shared session-less ones."""
+        shared = default_cache()
+        seen = []
+        original_iterate = NaiveBackend.iterate
+        original_plan = InternedBackend.plan
+
+        def naive_spy(self, *args, **kwargs):
+            seen.append(("naive", self, default_cache()))
+            return original_iterate(self, *args, **kwargs)
+
+        def interned_spy(self, *args, **kwargs):
+            seen.append(("interned", self, self.cache))
+            return original_plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(NaiveBackend, "iterate", naive_spy)
+        monkeypatch.setattr(InternedBackend, "plan", interned_spy)
+        session = Session()
+        shared_before = shared.snapshot()
+        report = session.verify(
+            parse_cq("q1(x1, x2) <- R^2(x1, x2), P^3(x2, x2)"),
+            parse_cq("q2(x1, x2) <- R^3(x1, x2), P^3(x2, x2)"),
+        ).value
+        assert report.ok
+        assert {backend for _, backend, _ in seen} == {
+            session.backend_instance("naive"),
+            session.backend_instance("interned"),
+        }
+        assert all(cache is session.cache for _, _, cache in seen)
+        assert shared.snapshot() == shared_before
 
 
 class TestBackendAgreement:

@@ -199,8 +199,8 @@ def test_worker_exception_raises_parallel_error_and_cleans_up():
 
 
 def test_failed_worker_initializer_raises_instead_of_hanging():
-    """A spec the worker cannot rehydrate (e.g. a plugin backend missing
-    after ``spawn`` re-imports) must surface as ``ParallelError``: a raising
+    """A spec the worker cannot rehydrate (e.g. an unknown backend name)
+    must surface as ``ParallelError``: a raising
     initializer would kill the worker during bootstrap and the pool would
     respawn it forever while ``imap`` blocks."""
     import repro.parallel as parallel_module

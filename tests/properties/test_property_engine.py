@@ -62,11 +62,11 @@ class TestBackendEquivalence:
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(query=queries_over_shared_head(), bag=bag_instances())
     def test_query_evaluation_agrees_across_backends(self, query, bag):
-        from repro.engine import use_backend
+        from repro.session import Session
 
-        with use_backend("naive"):
+        with Session(backend="naive").activate():
             expected = evaluate_bag(query, bag)
-        with use_backend("interned"):
+        with Session(backend="interned").activate():
             assert evaluate_bag(query, bag) == expected
 
     @settings(max_examples=_EXAMPLES, deadline=None)
@@ -103,8 +103,8 @@ class TestInternedDecisionEquivalence:
     @pytest.mark.parametrize("chunk", range(10))
     def test_interned_decisions_match_naive(self, chunk):
         from repro.core.decision import decide_bag_containment
-        from repro.engine import use_backend
         from repro.exceptions import EnumerationBudgetError
+        from repro.session import Session
         from repro.workloads.random_queries import random_adversarial_pair
 
         per_chunk = _DECISION_CASES // 10
@@ -118,7 +118,7 @@ class TestInternedDecisionEquivalence:
             skipped = False
             for backend in ("naive", "interned"):
                 try:
-                    with use_backend(backend):
+                    with Session(backend=backend).activate():
                         results[backend] = decide_bag_containment(
                             containee, containing, strategy=strategy, max_candidates=20_000
                         )

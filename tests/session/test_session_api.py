@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import EngineCache, get_default_backend
-from repro.engine.backends import Backend, NaiveBackend
 from repro.exceptions import SessionError
 from repro.queries.parser import parse_cq, parse_ucq
 from repro.relational.atoms import Atom
@@ -18,8 +17,6 @@ from repro.session import (
     Session,
     backend_names,
     current_session,
-    register_backend,
-    register_strategy,
     strategy_names,
     use_session,
 )
@@ -265,39 +262,47 @@ class TestIsolationAndContext:
         assert sum(counts[1] for counts in cache.snapshot().values()) > 0
 
 
-class TestRegistries:
-    def test_register_backend_makes_the_name_available_everywhere(self, q1, q2):
-        class EchoBackend(NaiveBackend):
-            name = "echo-test"
+class TestFixedNames:
+    def test_backend_and_strategy_names_are_fixed(self):
+        assert backend_names() == ("naive", "interned")
+        assert strategy_names() == ("most-general", "all-probes", "bounded-guess")
 
-        register_backend("echo-test", lambda cache: EchoBackend(), replace=True)
-        assert "echo-test" in backend_names()
-        session = Session(backend="echo-test")
-        assert session.backend.name == "echo-test"
-        assert session.decide(q1, q2).verdict is True
+    def test_name_tables_are_read_only(self):
+        from repro.core import decision
+        from repro.engine import backends
 
-    def test_register_backend_rejects_duplicates(self):
-        with pytest.raises(Exception):
-            register_backend("interned", lambda cache: NaiveBackend())
+        with pytest.raises(TypeError):
+            backends._FACTORIES["echo-test"] = lambda cache: backends.NaiveBackend()
+        with pytest.raises(TypeError):
+            decision._STRATEGIES["recording-test"] = decision._most_general_strategy
+        assert "echo-test" not in backend_names()
+        assert "recording-test" not in strategy_names()
 
-    def test_register_strategy_is_selectable_by_sessions(self, q1, q2):
-        from repro.core.decision import decide_via_most_general_probe
+    def test_unknown_strategy_is_rejected_by_sessions(self, q1, q2):
+        from repro.exceptions import ContainmentError
 
-        calls = []
+        with pytest.raises(ContainmentError, match="unknown strategy 'recording-test'"):
+            Session().decide(q1, q2, strategy="recording-test")
 
-        def recording_strategy(containee, containing, **options):
-            calls.append((containee.name, containing.name))
-            return decide_via_most_general_probe(containee, containing)
 
-        register_strategy("recording-test", recording_strategy, replace=True)
-        assert "recording-test" in strategy_names()
-        outcome = Session().decide(q1, q2, strategy="recording-test")
-        assert outcome.verdict is True
-        assert calls == [("q1", "q2")]
+class TestInternalHygiene:
+    def test_service_paths_emit_no_repro_deprecation_warnings(self, q1, q2, tiny_bag):
+        """Exercising the service paths raises no repro-attributed warnings.
 
-    def test_register_strategy_rejects_duplicates(self):
-        with pytest.raises(Exception):
-            register_strategy("most-general", lambda *args, **kwargs: None)
+        The pytest filter escalates ``DeprecationWarning``s attributed to
+        ``repro.*`` modules to errors, so this test fails loudly if any
+        internal code path calls deprecated Python or library API.
+        """
+        from repro.baselines.comparison import cross_check
+
+        session = Session()
+        session.decide(q1, q2)
+        session.decide(q2, q1)
+        session.evaluate(q1, tiny_bag)
+        session.containment_spectrum(q1, q2)
+        session.verify(q1, q2)
+        session.fuzz(cases=3, seed=0, mutation_rate=0.5, shrink_failures=False)
+        cross_check(q1, q2)
 
 
 class TestLimits:

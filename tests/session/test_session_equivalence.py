@@ -1,17 +1,16 @@
-"""Property test: ``Session.decide()`` is the legacy decision procedure.
+"""Property test: ``Session.decide()`` is the core decision procedure.
 
 300 seeded adversarial pairs (shared core, one perturbed multiplicity — the
 regime where the decision procedures have least slack) are decided through
-a fresh :class:`Session` and through the legacy
-``repro.core.decision.decide_bag_containment`` path, across strategies and
-backends.  Verdicts, strategies, reasons and counterexample certificates
+a fresh :class:`Session` and by calling
+``repro.core.decision.decide_bag_containment`` directly inside an activated
+session, across strategies and backends.  Verdicts, strategies, reasons and counterexample certificates
 must be identical everywhere.
 """
 
 import pytest
 
 from repro.core.decision import decide_bag_containment
-from repro.engine import use_backend
 from repro.session import ContainmentRequest, Session
 from repro.workloads.random_queries import random_adversarial_pair
 
@@ -28,7 +27,7 @@ GRID = [
 
 
 def _legacy(containee, containing, strategy, backend, **kwargs):
-    with use_backend(backend):
+    with Session(backend=backend).activate():
         return decide_bag_containment(containee, containing, strategy=strategy, **kwargs)
 
 

@@ -1,22 +1,20 @@
 """Regression tests: backend selection must not leak across threads.
 
-Before the session redesign, ``use_backend`` / ``set_default_backend``
-mutated a process-global, so a backend switched in one thread silently
-changed the decision paths of every other thread.  Selection is now
-``contextvars``-backed: each thread resolves its own default.
+Which backend runs is decided by the active session alone, and activation
+is ``contextvars``-backed: each thread resolves its own default, and a
+thread outside any session runs on the shared ``interned`` instance.
 """
 
 import threading
 
-import pytest
-
-from repro.engine import get_default_backend, set_default_backend, use_backend
+from repro.engine import default_cache, get_default_backend
+from repro.engine.backends import _shared_instance
 from repro.queries.parser import parse_cq
 from repro.session import Session, use_session
 
 
 class TestThreadIsolation:
-    def test_use_backend_does_not_leak_across_threads(self):
+    def test_session_activation_does_not_leak_across_threads(self):
         switched = threading.Event()
         observed = threading.Event()
         names: dict[str, str] = {}
@@ -24,10 +22,10 @@ class TestThreadIsolation:
 
         def switcher():
             try:
-                with use_backend("naive"):
+                with Session(backend="naive").activate():
                     names["switcher"] = get_default_backend().name
                     switched.set()
-                    # Hold the switch until the observer has looked.
+                    # Hold the activation until the observer has looked.
                     assert observed.wait(5)
                 names["switcher-after"] = get_default_backend().name
             except BaseException as error:  # pragma: no cover - surfaced below
@@ -48,31 +46,8 @@ class TestThreadIsolation:
             thread.join(timeout=10)
         assert not errors
         assert names["switcher"] == "naive"
-        assert names["observer"] == "interned"  # the switch never leaked
+        assert names["observer"] == "interned"  # the activation never leaked
         assert names["switcher-after"] == "interned"
-
-    def test_set_default_backend_is_thread_local(self):
-        results: dict[str, str] = {}
-        ready = threading.Event()
-        done = threading.Event()
-
-        def setter():
-            set_default_backend("naive")
-            results["setter"] = get_default_backend().name
-            ready.set()
-            assert done.wait(5)
-
-        def checker():
-            assert ready.wait(5)
-            results["checker"] = get_default_backend().name
-            done.set()
-
-        threads = [threading.Thread(target=setter), threading.Thread(target=checker)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert results == {"setter": "naive", "checker": "interned"}
 
     def test_two_threads_run_two_sessions_concurrently(self):
         """Each thread decides through its own session, backend and cache."""
@@ -105,10 +80,45 @@ class TestThreadIsolation:
         assert sessions["b"].cache.snapshot()["plans"] == (0, 0, 0)
         assert sessions["b"].cache.snapshot()["indexes"] == (0, 0, 0)
 
-    def test_new_threads_start_from_the_base_default(self):
-        with use_backend("naive"):
-            seen: list[str] = []
-            thread = threading.Thread(target=lambda: seen.append(get_default_backend().name))
+    def test_new_threads_start_on_the_shared_interned_instance(self):
+        with Session(backend="naive").activate():
+            seen: list[object] = []
+            thread = threading.Thread(
+                target=lambda: seen.extend([get_default_backend(), default_cache()])
+            )
             thread.start()
             thread.join(timeout=10)
-        assert seen == ["interned"]
+        shared = _shared_instance("interned")
+        assert seen == [shared, shared.cache]
+
+    def test_nested_activation_restores_the_outer_backend(self):
+        outer = Session(backend="naive")
+        with outer.activate():
+            with Session(backend="interned").activate():
+                assert get_default_backend().name == "interned"
+            assert get_default_backend() is outer.backend
+        assert get_default_backend() is _shared_instance("interned")
+
+    def test_shared_instances_are_singletons_under_concurrency(self):
+        from repro.engine import backends
+
+        original = dict(backends._SHARED)
+        backends._SHARED.clear()
+        try:
+            barrier = threading.Barrier(8, timeout=10)
+            seen = []
+
+            def grab():
+                barrier.wait()
+                seen.append(get_default_backend())
+
+            threads = [threading.Thread(target=grab) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert len(seen) == 8
+            assert len({id(instance) for instance in seen}) == 1
+        finally:
+            backends._SHARED.clear()
+            backends._SHARED.update(original)

@@ -564,10 +564,16 @@ class TestDeadlineFlag:
         code = main(["fuzz", "--cases", "3", "--seed", "1", "--save-corpus", str(corpus)])
         capsys.readouterr()
         assert code == 0
-        # A 1ms budget is exhausted during admission for at least the
-        # non-memoized first decision; every degraded entry must say so
-        # rather than claim "not contained".
-        code = main(["--deadline-ms", "1", "decide", "--batch", str(corpus)])
+        # Injected admission latency keyed to the first request exhausts its
+        # 1ms budget however fast the machine is; every degraded entry must
+        # say so rather than claim "not contained".
+        from repro.faults import FaultPlan, FaultRule, use_faults
+
+        slow_first = FaultPlan(
+            rules=(FaultRule("session.execute", "latency", keys=(0,), delay_ms=20.0),)
+        )
+        with use_faults(slow_first):
+            code = main(["--deadline-ms", "1", "decide", "--batch", str(corpus)])
         captured = capsys.readouterr()
         assert code == 0  # degraded is honest, not an error
         assert "degraded (deadline)" in captured.out
