@@ -19,11 +19,18 @@ the grounded containee, the ordered atom/unknown correspondence, both sides
 of the inequality, the containment mappings that generated the polynomial,
 and whether the probe tuple is unifiable with the head of the containing
 query (condition (1) of Theorem 3.1).
+
+Image queries ``h(q2)`` are never materialised: only their exponent vectors
+enter the polynomial.  A position table, built once per (containing,
+grounded containee) pair, maps each containing-body atom's image under
+``h`` straight to its unknown index, and identical vectors are counted as
+integer tuples before any :class:`Monomial` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.probe_tuples import most_general_probe_tuple
@@ -32,10 +39,11 @@ from repro.diophantine.monomials import Monomial
 from repro.diophantine.polynomials import Polynomial
 from repro.engine import ContainmentMappingBatcher
 from repro.exceptions import ContainmentError, UnificationError
+from repro.faults.runtime import TICK_INTERVAL, deadline_handle
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
 from repro.relational.substitutions import Substitution, unify_tuples
-from repro.relational.terms import Term
+from repro.relational.terms import Term, Variable
 
 __all__ = [
     "MpiEncoding",
@@ -102,21 +110,100 @@ class MpiEncoding:
         return "\n".join(lines)
 
 
-def _image_exponents(
-    image: ConjunctiveQuery, atoms: Sequence[Atom], containing: ConjunctiveQuery
-) -> tuple[int, ...]:
-    """Exponent vector of the monomial of an image query ``h(q2)``."""
-    positions = {atom: index for index, atom in enumerate(atoms)}
-    exponents = [0] * len(atoms)
-    for atom, multiplicity in image.body.items():
-        position = positions.get(atom)
+def _outside_body(containing: ConjunctiveQuery, atom: Atom, mapping: Substitution) -> ContainmentError:
+    return ContainmentError(
+        f"internal error: image atom {mapping.apply_atom(atom)} of {containing.name} is not "
+        "part of the grounded containee body"
+    )
+
+
+def _image_polynomial(
+    containing: ConjunctiveQuery,
+    atoms: Sequence[Atom],
+    mappings: Sequence[Substitution],
+) -> Polynomial:
+    """``P^{q2}_{q1(t)}``: one monomial per distinct image exponent vector.
+
+    The position table numbers the grounded terms and maps each grounded
+    atom's term numbers to its unknown index (one dict per relation).  A
+    mapping ``h`` numbers the images of its bindings once; each containing
+    atom then reads its terms' numbers through an ``itemgetter`` and adds
+    its multiplicity at the index of its image, so atoms that collapse onto
+    one image sum their multiplicities (Equation 1).  Mappings with equal
+    vectors merge into one monomial whose coefficient counts them.
+    """
+    dimension = len(atoms)
+    if not mappings:
+        return Polynomial((), dimension)
+    term_ids: dict[Term, int] = {}
+    for atom in atoms:
+        for term in atom.terms:
+            term_ids.setdefault(term, len(term_ids))
+    positions: dict[str, dict[object, int]] = {}
+    for index, atom in enumerate(atoms):
+        positions.setdefault(atom.relation, {})[_key([term_ids[t] for t in atom.terms])] = index
+
+    body = containing.body
+    variables = containing.variables()
+    constants = tuple(sorted({t for atom in body for t in atom.terms} - variables, key=str))
+    # Atoms without variables are their own image under every mapping.
+    base = [0] * dimension
+    moving = []
+    for atom, multiplicity in body.items():
+        at_relation = positions.get(atom.relation, {})
+        if atom.variables():
+            moving.append((atom, at_relation, multiplicity))
+            continue
+        position = at_relation.get(_key([term_ids.get(term) for term in atom.terms]))
         if position is None:
-            raise ContainmentError(
-                f"internal error: image atom {atom} of {containing.name} is not part of the "
-                "grounded containee body"
-            )
-        exponents[position] = multiplicity
-    return tuple(exponents)
+            raise _outside_body(containing, atom, mappings[0])
+        base[position] += multiplicity
+
+    def layout(domain: tuple[Variable, ...]) -> tuple[tuple, tuple[int | None, ...]]:
+        """Atom getters over a mapping's bindings in *domain* order, then the fixed terms."""
+        fixed = tuple(sorted(variables.difference(domain))) + constants
+        slot_of = {term: slot for slot, term in enumerate(domain + fixed)}
+        table = tuple(
+            (itemgetter(*(slot_of[term] for term in atom.terms)), at_relation, multiplicity, atom)
+            for atom, at_relation, multiplicity in moving
+        )
+        return table, tuple(term_ids.get(term) for term in fixed)
+
+    counts: dict[tuple[int, ...], int] = {}
+    # The engine emits every mapping's bindings in one order, so the layout
+    # is built once and re-checked with an identity-fast tuple comparison.
+    domain: tuple[Variable, ...] | None = None
+    tick = deadline_handle()
+    countdown = TICK_INTERVAL if tick is not None else 0
+    for mapping in mappings:
+        if countdown:
+            countdown -= 1
+            if not countdown:
+                assert tick is not None
+                tick()
+                countdown = TICK_INTERVAL
+        bindings = mapping.bindings()
+        keys = tuple(bindings)
+        if keys != domain:
+            domain = keys
+            table, fixed_ids = layout(domain)
+        ids = tuple(map(term_ids.get, bindings.values())) + fixed_ids
+        exponents = base.copy()
+        for key_of, at_relation, multiplicity, atom in table:
+            position = at_relation.get(key_of(ids))
+            if position is None:
+                raise _outside_body(containing, atom, mapping)
+            exponents[position] += multiplicity
+        vector = tuple(exponents)
+        counts[vector] = counts.get(vector, 0) + 1
+    return Polynomial(
+        [Monomial(count, vector) for vector, count in counts.items()], dimension=dimension
+    )
+
+
+def _key(ids: Sequence[int | None]) -> object:
+    """The lookup key of a term-number vector, as ``itemgetter`` returns it."""
+    return ids[0] if len(ids) == 1 else tuple(ids)
 
 
 def _encode_at_probe(
@@ -130,7 +217,8 @@ def _encode_at_probe(
     atoms = grounded.body_atoms()
     unknown_names = tuple(unknown_name_for_atom(atom, index) for index, atom in enumerate(atoms))
 
-    monomial = Monomial(1, tuple(grounded.body[atom] for atom in atoms))
+    body = grounded.body
+    monomial = Monomial(1, tuple(body[atom] for atom in atoms))
 
     try:
         unify_tuples(containing.head, probe_tuple)
@@ -139,14 +227,9 @@ def _encode_at_probe(
         unifiable = False
 
     mappings: tuple[Substitution, ...] = ()
-    image_monomials: list[Monomial] = []
     if unifiable:
         mappings = batcher.mappings(grounded, probe_tuple)
-        for mapping in mappings:
-            image = containing.apply_substitution(mapping)
-            image_monomials.append(Monomial(1, _image_exponents(image, atoms, containing)))
-
-    polynomial = Polynomial(image_monomials, dimension=len(atoms))
+    polynomial = _image_polynomial(containing, atoms, mappings)
     inequality = MonomialPolynomialInequality(polynomial, monomial)
 
     return MpiEncoding(

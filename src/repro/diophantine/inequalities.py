@@ -93,11 +93,13 @@ class MonomialPolynomialInequality:
         component-wise positivity of ``ε`` — see
         :mod:`repro.linalg.systems`).  For the zero polynomial the system is
         empty and trivially feasible, matching the fact that ``0 < M`` is
-        solved by the all-ones vector.
+        solved by the all-ones vector.  The rows are plain ``int`` tuples
+        (an MPI's exponents are natural numbers), so the system takes its
+        integer path and never builds a :class:`~fractions.Fraction`.
         """
-        monomial_exponents = self.monomial.exponents
+        monomial_exponents = self.monomial.integer_exponents()
         rows = [
-            tuple(e - ei for e, ei in zip(monomial_exponents, poly_monomial.exponents))
+            tuple(e - ei for e, ei in zip(monomial_exponents, poly_monomial.integer_exponents()))
             for poly_monomial in self.polynomial
         ]
         return HomogeneousStrictSystem(rows, self.dimension)

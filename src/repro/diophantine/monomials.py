@@ -23,7 +23,8 @@ def _check_exponents(exponents: Sequence[object]) -> tuple[Fraction, ...]:
     converted = []
     for exponent in exponents:
         value = Fraction(exponent)
-        if value < 0:
+        # Natural exponents (the encoding's) are sign-checked as plain ints.
+        if (exponent < 0) if type(exponent) is int else (value < 0):
             raise DiophantineError(f"exponents must be non-negative, got {exponent}")
         converted.append(value)
     return tuple(converted)

@@ -25,7 +25,7 @@ class Polynomial:
     __slots__ = ("_monomials", "_dimension")
 
     def __init__(self, monomials: Iterable[Monomial], dimension: int | None = None) -> None:
-        merged: dict[tuple[Fraction, ...], Fraction] = {}
+        merged: dict[tuple[Fraction, ...], Monomial] = {}
         inferred_dimension = dimension
         for monomial in monomials:
             if not isinstance(monomial, Monomial):
@@ -38,13 +38,17 @@ class Polynomial:
                 )
             if monomial.coefficient == 0:
                 continue
-            merged[monomial.exponents] = merged.get(monomial.exponents, Fraction(0)) + monomial.coefficient
+            # A monomial with a fresh exponent vector is kept as it is; only
+            # a repeated vector builds a new, summed monomial.
+            earlier = merged.get(monomial.exponents)
+            if earlier is not None:
+                monomial = Monomial(earlier.coefficient + monomial.coefficient, monomial.exponents)
+            merged[monomial.exponents] = monomial
         if inferred_dimension is None:
             raise DiophantineError("the dimension of an empty polynomial must be given explicitly")
         self._dimension = inferred_dimension
         self._monomials: tuple[Monomial, ...] = tuple(
-            Monomial(coefficient, exponents)
-            for exponents, coefficient in sorted(merged.items(), key=lambda item: item[0])
+            monomial for _, monomial in sorted(merged.items(), key=lambda item: item[0])
         )
 
     # ------------------------------------------------------------------ #

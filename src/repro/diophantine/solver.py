@@ -227,13 +227,14 @@ def _decision_from_linear(
     system: HomogeneousStrictSystem,
     support: tuple[int, ...],
     restricted: MonomialPolynomialInequality,
+    restricted_system: HomogeneousStrictSystem,
     rational_witness: tuple[Fraction, ...] | None,
     method: str,
 ) -> MpiDecision:
     if rational_witness is None:
         return MpiDecision(False, inequality, system, None, None, method)
     d = scale_to_natural(rational_witness)
-    if not restricted.to_linear_system().is_solution(d):  # pragma: no cover - sanity check
+    if not restricted_system.is_solution(d):  # pragma: no cover - sanity check
         raise DiophantineError(f"scaled linear solution {d} does not satisfy the system")
     restricted_witness = witness_from_linear_solution(restricted, d)
     witness = _expand_witness(inequality.dimension, support, restricted_witness)
@@ -264,12 +265,14 @@ def _decide_with(
         linear_solution = (0,) * inequality.dimension
         return MpiDecision(True, inequality, system, linear_solution, witness, "trivial")
 
-    restricted_system = restricted.to_linear_system()
+    # Built once per decision: the support covers every unknown in the
+    # bag-containment encodings, so the restricted MPI is the MPI itself.
+    restricted_system = system if restricted is inequality else restricted.to_linear_system()
     if method == "lp":
         outcome = lp_feasibility(restricted_system, require_positive=True)
         if outcome.feasible and outcome.witness is not None:
             return _decision_from_linear(
-                inequality, system, support, restricted, outcome.witness, "lp"
+                inequality, system, support, restricted, restricted_system, outcome.witness, "lp"
             )
         if not fall_back_to_exact:
             return MpiDecision(outcome.feasible, inequality, system, None, None, "lp")
@@ -288,7 +291,13 @@ def _decide_with(
         outcome = lp_feasibility(restricted_system, require_positive=True)
         if outcome.feasible and outcome.witness is not None:
             return _decision_from_linear(
-                inequality, system, support, restricted, outcome.witness, "lp-fallback"
+                inequality,
+                system,
+                support,
+                restricted,
+                restricted_system,
+                outcome.witness,
+                "lp-fallback",
             )
         if not outcome.feasible:
             return MpiDecision(False, inequality, system, None, None, "lp-fallback")
@@ -298,6 +307,7 @@ def _decide_with(
         system,
         support,
         restricted,
+        restricted_system,
         exact.witness if exact.feasible else None,
         "fourier-motzkin",
     )

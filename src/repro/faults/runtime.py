@@ -22,6 +22,9 @@ per loop iteration::
 ``tick_handle`` itself applies any ``executor.start`` injected latency and
 performs one up-front deadline check, so even an execution that never
 reaches :data:`TICK_INTERVAL` rows observes an already-expired deadline.
+Loops outside the engine (the MPI encoding's mapping loop) use the same
+countdown with :func:`deadline_handle`, which polls the deadline only and
+leaves the ``executor.*`` fault sites to the engine.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.faults.plan import _ACTIVE
 __all__ = [
     "TICK_INTERVAL",
     "check_deadline",
+    "deadline_handle",
     "deadline_scope",
     "session_entry",
     "tick_handle",
@@ -124,3 +128,16 @@ def tick_handle() -> Callable[[], None] | None:
             raise DeadlineExceeded("wall-clock deadline exceeded")
 
     return tick
+
+
+def deadline_handle() -> Callable[[], None] | None:
+    """:func:`check_deadline` when a deadline is armed, else ``None``.
+
+    The countdown-pattern handle for loops outside the engine: one
+    ContextVar read when no deadline is armed, and one up-front check when
+    one is, so a budget already spent before the loop is observed at once.
+    """
+    if _DEADLINE.get() is None:
+        return None
+    check_deadline()
+    return check_deadline

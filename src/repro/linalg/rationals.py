@@ -1,7 +1,12 @@
 """Small exact-arithmetic helpers used by the linear and Diophantine layers.
 
-Everything that decides containment works over :class:`fractions.Fraction`
-so answers are exact; these helpers convert between rational and integer
+Every answer is exact.  The bag-containment path is integer-native up to
+the linear system: exponent vectors are ``int`` tuples and Theorem 4.1's
+rows ``e − e_i`` are ``int`` rows, which
+:class:`~repro.linalg.systems.HomogeneousStrictSystem` keeps without
+building a :class:`fractions.Fraction`.  Fractions remain where values are
+genuinely rational: general GMPIs, the Fourier–Motzkin witness and its
+back-substitution.  These helpers convert between rational and integer
 vectors (clearing denominators with the lcm, as in the proof of
 Theorem 4.1) and normalise vectors by their gcd to keep numbers small.
 """

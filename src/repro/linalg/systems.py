@@ -31,34 +31,50 @@ __all__ = ["HomogeneousStrictSystem"]
 
 
 class HomogeneousStrictSystem:
-    """An immutable system of strict homogeneous inequalities ``row · ε > 0``."""
+    """An immutable system of strict homogeneous inequalities ``row · ε > 0``.
+
+    Rows whose entries are all ``int`` (the bag-containment path: Theorem
+    4.1's rows ``e − e_i`` are differences of naturals) are stored as given
+    and gcd-normalised in integer arithmetic; :attr:`rows` converts them to
+    fractions on access.  Any other input (fractions, ``bool``, a mix) is
+    converted to fractions at construction.  Both kinds compare
+    and hash alike, because an ``int`` equals and hashes like the equal
+    :class:`Fraction`.
+    """
 
     __slots__ = ("_rows", "_dimension", "_integer_rows")
 
     def __init__(self, rows: Iterable[Sequence[object]], dimension: int | None = None) -> None:
-        converted: list[tuple[Fraction, ...]] = [as_fraction_vector(row) for row in rows]
+        entries: list[tuple[object, ...]] = [tuple(row) for row in rows]
+        integral = all(type(value) is int for row in entries for value in row)
+        if not integral:
+            entries = [as_fraction_vector(row) for row in entries]
         if dimension is None:
-            if not converted:
+            if not entries:
                 raise LinearSystemError(
                     "an empty system needs an explicit dimension"
                 )
-            dimension = len(converted[0])
+            dimension = len(entries[0])
         if dimension < 0:
             raise LinearSystemError(f"dimension must be non-negative, got {dimension}")
-        for row in converted:
+        for row in entries:
             if len(row) != dimension:
                 raise DimensionMismatchError(
-                    f"row {row} has {len(row)} components, expected {dimension}"
+                    f"row {as_fraction_vector(row)} has {len(row)} components, expected {dimension}"
                 )
-        self._rows: tuple[tuple[Fraction, ...], ...] = tuple(converted)
+        # Fractions, or the caller's ints when every entry is one.
+        self._rows: tuple[tuple[object, ...], ...] = tuple(entries)
         self._dimension = dimension
         # gcd-normalised at construction: every integer row is primitive, so
         # the integer fast path of is_solution multiplies the smallest
         # possible coefficients no matter how non-reduced the input was.
         scaled: list[tuple[int, ...]] = []
         for row in self._rows:
-            multiplier = lcm(*(coefficient.denominator for coefficient in row)) if row else 1
-            integers = [int(coefficient * multiplier) for coefficient in row]
+            if integral:
+                integers = list(row)
+            else:
+                multiplier = lcm(*(value.denominator for value in row)) if row else 1
+                integers = [int(value * multiplier) for value in row]
             divisor = 0
             for value in integers:
                 divisor = gcd(divisor, value)
@@ -72,8 +88,8 @@ class HomogeneousStrictSystem:
     # ------------------------------------------------------------------ #
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows of the system, as tuples of fractions."""
-        return self._rows
+        """The rows of the system, as tuples of fractions (built per access from ``int`` rows)."""
+        return tuple(as_fraction_vector(row) for row in self._rows)
 
     @property
     def dimension(self) -> int:
@@ -84,7 +100,7 @@ class HomogeneousStrictSystem:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[tuple[Fraction, ...]]:
-        return iter(self._rows)
+        return iter(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousStrictSystem):
@@ -104,8 +120,8 @@ class HomogeneousStrictSystem:
         """The system augmented with the rows ``ε_j > 0`` for every unknown."""
         identity_rows = []
         for j in range(self._dimension):
-            row = [Fraction(0)] * self._dimension
-            row[j] = Fraction(1)
+            row = [0] * self._dimension
+            row[j] = 1
             identity_rows.append(tuple(row))
         return HomogeneousStrictSystem(list(self._rows) + identity_rows, self._dimension)
 
@@ -140,16 +156,16 @@ class HomogeneousStrictSystem:
             raise DimensionMismatchError(
                 f"vector of size {len(vector)} supplied to a system of dimension {self._dimension}"
             )
-        if all(type(component) is int for component in vector):
-            for row in self.integer_rows():
-                total = 0
-                for coefficient, component in zip(row, vector):
-                    if coefficient:
-                        total += coefficient * component
-                if total <= 0:
-                    return False
-            return True
-        return all(value > 0 for value in self.slack(vector))
+        if not all(type(component) is int for component in vector):
+            vector = as_fraction_vector(vector)
+        for row in self._integer_rows:
+            total = 0
+            for coefficient, component in zip(row, vector):
+                if coefficient:
+                    total += coefficient * component
+            if total <= 0:
+                return False
+        return True
 
     def violated_rows(self, vector: Sequence[object]) -> list[int]:
         """Indices of rows with non-positive value under *vector*."""

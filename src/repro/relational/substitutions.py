@@ -11,6 +11,7 @@ between queries) are substitutions with extra conditions, implemented in
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import SubstitutionError, UnificationError
@@ -88,6 +89,14 @@ class Substitution(Mapping[Variable, Term]):
     def __repr__(self) -> str:
         inner = "; ".join(f"{src} -> {dst}" for src, dst in sorted(self._mapping.items()))
         return f"Substitution({{{inner}}})"
+
+    def bindings(self) -> Mapping[Variable, Term]:
+        """A read-only, uncopied view of the bindings, for hot loops over many substitutions.
+
+        Its ``get``, ``keys`` and ``values`` run at plain-dict speed, and
+        ``bindings().get(term, term)`` is :meth:`apply_term` for every term.
+        """
+        return MappingProxyType(self._mapping)
 
     # ------------------------------------------------------------------ #
     # Application

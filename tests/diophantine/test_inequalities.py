@@ -71,6 +71,22 @@ class TestLinearSystemReduction:
         # (2,1,3) - (7,0,0), (2,1,3) - (5,2,0) and (2,1,3) - (3,0,4).
         assert rows == {(-5, 1, 3), (-3, -1, 3), (-1, 1, -1)}
 
+    def test_system_equals_the_fraction_built_one(self):
+        from fractions import Fraction
+
+        from repro.linalg.systems import HomogeneousStrictSystem
+
+        mpi = section4_mpi()
+        monomial = mpi.monomial.exponents
+        expected = HomogeneousStrictSystem(
+            [tuple(Fraction(e - ei) for e, ei in zip(monomial, m.exponents)) for m in mpi.polynomial],
+            mpi.dimension,
+        )
+        system = mpi.to_linear_system()
+        assert system == expected and hash(system) == hash(expected)
+        assert system.rows == expected.rows
+        assert system.integer_rows() == expected.integer_rows()
+
     def test_zero_polynomial_gives_an_empty_system(self):
         mpi = MonomialPolynomialInequality(Polynomial.zero(2), Monomial(1, (1, 1)))
         system = mpi.to_linear_system()

@@ -23,6 +23,7 @@ from repro.faults import (
     tick_handle,
     use_faults,
 )
+from repro.faults.runtime import deadline_handle
 from repro.session import Limits, Session
 from repro.workloads.scale import mixed_requests
 from repro.workloads.structured import chain_containment_pair
@@ -71,6 +72,21 @@ class TestRuntimePrimitives:
             with pytest.raises(DeadlineExceeded):
                 tick()
 
+    def test_deadline_handle_polls_the_deadline_only(self):
+        assert deadline_handle() is None
+        # An armed fault plan alone arms nothing here: the executor sites
+        # stay the engine's.
+        with use_faults(FaultPlan(rules=(FaultRule("executor.start", "latency", delay_ms=1.0),))):
+            assert deadline_handle() is None
+        with deadline_scope(5):
+            tick = deadline_handle()
+            assert tick is not None
+            time.sleep(0.02)
+            with pytest.raises(DeadlineExceeded):
+                tick()
+            with pytest.raises(DeadlineExceeded):
+                deadline_handle()
+
     def test_tick_interval_bounds_polling_cost(self):
         assert TICK_INTERVAL == 64
 
@@ -97,6 +113,32 @@ class TestSessionDeadline:
         outcome = session.decide(containee, containing)
         assert outcome.degraded == "deadline"
         assert outcome.verdict is None
+
+    def test_budget_spent_after_the_engine_degrades_in_the_encoding(self, monkeypatch):
+        # The engine returns its mappings just before the budget runs out;
+        # nothing downstream of it polls the engine's tick, so only the
+        # encoding's mapping loop can turn the rest of the request into an
+        # honest degradation instead of a late verdict.
+        from repro.engine.batch import ContainmentMappingBatcher
+        from repro.workloads.scale import wide_star_pair
+
+        engine_mappings = ContainmentMappingBatcher.mappings
+
+        def slow_mappings(self, grounded, probe):
+            mappings = engine_mappings(self, grounded, probe)
+            time.sleep(0.06)
+            return mappings
+
+        monkeypatch.setattr(ContainmentMappingBatcher, "mappings", slow_mappings)
+        containee, containing = wide_star_pair(2, 2)
+        session = Session(limits=Limits(deadline_ms=30))
+        outcome = session.decide(containee, containing)
+        assert outcome.degraded == "deadline"
+        assert outcome.verdict is None and outcome.value is None
+        assert outcome.error is None
+        monkeypatch.setattr(ContainmentMappingBatcher, "mappings", engine_mappings)
+        retried = session.decide(containee, containing)
+        assert retried.degraded is None and retried.verdict is True
 
     def test_degraded_run_does_not_poison_the_memo(self):
         containee, containing = _small_pair()

@@ -125,3 +125,82 @@ class TestIntegerFastPath:
             assert system.is_solution(vector) == all(
                 value > 0 for value in system.slack(vector)
             )
+
+
+class TestIntegerConstruction:
+    """All-``int`` rows skip Fractions; every observable matches the Fraction path."""
+
+    ROWS = [[2, -4, 0], [3, 0, -3], [0, 0, 0], [-1, 5, 2]]
+
+    def _pair(self, rows=None, dimension=None):
+        rows = self.ROWS if rows is None else rows
+        integral = HomogeneousStrictSystem([tuple(row) for row in rows], dimension)
+        rational = HomogeneousStrictSystem(
+            [tuple(Fraction(value) for value in row) for row in rows], dimension
+        )
+        return integral, rational
+
+    def test_int_and_fraction_built_systems_are_interchangeable(self):
+        integral, rational = self._pair()
+        assert integral == rational
+        assert hash(integral) == hash(rational)
+        assert integral.rows == rational.rows
+        assert all(type(value) is Fraction for row in integral.rows for value in row)
+        assert list(integral) == list(rational)
+        assert integral.integer_rows() == rational.integer_rows() == (
+            (1, -2, 0),
+            (1, 0, -1),
+            (0, 0, 0),
+            (-1, 5, 2),
+        )
+        assert integral.max_coefficient_sum() == rational.max_coefficient_sum() == 6
+        assert integral.slack((1, 1, 1)) == rational.slack((1, 1, 1))
+
+    def test_with_positivity_matches_and_stays_integral(self):
+        integral, rational = self._pair()
+        positive = integral.with_positivity()
+        assert positive == rational.with_positivity()
+        assert hash(positive) == hash(rational.with_positivity())
+        assert positive.integer_rows()[-3:] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert positive.rows[-1] == (Fraction(0), Fraction(0), Fraction(1))
+
+    def test_is_solution_matches_on_int_and_fraction_vectors(self):
+        from itertools import product
+
+        integral, rational = self._pair([[1, -1, 0], [0, 2, -1]])
+        for vector in product(range(-1, 3), repeat=3):
+            assert integral.is_solution(vector) == rational.is_solution(vector)
+            halves = tuple(Fraction(value, 2) for value in vector)
+            assert integral.is_solution(halves) == rational.is_solution(halves)
+        assert integral.is_solution((Fraction(7, 2), 3, Fraction(5, 2)))
+        assert integral.is_solution((3.5, 3, 2.5))
+
+    def test_bool_and_mixed_input_take_the_fraction_path(self):
+        flags = HomogeneousStrictSystem([(True, False)])
+        assert flags.rows == ((Fraction(1), Fraction(0)),)
+        assert flags.integer_rows() == ((1, 0),)
+        mixed = HomogeneousStrictSystem([(1, Fraction(1, 2))])
+        assert mixed.integer_rows() == ((2, 1),)
+        assert mixed == HomogeneousStrictSystem([(Fraction(1), Fraction(1, 2))])
+
+    def test_restricted_to_keeps_the_integer_rows(self):
+        integral, rational = self._pair()
+        assert integral.restricted_to([3, 0]) == rational.restricted_to([0, 3])
+        assert integral.restricted_to([1]).integer_rows() == ((1, 0, -1),)
+
+    def test_empty_and_dimension_errors_are_unchanged(self):
+        with pytest.raises(LinearSystemError, match="explicit dimension"):
+            HomogeneousStrictSystem([])
+        with pytest.raises(LinearSystemError, match="non-negative"):
+            HomogeneousStrictSystem([], dimension=-1)
+        for rows in ([[1, 2], [1]], [[Fraction(1), Fraction(2)], [Fraction(1)]]):
+            with pytest.raises(
+                DimensionMismatchError,
+                match=r"row \(Fraction\(1, 1\),\) has 1 components, expected 2",
+            ):
+                HomogeneousStrictSystem(rows)
+        empty_int, empty_fraction = self._pair([], dimension=2)
+        assert empty_int == empty_fraction and empty_int.rows == ()
+        assert empty_int.with_positivity() == empty_fraction.with_positivity()
+        zero_width = HomogeneousStrictSystem([()])
+        assert zero_width.dimension == 0 and zero_width.rows == ((),)

@@ -42,6 +42,17 @@ class TestApplication:
         assert sigma.apply_atom(Atom("R", (x, x))) == Atom("R", (y, y))
 
 
+    def test_bindings_is_a_read_only_view_that_applies_terms(self):
+        sigma = Substitution({x: a, y: z})
+        view = sigma.bindings()
+        assert dict(view) == {x: a, y: z}
+        for term in (x, y, z, a, CanonicalConstant("x")):
+            assert view.get(term, term) == sigma.apply_term(term)
+        with pytest.raises(TypeError):
+            view[z] = b  # type: ignore[index]
+        assert sigma == Substitution({x: a, y: z})
+
+
 class TestConstruction:
     def test_rejects_non_variable_sources(self):
         with pytest.raises(SubstitutionError):
