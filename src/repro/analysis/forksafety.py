@@ -1,9 +1,8 @@
 """Fork/pickle-safety analysis for the parallel execution boundary.
 
-Everything that crosses into a ``multiprocessing`` worker —
-the callable and payloads handed to :func:`repro.parallel.pool_imap`, the
-request chunks of :func:`repro.parallel.parallel_batch`, and every field
-of a :class:`repro.session.session.SessionSpec` — must pickle.  A lambda,
+Everything that crosses into a ``multiprocessing`` worker — the request
+chunks of :func:`repro.parallel.parallel_batch` and every field of a
+:class:`repro.session.session.SessionSpec` — must pickle.  A lambda,
 a function or class defined inside another function, or an open file
 handle raises ``PicklingError`` (or worse, pickles something subtly
 wrong) only when the parallel path actually runs, which tier-1 tests on
@@ -23,7 +22,7 @@ acquired on only one branch still may-reach the sink.
 
 **Worker-reachable shared-state writes** — a per-module call graph is
 rooted at every function the module hands to a worker boundary
-(``pool_imap(fn, ...)`` targets, ``initializer=`` callbacks).  Any
+(``parallel_batch(fn, ...)`` targets, ``initializer=`` callbacks).  Any
 function reachable from those roots that rebinds a module-level name
 (``global x; x = ...``) or mutates a module-level mutable container
 (``CACHE[key] = ...``, ``REGISTRY.append(...)``) is a
@@ -54,7 +53,7 @@ OPEN_HANDLE = "open-handle"
 _EMPTY: frozenset[str] = frozenset()
 
 #: Call-target names that ship arguments across the process boundary.
-_BOUNDARY_CALLS = frozenset({"pool_imap", "parallel_batch", "SessionSpec"})
+_BOUNDARY_CALLS = frozenset({"parallel_batch", "SessionSpec"})
 
 #: How each label reads in a finding message.
 _LABEL_PROBLEM = {  # lint: disable=global-mutable-state -- read-only label-to-message table; never mutated
@@ -304,7 +303,7 @@ def _worker_roots(tree: ast.Module, functions: Iterable[str]) -> set[str]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        if _call_name(node.func) not in ("pool_imap", "parallel_batch"):
+        if _call_name(node.func) != "parallel_batch":
             continue
         candidates: list[ast.expr] = list(node.args[:1])
         for keyword in node.keywords:

@@ -265,14 +265,14 @@ ANALYZER_RULES: tuple[LintRule, ...] = (
     ),
     LintRule(
         name="fork-unpicklable",
-        summary="every value crossing pool_imap/parallel_batch/SessionSpec must "
+        summary="every value crossing parallel_batch/SessionSpec must "
         "be picklable",
         check=_check_fork_unpicklable,
         explanation=(
             "A flow-sensitive binding analysis labels names bound to lambdas, "
             "function-local defs and classes, and open file handles, and "
             "reports any labelled value (or literal lambda) reaching a "
-            "pool_imap()/parallel_batch()/SessionSpec() argument — those "
+            "parallel_batch()/SessionSpec() argument — those "
             "values cross the multiprocessing pickle boundary and would raise "
             "PicklingError only when the parallel path actually runs.  "
             "Rebinding the name to a module-level callable before the call "
@@ -286,7 +286,7 @@ ANALYZER_RULES: tuple[LintRule, ...] = (
         check=_check_fork_shared_state,
         explanation=(
             "Builds the same-module call graph rooted at every function handed "
-            "to a worker boundary (pool_imap targets, initializer= callbacks) "
+            "to a worker boundary (parallel_batch targets, initializer= callbacks) "
             "and reports global rebinding or in-place mutation of module-level "
             "mutable containers anywhere reachable: under fork/spawn the write "
             "lands in the worker's copy of the module and is silently lost in "

@@ -80,9 +80,9 @@ def merge_snapshots(
 ) -> dict[str, tuple[int, int, int]]:
     """Sum per-layer ``(hits, misses, evictions)`` across many snapshots.
 
-    This is the aggregation hook the parallel fuzz runner uses: each worker
-    process reports the snapshot delta of its own process-wide cache, and
-    the campaign report presents the fleet-wide totals.
+    :func:`repro.parallel.merged_cache_stats` folds a batch's per-outcome
+    deltas through it — outcomes computed in any worker — into the
+    fleet-wide totals a fuzz campaign report presents.
     """
     totals: dict[str, list[int]] = {}
     for snapshot in snapshots:

@@ -35,7 +35,11 @@ To keep the classic double-exponential blow-up at bay the implementation
   lower×upper combinations (the standard min-fill heuristic);
 * enforces a configurable cap on the number of generated rows and raises
   :class:`LinearSystemError` when it is exceeded, so callers can fall back
-  to the LP-based solver.
+  to the LP-based solver;
+* polls the ambient deadline (:func:`repro.faults.runtime.deadline_handle`)
+  every :data:`~repro.faults.runtime.TICK_INTERVAL` combined rows, so an
+  elimination heading for the row cap raises
+  :class:`~repro.exceptions.DeadlineExceeded` inside the caller's budget.
 
 The systems arising from monomial–polynomial inequalities in this library
 have as many unknowns as the containee query has atoms, which is small, so
@@ -47,9 +51,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.exceptions import LinearSystemError
+from repro.faults.runtime import TICK_INTERVAL, deadline_handle
 from repro.linalg.systems import HomogeneousStrictSystem
 
 __all__ = [
@@ -174,13 +179,20 @@ def _pick_variable(rows: list[_Row], active: list[int]) -> int:
     return best_column
 
 
-def _solve(rows: list[_Row], active: list[int], dimension: int, row_cap: int) -> FeasibilityResult:
+def _solve(
+    rows: list[_Row],
+    active: list[int],
+    dimension: int,
+    row_cap: int,
+    tick: Callable[[], None] | None,
+) -> FeasibilityResult:
     """Recursive Fourier–Motzkin over the *active* columns, with back-substitution.
 
     Rows are primitive integer vectors throughout; the combination loop is
     pure integer arithmetic and each recursion level re-normalises,
-    de-duplicates and redundancy-prunes before branching.  Returns a
-    witness defined on **all** columns; inactive columns get 0.
+    de-duplicates and redundancy-prunes before branching.  *tick* is the
+    deadline handle, called every :data:`TICK_INTERVAL` combined rows.
+    Returns a witness defined on **all** columns; inactive columns get 0.
     """
     prepared, contradiction = _prepare(rows)
     if contradiction:
@@ -205,9 +217,16 @@ def _solve(rows: list[_Row], active: list[int], dimension: int, row_cap: int) ->
     reduced = [row for row in prepared if row[column] == 0]
 
     columns = range(dimension)
+    countdown = TICK_INTERVAL if tick is not None else 0
     for lower in lowers:
         p = lower[column]
         for upper in uppers:
+            if countdown:
+                countdown -= 1
+                if not countdown:
+                    assert tick is not None
+                    tick()
+                    countdown = TICK_INTERVAL
             q = upper[column]
             combined = tuple(
                 (-q) * lower[j] + p * upper[j] if j != column else 0 for j in columns
@@ -221,7 +240,7 @@ def _solve(rows: list[_Row], active: list[int], dimension: int, row_cap: int) ->
 
     # Rows in `reduced` still have a zero coefficient on `column`, so they are
     # genuine constraints over the remaining columns only.
-    inner = _solve(reduced, remaining, dimension, row_cap)
+    inner = _solve(reduced, remaining, dimension, row_cap, tick)
     if not inner.feasible:
         return FeasibilityResult(False)
 
@@ -264,12 +283,18 @@ def solve_strict_system(
 
     When *require_positive* is set, the positivity rows ``ε_j > 0`` are added
     before solving; the witness, if any, is then component-wise positive.
+    Raises :class:`~repro.exceptions.DeadlineExceeded` when an ambient
+    deadline (:func:`repro.faults.runtime.deadline_scope`) expires mid-elimination.
     """
     working = system.with_positivity() if require_positive else system
     # The system's integer rows are already primitive (gcd-normalised at
     # construction), so the whole elimination runs on machine integers.
     result = _solve(
-        list(working.integer_rows()), list(range(working.dimension)), working.dimension, row_cap
+        list(working.integer_rows()),
+        list(range(working.dimension)),
+        working.dimension,
+        row_cap,
+        deadline_handle(),
     )
     if result.feasible and result.witness is not None and len(working) > 0:
         if not working.is_solution(result.witness):  # pragma: no cover - sanity check

@@ -2,11 +2,12 @@
 
 The decision procedure is the kind of primitive a query optimizer calls
 thousands of times per workload (view selection, rewrite enumeration), and
-one Python process tops out at one core.  This module fans a
-:meth:`~repro.session.Session.batch` request stream — or any chunkable
-workload, the fuzz campaign runner reuses the same harness — across a
-``multiprocessing`` pool while keeping the guarantees the serial path
-gives:
+one Python process tops out at one core.  This module fans a request
+stream across a ``multiprocessing`` pool while keeping the guarantees the
+serial path gives.  :func:`parallel_batch` is the one worker-pool harness:
+``Session.batch(jobs=N)``, ``repro decide --batch``, ``repro chaos`` and
+the fuzz campaign runner (whose cases are session requests too) all run on
+it.
 
 **Determinism.**  Requests are sharded into contiguous chunks and results
 stream back to the caller **in request order**, no matter which worker
@@ -84,7 +85,6 @@ __all__ = [
     "default_chunk_size",
     "merged_cache_stats",
     "parallel_batch",
-    "pool_imap",
     "resolve_jobs",
     "shard",
 ]
@@ -159,7 +159,7 @@ def shard(items: Sequence[_T], chunk_size: int) -> list[tuple[int, tuple[_T, ...
 
 
 # --------------------------------------------------------------------- #
-# The generic pool harness
+# Worker failures as values
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _WorkerFailure:
@@ -302,47 +302,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     # works too but re-imports from scratch.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def pool_imap(
-    fn: Callable[[Any], Any],
-    payloads: Iterable[Any],
-    jobs: int,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
-    ordered: bool = True,
-) -> Iterator[Any]:
-    """Map *fn* over *payloads* on a worker pool, with clean shutdown.
-
-    *fn* must be a picklable module-level callable.  Results stream back in
-    payload order (``ordered=True``) or completion order; either way tasks
-    are pulled from a shared queue, so scheduling is work-stealing.  Worker
-    failures re-raise in the parent (``KeyboardInterrupt`` as itself,
-    everything else as :class:`ParallelError`); the pool is terminated and
-    joined on any exit path, including the caller closing the iterator
-    early.
-    """
-    if jobs < 1:
-        raise ParallelError("jobs must be at least 1")
-    payloads = list(payloads)
-    if not payloads:
-        return
-    context = _pool_context()
-    pool = context.Pool(processes=jobs, initializer=initializer, initargs=initargs)
-    clean_exit = False
-    try:
-        guarded = functools.partial(_guarded_call, fn)
-        iterator = pool.imap(guarded, payloads) if ordered else pool.imap_unordered(guarded, payloads)
-        for result in iterator:
-            if isinstance(result, _WorkerFailure):
-                _reraise(result)
-            yield result
-        pool.close()
-        clean_exit = True
-    finally:
-        if not clean_exit:
-            pool.terminate()
-        pool.join()
 
 
 # --------------------------------------------------------------------- #

@@ -122,8 +122,9 @@ class Outcome:
     Attributes
     ----------
     request:
-        The request this outcome answers (one of the dataclasses above, or
-        a short string tag for convenience calls such as ``fuzz``).
+        The request this outcome answers (one of the dataclasses above, a
+        fuzz :class:`~repro.verify.CaseRequest`, or a short string
+        tag for convenience calls such as ``fuzz``).
     value:
         The full native result object (a
         :class:`~repro.core.decision.BagContainmentResult`, an
@@ -131,6 +132,7 @@ class Outcome:
         :class:`~repro.core.encoding.MpiEncoding`, a
         :class:`~repro.core.spectrum.ContainmentSpectrum`, an
         :class:`~repro.verify.OracleReport`, a
+        :class:`~repro.verify.CaseResult`, a
         :class:`~repro.verify.CampaignReport`, …).
     verdict:
         The boolean essence of the result where one exists (containment

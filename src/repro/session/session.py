@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.analysis import hooks as _verify_hooks
 from repro.engine.backends import Backend, backend_names, create_backend
@@ -58,6 +58,9 @@ from repro.session.requests import (
     MpiRequest,
     Outcome,
 )
+
+if TYPE_CHECKING:
+    from repro.verify.runner import CaseRequest
 
 __all__ = [
     "Limits",
@@ -151,6 +154,9 @@ class SessionSpec:
 
 
 _SESSION_COUNTER = itertools.count(1)
+
+#: ``Session._execute``'s default budget: the session's ``Limits.deadline_ms``.
+_LIMITS_DEADLINE: Any = object()
 
 #: The session active in the current context (thread / task), if any.
 _CURRENT_SESSION: ContextVar["Session | None"] = ContextVar(
@@ -327,9 +333,15 @@ class Session:
         run: Callable[[], Any],
         interpret: Callable[[Any], tuple[bool | None, Any | None]],
         memo_key: Any | None = None,
-        use_deadline: bool = True,
+        deadline_ms: int | None = _LIMITS_DEADLINE,
     ) -> Outcome:
-        deadline_ms = self.limits.deadline_ms if use_deadline else None
+        """Run one call under the session: activation, deadline, memo, timing.
+
+        *deadline_ms* is the call's wall-clock budget; it defaults to
+        ``self.limits.deadline_ms``, and ``None`` runs the call unbudgeted.
+        """
+        if deadline_ms is _LIMITS_DEADLINE:
+            deadline_ms = self.limits.deadline_ms
         with self.activate():
             before = self.cache.snapshot()
             started = time.perf_counter()
@@ -609,7 +621,7 @@ class Session:
             lambda report: (report.consensus if report.ok else None, None),
             # The oracle runs many decisions; its budget is the campaign
             # time budget, not the per-request deadline.
-            use_deadline=False,
+            deadline_ms=None,
         )
 
     def fuzz(
@@ -623,10 +635,11 @@ class Session:
 
         Builds a :class:`~repro.verify.CampaignConfig` from the arguments
         (or takes a prepared one via ``config``), applies the session's
-        fuzz time budget when none is given, and executes the campaign with
-        the session active, so every inline decision shares the session's
-        backends and cache.  The verdict reports a clean campaign; the value
-        is the full :class:`~repro.verify.CampaignReport`.
+        fuzz time budget when none is given, and runs every case as a
+        request of this session — through :meth:`submit` serially, or
+        sharded by :func:`repro.parallel.parallel_batch` across workers
+        rehydrated from :meth:`spec`.  The verdict reports a clean campaign;
+        the value is the full :class:`~repro.verify.CampaignReport`.
         """
         from repro.verify.runner import CampaignConfig, run_campaign
 
@@ -641,25 +654,40 @@ class Session:
             ("fuzz", config.cases, config.seed),
             lambda: run_campaign(config, session=self),
             lambda report: (report.ok, None),
-            # Campaigns budget themselves via ``time_budget``; the
-            # per-request deadline is applied per case by the runner
-            # (``CampaignConfig.deadline_ms``), never to the whole campaign.
-            use_deadline=False,
+            # Campaigns budget themselves via ``time_budget``; each case
+            # request carries ``CampaignConfig.deadline_ms`` (see submit),
+            # so no deadline applies to the whole campaign.
+            deadline_ms=None,
         )
 
     # ------------------------------------------------------------------ #
     # Streaming batches
     # ------------------------------------------------------------------ #
     def submit(
-        self, request: ContainmentRequest | EvaluationRequest | MpiRequest
+        self, request: ContainmentRequest | EvaluationRequest | MpiRequest | CaseRequest
     ) -> Outcome:
-        """Execute one prepared request (the single-step form of :meth:`batch`)."""
+        """Execute one prepared request (the single-step form of :meth:`batch`).
+
+        A :class:`~repro.verify.runner.CaseRequest` runs one fuzz case under
+        its campaign's per-case ``deadline_ms``: an out-of-budget case
+        degrades (``degraded="deadline"``) like any other request.
+        """
         if isinstance(request, ContainmentRequest):
             return self.decide(request)
         if isinstance(request, EvaluationRequest):
             return self.evaluate(request)
         if isinstance(request, MpiRequest):
             return self.mpi(request)
+        from repro.verify.runner import CaseRequest, generate_case, run_case
+
+        if isinstance(request, CaseRequest):
+            config = request.config
+            return self._execute(
+                request,
+                lambda: run_case(generate_case(config, request.index), config),
+                lambda result: (None if result.failures else result.consensus, None),
+                deadline_ms=config.deadline_ms,
+            )
         raise SessionError(f"cannot dispatch request of type {type(request).__name__}")
 
     def submit_captured(self, request: Any) -> Outcome:

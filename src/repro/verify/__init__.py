@@ -14,8 +14,9 @@ correctness harness:
   failing pair while the discrepancy persists;
 * :mod:`repro.verify.corpus` — seeded JSON corpora for deterministic
   regression replay;
-* :mod:`repro.verify.runner` — the parallel campaign runner behind the
-  ``repro fuzz`` CLI subcommand.
+* :mod:`repro.verify.runner` — the campaign runner behind the
+  ``repro fuzz`` CLI subcommand; each case is a session request
+  (:class:`CaseRequest`), run serially or on the parallel batch harness.
 """
 
 from repro.verify.corpus import (
@@ -44,6 +45,7 @@ from repro.verify.runner import (
     CampaignConfig,
     CampaignFailure,
     CampaignReport,
+    CaseRequest,
     CaseResult,
     FuzzCase,
     campaign_corpus,
@@ -58,6 +60,7 @@ __all__ = [
     "CampaignConfig",
     "CampaignFailure",
     "CampaignReport",
+    "CaseRequest",
     "CaseResult",
     "CorpusEntry",
     "DIOPHANTINE_PATHS",

@@ -19,7 +19,10 @@ requested combination and reports a :class:`Discrepancy` whenever
 * any run dies with an unexpected exception (``error``).
 
 The oracle never raises on a misbehaving pair: failures become data, so a
-fuzz campaign can collect, shrink and persist them.
+fuzz campaign can collect, shrink and persist them.  The one exception is
+an exhausted wall-clock budget: :class:`~repro.exceptions.DeadlineExceeded`
+propagates, so the caller degrades the case honestly instead of reporting
+the budget as a disagreement between decision paths.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.engine import BACKEND_NAMES, backend_names
 from repro.exceptions import (
     CertificateError,
     ContainmentError,
+    DeadlineExceeded,
     EnumerationBudgetError,
     VerifyError,
 )
@@ -178,6 +182,8 @@ def _run_one(
     except ContainmentError as error:
         discrepancies.append(Discrepancy("error", f"{label} raised: {error}"))
         return StrategyRun(strategy, path, backend, error=str(error)), discrepancies
+    except DeadlineExceeded:
+        raise
     except Exception as error:  # noqa: BLE001 - fuzzing must survive anything
         discrepancies.append(Discrepancy("error", f"{label} raised: {error!r}"))
         return StrategyRun(strategy, path, backend, error=repr(error)), discrepancies
@@ -291,6 +297,8 @@ def run_differential_oracle(
                             f"consensus: {outcome.counterexample.describe()}",
                         )
                     )
+        except DeadlineExceeded:
+            raise
         except Exception as error:  # noqa: BLE001 - cross-checks must not crash campaigns
             discrepancies.append(Discrepancy("error", f"cross-check raised: {error!r}"))
 

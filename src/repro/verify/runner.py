@@ -1,4 +1,4 @@
-"""The parallel fuzz-campaign runner behind ``repro fuzz``.
+"""The fuzz-campaign runner behind ``repro fuzz``.
 
 A *campaign* draws ``cases`` seeded (containee, containing) pairs from the
 workload generators (adversarial boundary pairs, containment-biased and
@@ -8,18 +8,19 @@ and pushes everything through the differential oracle.  Each case derives
 its own RNG stream from ``(campaign seed, case index)``, so any case
 reproduces in isolation no matter how the work was sharded.
 
-Execution is either inline (``jobs <= 1``) or sharded across the worker
-pool harness of :mod:`repro.parallel` (the same one ``Session.batch``
-uses): the case indices are chunked, each worker rehydrates the driving
-session from its :class:`~repro.session.SessionSpec` (fresh cache, same
-backend and limits) and reports its results together with the snapshot
-delta of its cache, and the campaign report aggregates the fleet-wide
-cache statistics through :func:`repro.engine.merge_snapshots`.  Because
-every case derives its RNG streams from ``(campaign seed, case index)``
-alone, the generated corpus is byte-identical no matter how many jobs ran
-it or which worker drew which chunk.  Both time and case budgets are
-enforced between chunks; exhausting the time budget closes the result
-iterator, which terminates and joins the pool.
+Every case is a :class:`CaseRequest` that the driving
+:class:`~repro.session.Session` executes like any other request: serially
+through :meth:`~repro.session.Session.submit` (``jobs <= 1``), or sharded
+by :func:`repro.parallel.parallel_batch`, whose workers rehydrate the
+session from its :class:`~repro.session.SessionSpec` and whose supervisor
+retries, bisects and names a crashing case.  The session applies the
+per-case ``deadline_ms`` (an out-of-budget case degrades honestly), and
+the report aggregates the per-case cache deltas of the outcomes, the
+session's persistent-tier movement and the per-case plan-check counts.
+Because a case depends on ``(seed, index)`` alone, the generated corpus is
+byte-identical for every job count.  The time budget is checked after
+every case; exhausting it closes the outcome stream, which terminates and
+joins any worker pool.
 
 Failures are shrunk in the parent process with the delta-debugging shrinker
 (the predicate re-runs the oracle and asks for a discrepancy of the same
@@ -32,21 +33,17 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from repro.analysis import hooks as _verify_hooks
 from repro.core.decision import STRATEGIES
-from repro.engine import (
-    BACKEND_NAMES,
-    default_cache,
-    describe_snapshot,
-    merge_snapshots,
-    snapshot_delta,
-)
+from repro.engine import BACKEND_NAMES, describe_snapshot
 from repro.exceptions import VerifyError
-from repro.parallel import pool_imap
+from repro.parallel import merged_cache_stats, parallel_batch
 from repro.queries.cq import ConjunctiveQuery
+from repro.session.requests import Outcome
+from repro.session.session import Session, current_session
 from repro.verify.corpus import CorpusEntry, builtin_pairs
 from repro.verify.metamorphic import MUTATIONS, expected_verdict, mutation_by_name
 from repro.verify.oracles import (
@@ -67,6 +64,7 @@ __all__ = [
     "CampaignConfig",
     "CampaignFailure",
     "CampaignReport",
+    "CaseRequest",
     "CaseResult",
     "FuzzCase",
     "campaign_corpus",
@@ -93,8 +91,8 @@ class CampaignConfig:
     num_atoms: int = 3
     head_size: int = 2
     #: Verify every compiled plan online during the
-    #: campaign (see :mod:`repro.analysis`); the per-chunk verification
-    #: counts ride the snapshot under the ``verify`` pseudo-layer.
+    #: campaign (see :mod:`repro.analysis`); the per-case verification
+    #: counts are summed into the report's ``verify`` pseudo-layer.
     debug_verify_plans: bool = False
     #: Per-case wall-clock budget in milliseconds.  A case that exhausts it
     #: is recorded as an honest degraded result (``degraded="deadline"``,
@@ -175,6 +173,23 @@ class CaseResult:
     #: ``"deadline"`` when the case exhausted ``CampaignConfig.deadline_ms``
     #: — no consensus was established, honestly reported, never guessed.
     degraded: str | None = None
+    #: ``(plans verified, violations)`` under ``debug_verify_plans``.  A
+    #: result-cache hit skips the plan lookup, so the counts depend on what
+    #: the session ran before and stay out of equality.
+    plan_checks: tuple[int, int] | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class CaseRequest:
+    """Run case *index* of a campaign: the session request form of one case.
+
+    :meth:`repro.session.Session.submit` executes it under the campaign's
+    per-case ``deadline_ms``, so campaigns run on the serial and parallel
+    request machinery every other workload uses.
+    """
+
+    config: CampaignConfig
+    index: int
 
 
 #: Weighted generator palette: (name, weight).  Adversarial boundary pairs
@@ -242,35 +257,22 @@ def generate_case(config: CampaignConfig, index: int) -> FuzzCase:
     return FuzzCase(index, origin, containee, containing, mutation=mutation)
 
 
-def _run_case_with_deadline(config: CampaignConfig, index: int) -> CaseResult:
-    """Run case *index* under the campaign's per-case deadline, if any.
-
-    The engine driver loops poll the ambient deadline
-    (:func:`repro.faults.runtime.deadline_scope`) and raise
-    :class:`~repro.exceptions.DeadlineExceeded` mid-plan; the campaign
-    converts that into an honest degraded result rather than a verdict.
-    """
-    from repro.exceptions import DeadlineExceeded
-    from repro.faults.runtime import deadline_scope
-
-    case = generate_case(config, index)
-    try:
-        with deadline_scope(config.deadline_ms):
-            return run_case(case, config)
-    except DeadlineExceeded:
-        return CaseResult(
-            index=case.index,
-            origin=case.origin,
-            consensus=None,
-            decisions=0,
-            skipped_runs=0,
-            mutation_checked=None,
-            degraded="deadline",
-        )
-
-
 def run_case(case: FuzzCase, config: CampaignConfig) -> CaseResult:
-    """Run one case through the oracle (and its metamorphic check, if drawn)."""
+    """Run one case through the oracle (and its metamorphic check, if drawn).
+
+    Under ``config.debug_verify_plans`` every plan compiled for the case is
+    verified online and the result carries the plan-check counts.
+    """
+    if not config.debug_verify_plans:
+        return _check_case(case, config)
+    before = _verify_hooks.verification_counts()
+    with _verify_hooks.debug_verify_plans():
+        result = _check_case(case, config)
+    after = _verify_hooks.verification_counts()
+    return dataclasses.replace(result, plan_checks=(after[0] - before[0], after[1] - before[1]))
+
+
+def _check_case(case: FuzzCase, config: CampaignConfig) -> CaseResult:
     oracle_config = config.oracle_config()
     failures: list[CampaignFailure] = []
 
@@ -338,89 +340,6 @@ def run_case(case: FuzzCase, config: CampaignConfig) -> CaseResult:
         mutation_checked=mutation_checked,
         failures=tuple(failures),
     )
-
-
-def _persist_counts() -> tuple[int, int, int] | None:
-    """The active session's persistent-tier ``(hits, misses, stores)``, if any."""
-    from repro.session.session import current_session
-
-    session = current_session()
-    persistent = session.persistent if session is not None else None
-    if persistent is None:
-        return None
-    return (persistent.stats.hits, persistent.stats.misses, persistent.stats.stores)
-
-
-def _run_chunk(payload: tuple[CampaignConfig, tuple[int, ...]]) -> tuple[
-    list[CaseResult], dict[str, tuple[int, int, int]]
-]:
-    """Pool worker: run a chunk of case indices, report the cache delta.
-
-    When the driving session has a persistent tier, its ``(hits, misses,
-    stores)`` delta rides along in the snapshot under the ``persist``
-    pseudo-layer, so the campaign report can aggregate warm-start traffic
-    fleet-wide just like the in-memory layers.
-    """
-    if _WORKER_INIT_ERROR is not None:
-        raise VerifyError(
-            f"campaign worker failed to rehydrate its session: {_WORKER_INIT_ERROR}"
-        )
-    config, indices = payload
-    persist_before = _persist_counts()
-    verify_before = (
-        _verify_hooks.verification_counts() if config.debug_verify_plans else None
-    )
-    before = default_cache().snapshot()
-    if config.debug_verify_plans:
-        with _verify_hooks.debug_verify_plans():
-            results = [_run_case_with_deadline(config, index) for index in indices]
-    else:
-        results = [_run_case_with_deadline(config, index) for index in indices]
-    snapshot = snapshot_delta(default_cache().snapshot(), before)
-    persist_after = _persist_counts()
-    if persist_before is not None and persist_after is not None:
-        snapshot = dict(snapshot)
-        snapshot["persist"] = tuple(
-            after - prior for after, prior in zip(persist_after, persist_before)
-        )
-    if verify_before is not None:
-        snapshot = dict(snapshot)
-        snapshot["verify"] = tuple(
-            after - prior
-            for after, prior in zip(_verify_hooks.verification_counts(), verify_before)
-        )
-    return results, snapshot
-
-
-#: Keeps the worker's rehydrated session activated for the process lifetime,
-#: and any rehydration failure for the first task to report.
-_WORKER_SESSION_CONTEXT = None
-_WORKER_INIT_ERROR: str | None = None
-
-
-def _campaign_worker_init(spec) -> None:
-    """Pool initializer: rehydrate the driving session in the worker.
-
-    With a :class:`~repro.session.SessionSpec`, the worker builds an
-    equivalent session (same backend and limits, fresh cache) and leaves it
-    activated, so ``default_cache()`` and backend lookups inside
-    :func:`run_case` resolve to the worker session — under both ``fork``
-    and ``spawn`` start methods.  Without one the worker keeps the
-    context's process-wide defaults, as before.
-
-    Failures are recorded, never raised: an initializer that kills its
-    worker would make the pool respawn it in an unbounded loop, hanging
-    the campaign instead of failing it.
-    """
-    global _WORKER_SESSION_CONTEXT, _WORKER_INIT_ERROR
-    if spec is None:
-        return
-    try:
-        context = spec.build().activate()
-        context.__enter__()
-        _WORKER_SESSION_CONTEXT = context  # lint: disable=fork-shared-state -- deliberate per-worker state installed by the campaign initializer inside the worker; the parent never reads it
-    except BaseException as error:  # noqa: BLE001 - workers must reach their tasks
-        _WORKER_INIT_ERROR = repr(error)  # lint: disable=fork-shared-state -- deliberate per-worker error capture inside the worker; surfaced via campaign results, not the parent module
 
 
 @dataclass
@@ -526,77 +445,62 @@ def _shrink_failure(
     return dataclasses.replace(failure, shrunk=shrunk)
 
 
-def _chunks(config: CampaignConfig) -> list[tuple[CampaignConfig, tuple[int, ...]]]:
-    size = max(1, config.chunk_size)
-    return [
-        (config, tuple(range(start, min(start + size, config.cases))))
-        for start in range(0, config.cases, size)
-    ]
+def run_campaign(
+    config: CampaignConfig | None = None, session: Session | None = None
+) -> CampaignReport:
+    """Run one fuzz campaign as requests of *session*, serially or sharded.
 
-
-def run_campaign(config: CampaignConfig | None = None, session=None) -> CampaignReport:
-    """Run one fuzz campaign, inline or across a worker pool.
-
-    With *session* (a :class:`repro.session.Session`), the campaign runs
-    with that session active: inline decisions resolve backends through the
-    session (sharing its engine cache, which the report's cache statistics
-    then reflect), and worker pools rehydrate an equivalent session per
-    worker from the session's :meth:`~repro.session.Session.spec`.  Without
-    one, the campaign uses the context's current defaults, as before.
+    *session* defaults to the active session, else a fresh one.  With
+    ``jobs <= 1`` the cases run one by one through
+    :meth:`~repro.session.Session.submit`; otherwise
+    :func:`~repro.parallel.parallel_batch` shards them across workers
+    rehydrated from ``session.spec()``, ``chunk_size`` cases per task.
+    Either way the session's ``max_batch_size`` does not cap the campaign.
     """
     config = config or CampaignConfig()
-    context = session.activate() if session is not None else nullcontext()
-    spec = session.spec() if session is not None else None
-    with context:
-        return _run_campaign(config, spec)
-
-
-def _run_campaign(config: CampaignConfig, spec=None) -> CampaignReport:
+    if session is None:
+        session = current_session() or Session()
     started = time.perf_counter()
-    results: list[CaseResult] = []
-    snapshots: list[dict[str, tuple[int, int, int]]] = []
+    persistent = session.persistent
+    persist_before = dataclasses.replace(persistent.stats) if persistent is not None else None
+
+    requests = [CaseRequest(config, index) for index in range(config.cases)]
+    stream = (
+        parallel_batch(session, requests, config.jobs, chunk_size=config.chunk_size)
+        if config.jobs > 1
+        else (session.submit(request) for request in requests)
+    )
+    outcomes: list[Outcome] = []
     stopped_early = False
-
-    def out_of_time() -> bool:
-        return (
-            config.time_budget is not None
-            and time.perf_counter() - started > config.time_budget
-        )
-
-    payloads = _chunks(config)
-    if config.jobs <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            if out_of_time():
+    with closing(stream):
+        for outcome in stream:
+            outcomes.append(outcome)
+            if (
+                config.time_budget is not None
+                and len(outcomes) < config.cases
+                and time.perf_counter() - started > config.time_budget
+            ):
                 stopped_early = True
                 break
-            chunk_results, snapshot = _run_chunk(payload)
-            results.extend(chunk_results)
-            snapshots.append(snapshot)
-    else:
-        # The shared pool harness: chunked work stealing, worker failures
-        # re-raised in the parent, pool terminated+joined when the result
-        # iterator is closed (normally or by the time budget).
-        chunk_stream = pool_imap(
-            _run_chunk,
-            payloads,
-            jobs=config.jobs,
-            initializer=_campaign_worker_init,
-            initargs=(spec,),
-            ordered=False,
-        )
-        try:
-            for chunk_results, snapshot in chunk_stream:
-                results.extend(chunk_results)
-                snapshots.append(snapshot)
-                if out_of_time():
-                    stopped_early = True
-                    break
-        finally:
-            chunk_stream.close()
 
-    results.sort(key=lambda result: result.index)
+    results = [_case_result(config, outcome) for outcome in outcomes]
+    engine_stats = merged_cache_stats(outcomes)
+    if persistent is not None:
+        stats = persistent.stats
+        engine_stats["persist"] = (
+            stats.hits - persist_before.hits,
+            stats.misses - persist_before.misses,
+            stats.stores - persist_before.stores,
+        )
+    if config.debug_verify_plans:
+        checks = [result.plan_checks for result in results if result.plan_checks is not None]
+        engine_stats["verify"] = (
+            sum(plans for plans, _ in checks),
+            sum(violations for _, violations in checks),
+        )
+
     failures = [failure for result in results for failure in result.failures]
-    if config.shrink_failures:
+    if config.shrink_failures and failures:
         # The time budget covers shrinking too: grant the shrink phase the
         # remaining budget (or one extra budget when the cases used it all,
         # so a flagged campaign still ships *some* minimization).
@@ -604,15 +508,32 @@ def _run_campaign(config: CampaignConfig, spec=None) -> CampaignReport:
         if config.time_budget is not None:
             remaining = config.time_budget - (time.perf_counter() - started)
             deadline = time.perf_counter() + max(remaining, config.time_budget / 4)
-        failures = [_shrink_failure(failure, config, deadline) for failure in failures]
+        with session.activate():
+            failures = [_shrink_failure(failure, config, deadline) for failure in failures]
 
     return CampaignReport(
         config=config,
         case_results=tuple(results),
         failures=tuple(failures),
         elapsed=time.perf_counter() - started,
-        engine_stats=merge_snapshots(snapshots),
+        engine_stats=engine_stats,
         stopped_early=stopped_early,
+    )
+
+
+def _case_result(config: CampaignConfig, outcome: Outcome) -> CaseResult:
+    """The case's result, or an honest degraded one when it ran out of budget."""
+    if outcome.degraded is None:
+        return outcome.value
+    case = generate_case(config, outcome.request.index)
+    return CaseResult(
+        index=case.index,
+        origin=case.origin,
+        consensus=None,
+        decisions=0,
+        skipped_runs=0,
+        mutation_checked=None,
+        degraded=outcome.degraded,
     )
 
 

@@ -11,7 +11,7 @@ Analyzed as source only — the worker-boundary names just need to match.
 
 from functools import partial
 
-from repro.parallel import SessionSpec, parallel_batch, pool_imap
+from repro.parallel import SessionSpec, parallel_batch
 
 RESULTS = {}
 COUNTER = 0
@@ -25,14 +25,14 @@ def module_worker(job):
 # Known-bad: unpicklable values crossing the boundary
 # --------------------------------------------------------------------------- #
 def bad_lambda_to_pool(jobs):
-    return pool_imap(lambda job: job, jobs)
+    return parallel_batch(lambda job: job, jobs)
 
 
 def bad_nested_def_to_pool(jobs):
     def worker(job):
         return job
 
-    return pool_imap(worker, jobs)
+    return parallel_batch(worker, jobs)
 
 
 def bad_open_handle_keyword(jobs, path):
@@ -61,7 +61,7 @@ def bad_shared_container_write(job):
 
 
 def run_bad_workers(jobs):
-    pool_imap(bad_shared_container_write, jobs)
+    parallel_batch(bad_shared_container_write, jobs)
     return parallel_batch(jobs, initializer=bad_shared_global_write)
 
 
@@ -69,23 +69,23 @@ def run_bad_workers(jobs):
 # Known-clean
 # --------------------------------------------------------------------------- #
 def clean_module_fn_to_pool(jobs):
-    return pool_imap(module_worker, jobs)
+    return parallel_batch(module_worker, jobs)
 
 
 def clean_rebound_before_boundary(jobs):
     fn = lambda job: job  # noqa: E731 - rebinding is the point
     fn = module_worker
-    return pool_imap(fn, jobs)
+    return parallel_batch(fn, jobs)
 
 
 def clean_handle_not_passed(jobs, path):
     with open(path) as handle:
         manifest = handle.read()
-    return pool_imap(module_worker, jobs), manifest
+    return parallel_batch(module_worker, jobs), manifest
 
 
 def clean_partial_of_module_fn(jobs):
-    return pool_imap(partial(module_worker), jobs)
+    return parallel_batch(partial(module_worker), jobs)
 
 
 def clean_unrooted_writer(job):

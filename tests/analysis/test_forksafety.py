@@ -54,7 +54,7 @@ class TestUnpicklable:
     def test_literal_lambda_argument(self):
         findings = unpicklable("""
         def f(jobs):
-            return pool_imap(lambda j: j, jobs)
+            return parallel_batch(lambda j: j, jobs)
         """)
         assert len(findings) == 1
         assert "lambda" in findings[0][1]
@@ -64,7 +64,7 @@ class TestUnpicklable:
         def f(jobs):
             def worker(j):
                 return j
-            return pool_imap(worker, jobs)
+            return parallel_batch(worker, jobs)
         """)
         assert len(findings) == 1
         assert "local scope" in findings[0][1]
@@ -92,7 +92,7 @@ class TestUnpicklable:
         findings = unpicklable("""
         def f(jobs):
             fn = partial(lambda j: j, 1)
-            return pool_imap(fn, jobs)
+            return parallel_batch(fn, jobs)
         """)
         assert len(findings) == 1
 
@@ -101,7 +101,7 @@ class TestUnpicklable:
         def f(jobs):
             fn = lambda j: j
             fn = module_worker
-            return pool_imap(fn, jobs)
+            return parallel_batch(fn, jobs)
         """) == []
 
     def test_module_level_def_is_picklable(self):
@@ -110,7 +110,7 @@ class TestUnpicklable:
             return j
 
         def f(jobs):
-            return pool_imap(worker, jobs)
+            return parallel_batch(worker, jobs)
         """) == []
 
     def test_branch_assigned_lambda_is_a_may_finding(self):
@@ -120,7 +120,7 @@ class TestUnpicklable:
                 fn = lambda j: j
             else:
                 fn = module_worker
-            return pool_imap(fn, jobs)
+            return parallel_batch(fn, jobs)
         """)
         assert len(findings) == 1
 
@@ -151,7 +151,7 @@ class TestSharedState:
             return helper(job)
 
         def f(jobs):
-            return pool_imap(worker, jobs)
+            return parallel_batch(worker, jobs)
         """)
         assert len(findings) == 1
         assert "CACHE" in findings[0][1]
@@ -164,7 +164,7 @@ class TestSharedState:
             SEEN.append(job)
 
         def f(jobs):
-            return pool_imap(worker, jobs)
+            return parallel_batch(worker, jobs)
         """)
         assert len(findings) == 1
         assert "append" in findings[0][1]
@@ -187,7 +187,7 @@ class TestSharedState:
             return CACHE
 
         def f(jobs):
-            return pool_imap(worker, jobs)
+            return parallel_batch(worker, jobs)
         """) == []
 
     def test_module_without_boundary_calls_is_skipped(self):

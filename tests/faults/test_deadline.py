@@ -155,6 +155,24 @@ class TestSessionDeadline:
         assert second.degraded is None
         assert second.verdict is not None
 
+    def test_expired_case_budgets_degrade_instead_of_failing(self):
+        # The oracle must let DeadlineExceeded through: a budget spent
+        # mid-engine is a degraded case, never an ``error`` discrepancy.
+        from repro.verify.runner import CampaignConfig, run_campaign
+
+        report = run_campaign(
+            CampaignConfig(cases=30, seed=0, deadline_ms=1, shrink_failures=False)
+        )
+        assert report.ok, report.describe()
+        assert report.cases_run == 30
+        assert report.degraded_cases > 0
+        for result in report.case_results:
+            if result.degraded is None:
+                assert result.decisions > 0
+            else:
+                assert result.degraded == "deadline"
+                assert result.consensus is None and not result.failures
+
     def test_verify_and_fuzz_ignore_the_per_request_deadline(self):
         # Campaign-style services manage their own budgets; a 1ms session
         # deadline must not abort them.
@@ -162,6 +180,32 @@ class TestSessionDeadline:
         outcome = session.fuzz(cases=2, seed=0)
         assert outcome.degraded is None
         assert outcome.error is None
+
+
+class TestFourierMotzkinDeadline:
+    def test_row_cap_overflow_raises_within_the_budget(self):
+        # A dim-9 MPI whose elimination overflows the row cap (and falls
+        # back to the LP) after hundreds of milliseconds: the combination
+        # loop polls the deadline, so a 5ms budget raises promptly.
+        import random
+
+        from repro.diophantine.inequalities import MonomialPolynomialInequality
+        from repro.diophantine.monomials import Monomial
+        from repro.diophantine.polynomials import Polynomial
+        from repro.diophantine.solver import decide_mpi
+
+        rng = random.Random(16)
+        monomial = Monomial(1, tuple(rng.randint(1, 3) for _ in range(9)))
+        polynomial = Polynomial(
+            [Monomial(1, tuple(rng.randint(0, 3) for _ in range(9))) for _ in range(27)],
+            dimension=9,
+        )
+        inequality = MonomialPolynomialInequality(polynomial, monomial)
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceeded):
+            with deadline_scope(5):
+                decide_mpi(inequality)
+        assert time.perf_counter() - started < 0.05
 
 
 class TestDeadlineNeutrality:

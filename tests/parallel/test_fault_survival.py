@@ -142,3 +142,29 @@ class TestHangRecovery:
                 # must not burn retry budget or degrade.
                 assert outcome.degraded is None
                 assert outcome.verdict == expected.verdict
+
+
+class TestCampaignWorkerCrash:
+    def test_fuzz_crash_names_the_case_and_leaks_no_workers(self):
+        # Fuzz cases are session requests on the supervised harness, so a
+        # keyed worker crash is retried, bisected and finally named.
+        import multiprocessing
+        import time
+
+        session = Session(fault_plan=_crash_plan())
+        with pytest.raises(ParallelError, match=f"on request {POISON}") as excinfo:
+            session.fuzz(
+                cases=6,
+                seed=0,
+                jobs=2,
+                chunk_size=2,
+                shrink_failures=False,
+                strategies=("most-general",),
+                backends=("interned",),
+                diophantine_paths=("exact",),
+            )
+        assert isinstance(excinfo.value.__cause__, FaultInjected)
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not multiprocessing.active_children(), "worker processes leaked"

@@ -16,12 +16,7 @@ import pytest
 
 from repro.engine.cache import EngineCache
 from repro.exceptions import ParallelError, SessionError
-from repro.parallel import (
-    default_chunk_size,
-    merged_cache_stats,
-    pool_imap,
-    shard,
-)
+from repro.parallel import default_chunk_size, merged_cache_stats, shard
 from repro.session import ContainmentRequest, Limits, Session, SessionSpec
 from repro.workloads.random_queries import random_adversarial_pair
 from repro.workloads.scale import mixed_requests
@@ -198,26 +193,17 @@ def test_worker_exception_raises_parallel_error_and_cleans_up():
     _assert_no_leaked_children()
 
 
-def test_failed_worker_initializer_raises_instead_of_hanging():
+def test_failed_worker_initializer_raises_instead_of_hanging(monkeypatch):
     """A spec the worker cannot rehydrate (e.g. an unknown backend name)
     must surface as ``ParallelError``: a raising
     initializer would kill the worker during bootstrap and the pool would
-    respawn it forever while ``imap`` blocks."""
-    import repro.parallel as parallel_module
-
-    bad_spec = SessionSpec(backend="no-such-backend")
-    requests = mixed_requests(2, seed=0)
-    payloads = [(0, tuple(requests), False)]
+    respawn it forever while the batch blocks."""
+    session = Session()
+    monkeypatch.setattr(
+        session, "spec", lambda name=None: SessionSpec(backend="no-such-backend")
+    )
     with pytest.raises(ParallelError, match="no-such-backend"):
-        list(
-            pool_imap(
-                parallel_module._run_request_chunk,
-                payloads,
-                jobs=1,
-                initializer=parallel_module._batch_worker_init,
-                initargs=(bad_spec,),
-            )
-        )
+        list(session.batch(mixed_requests(2, seed=0), jobs=2))
     _assert_no_leaked_children()
 
 
@@ -225,16 +211,21 @@ def _raise_keyboard_interrupt(payload):
     raise KeyboardInterrupt("simulated ctrl-c in a worker")
 
 
-def _identity(payload):
-    return payload
+def test_keyboard_interrupt_in_worker_propagates_and_cleans_up(monkeypatch):
+    import repro.parallel as parallel_module
 
-
-def test_keyboard_interrupt_in_worker_propagates_and_cleans_up():
-    with pytest.raises(KeyboardInterrupt):
-        list(pool_imap(_raise_keyboard_interrupt, [1, 2, 3], jobs=2))
+    requests = mixed_requests(6, seed=4)
+    with monkeypatch.context() as patched:
+        # Forked workers inherit the patched chunk runner.
+        patched.setattr(parallel_module, "_run_request_chunk", _raise_keyboard_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            list(Session().batch(requests, jobs=2, chunk_size=2))
     _assert_no_leaked_children()
     # The harness is reusable after the failure.
-    assert list(pool_imap(_identity, [1, 2, 3], jobs=2)) == [1, 2, 3]
+    serial = list(Session().batch(requests))
+    parallel = list(Session().batch(requests, jobs=2, chunk_size=2))
+    assert [o.verdict for o in parallel] == [o.verdict for o in serial]
+    _assert_no_leaked_children()
 
 
 def test_closing_the_outcome_iterator_tears_the_pool_down():
