@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="most-general",
         help="decision strategy",
     )
-    decide.add_argument("--lp", action="store_true", help="use the scipy LP fast path")
     decide.add_argument("--verbose", action="store_true", help="print the full encoding")
     decide.add_argument(
         "--batch",
@@ -422,12 +421,7 @@ def _run_decide(args: argparse.Namespace, session: Session) -> int:
         raise CliError("decide needs two inline queries (or --batch PATH)")
     containee = parse_cq(args.containee)
     containing = parse_cq(args.containing)
-    outcome = session.decide(
-        containee,
-        containing,
-        strategy=args.strategy,
-        diophantine_path="lp" if args.lp else "exact",
-    )
+    outcome = session.decide(containee, containing, strategy=args.strategy)
     result = outcome.value
     print(result.explain())
     if args.verbose and result.encodings:
@@ -446,12 +440,7 @@ def _run_decide_batch(args: argparse.Namespace, session: Session) -> int:
 
     entries = load_corpus(args.batch)
     requests = [
-        ContainmentRequest(
-            entry.containee,
-            entry.containing,
-            strategy=args.strategy,
-            diophantine_path="lp" if args.lp else "exact",
-        )
+        ContainmentRequest(entry.containee, entry.containing, strategy=args.strategy)
         for entry in entries
     ]
     # Resolve up front (rather than letting session.batch do it) so the

@@ -6,8 +6,9 @@ The decision pipeline follows the paper exactly:
    linear system ``{(e − e_i)ᵀ·ε > 0}``;
 2. the system (together with positivity of ``ε`` — see
    :mod:`repro.linalg.systems` for why that is equivalent to asking for a
-   natural solution) is decided exactly by Fourier–Motzkin elimination, or
-   numerically by the scipy LP fast path;
+   natural solution) is decided exactly by Fourier–Motzkin elimination; the
+   scipy LP formulation is consulted only when the elimination overflows its
+   row cap (``method="lp-fallback"``);
 3. when feasible, the rational solution is scaled to a natural vector ``d``,
    a base ``ξ⋆`` satisfying the induced univariate inequality is found by
    the explicit argument of Lemma 4.1, and the Diophantine witness
@@ -321,7 +322,7 @@ def decide_mpi(inequality: MonomialPolynomialInequality) -> MpiDecision:
 def decide_mpi_via_lp(
     inequality: MonomialPolynomialInequality, fall_back_to_exact: bool = True
 ) -> MpiDecision:
-    """Decide an MPI through the scipy LP fast path.
+    """Decide an MPI through the scipy LP formulation (the oracle's reference path).
 
     A positive LP verdict is only accepted when its rounded rational witness
     verifies exactly; otherwise (and for negative verdicts, which a

@@ -1,13 +1,7 @@
 """Exact and LP-based solvers for homogeneous strict linear inequality systems."""
 
-from repro.linalg.fourier_motzkin import (
-    DEFAULT_ROW_CAP,
-    FeasibilityResult,
-    feasibility_witness,
-    is_feasible,
-    solve_strict_system,
-)
-from repro.linalg.lp_scipy import LpFeasibility, lp_feasibility, lp_witness
+from repro.linalg.fourier_motzkin import ROW_CAP, FeasibilityResult, solve_strict_system
+from repro.linalg.lp_scipy import LpFeasibility, lp_feasibility
 from repro.linalg.rationals import (
     as_fraction_vector,
     clear_denominators,
@@ -19,18 +13,15 @@ from repro.linalg.rationals import (
 from repro.linalg.systems import HomogeneousStrictSystem
 
 __all__ = [
-    "DEFAULT_ROW_CAP",
+    "ROW_CAP",
     "FeasibilityResult",
     "HomogeneousStrictSystem",
     "LpFeasibility",
     "as_fraction_vector",
     "clear_denominators",
     "dot",
-    "feasibility_witness",
-    "is_feasible",
     "is_zero_vector",
     "lp_feasibility",
-    "lp_witness",
     "normalize_integer_vector",
     "scale_to_natural",
     "solve_strict_system",

@@ -25,17 +25,13 @@ To keep the classic double-exponential blow-up at bay the implementation
   normalisation inside the hot combination loops (rationals only reappear
   in the back-substitution that assembles the witness);
 * de-duplicates rows (two rows that are positive multiples of each other
-  encode the same half-space) and, between elimination steps, drops
-  **redundant rows**: a row that is a positive multiple of the sum of two
-  other rows is implied by them (the sum of two strictly positive values is
-  strictly positive) and only multiplies the downstream combination count;
-  the same pass detects opposite-row pairs (``a`` and ``−a``), whose sum
-  reads ``0 > 0`` and settles infeasibility immediately;
+  encode the same half-space); an opposite pair ``a``, ``−a`` combines into
+  the zero row, which reads ``0 > 0`` and settles infeasibility at the next
+  step;
 * eliminates, at every step, the unknown minimising the number of
   lower×upper combinations (the standard min-fill heuristic);
-* enforces a configurable cap on the number of generated rows and raises
-  :class:`LinearSystemError` when it is exceeded, so callers can fall back
-  to the LP-based solver;
+* raises :class:`LinearSystemError` once the generated rows exceed
+  :data:`ROW_CAP`, so the caller can fall back to the LP formulation;
 * polls the ambient deadline (:func:`repro.faults.runtime.deadline_handle`)
   every :data:`~repro.faults.runtime.TICK_INTERVAL` combined rows, so an
   elimination heading for the row cap raises
@@ -43,7 +39,7 @@ To keep the classic double-exponential blow-up at bay the implementation
 
 The systems arising from monomial–polynomial inequalities in this library
 have as many unknowns as the containee query has atoms, which is small, so
-the exact solver is the default decision path.
+this exact solver is the one production decision path.
 """
 
 from __future__ import annotations
@@ -57,22 +53,10 @@ from repro.exceptions import LinearSystemError
 from repro.faults.runtime import TICK_INTERVAL, deadline_handle
 from repro.linalg.systems import HomogeneousStrictSystem
 
-__all__ = [
-    "FeasibilityResult",
-    "solve_strict_system",
-    "is_feasible",
-    "feasibility_witness",
-    "DEFAULT_ROW_CAP",
-    "REDUNDANCY_ROW_LIMIT",
-]
+__all__ = ["FeasibilityResult", "ROW_CAP", "solve_strict_system"]
 
 #: Safety cap on the number of rows generated during elimination.
-DEFAULT_ROW_CAP = 200_000
-
-#: Redundancy elimination is an O(rows²) pass per step; beyond this many
-#: rows the pass is skipped (the cap keeps worst-case steps quadratic, and
-#: systems that large are about to hit the row cap anyway).
-REDUNDANCY_ROW_LIMIT = 400
+ROW_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -115,50 +99,6 @@ def _prepare(rows: list[_Row]) -> tuple[list[_Row], bool]:
     return prepared, False
 
 
-def _drop_redundant(rows: list[_Row]) -> tuple[list[_Row], bool]:
-    """Drop rows implied by the sum of two kept rows; detect ``a, −a`` pairs.
-
-    If ``a·ε > 0`` and ``b·ε > 0`` then ``(a + b)·ε > 0``, so a row equal to
-    a positive multiple of ``a + b`` is implied and safe to drop — *provided*
-    its two justifying rows are themselves kept.  The pass therefore only
-    accepts justifications whose summands are not sum-composites themselves,
-    which makes every drop grounded in surviving rows regardless of order.
-    A pair summing to the zero row reads ``0 > 0`` and proves the system
-    infeasible on the spot (the second returned value).
-    """
-    n = len(rows)
-    if n < 3 or n > REDUNDANCY_ROW_LIMIT:
-        return rows, False
-    row_set = set(rows)
-    composite: set[_Row] = set()
-    justifications: dict[_Row, list[tuple[_Row, _Row]]] = {}
-    for i in range(n):
-        left = rows[i]
-        for j in range(i + 1, n):
-            right = rows[j]
-            summed = _normalize([a + b for a, b in zip(left, right)])
-            if summed is None:
-                # left == -right: the two strict rows contradict each other.
-                return rows, True
-            # A sum can never normalise back to one of its own summands
-            # (that would force the other to be zero or a duplicate), so
-            # membership alone identifies a genuinely distinct implied row.
-            if summed in row_set:
-                justifications.setdefault(summed, []).append((left, right))
-                composite.add(summed)
-    if not composite:
-        return rows, False
-    kept = [
-        row
-        for row in rows
-        if row not in composite
-        or not any(
-            a not in composite and b not in composite for a, b in justifications[row]
-        )
-    ]
-    return kept, False
-
-
 def _pick_variable(rows: list[_Row], active: list[int]) -> int:
     """Choose the active column whose elimination creates the fewest rows."""
     best_column = active[0]
@@ -183,21 +123,17 @@ def _solve(
     rows: list[_Row],
     active: list[int],
     dimension: int,
-    row_cap: int,
     tick: Callable[[], None] | None,
 ) -> FeasibilityResult:
     """Recursive Fourier–Motzkin over the *active* columns, with back-substitution.
 
     Rows are primitive integer vectors throughout; the combination loop is
-    pure integer arithmetic and each recursion level re-normalises,
-    de-duplicates and redundancy-prunes before branching.  *tick* is the
-    deadline handle, called every :data:`TICK_INTERVAL` combined rows.
+    pure integer arithmetic and each recursion level re-normalises and
+    de-duplicates before branching.  *tick* is the deadline handle, called
+    every :data:`TICK_INTERVAL` combined rows.
     Returns a witness defined on **all** columns; inactive columns get 0.
     """
     prepared, contradiction = _prepare(rows)
-    if contradiction:
-        return FeasibilityResult(False)
-    prepared, contradiction = _drop_redundant(prepared)
     if contradiction:
         return FeasibilityResult(False)
 
@@ -232,15 +168,15 @@ def _solve(
                 (-q) * lower[j] + p * upper[j] if j != column else 0 for j in columns
             )
             reduced.append(combined)
-            if len(reduced) > row_cap:
+            if len(reduced) > ROW_CAP:
                 raise LinearSystemError(
-                    f"Fourier-Motzkin elimination exceeded the row cap of {row_cap}; "
+                    f"Fourier-Motzkin elimination exceeded the row cap of {ROW_CAP}; "
                     "use the LP-based solver for this system"
                 )
 
     # Rows in `reduced` still have a zero coefficient on `column`, so they are
     # genuine constraints over the remaining columns only.
-    inner = _solve(reduced, remaining, dimension, row_cap, tick)
+    inner = _solve(reduced, remaining, dimension, tick)
     if not inner.feasible:
         return FeasibilityResult(False)
 
@@ -275,15 +211,14 @@ def _solve(
 
 
 def solve_strict_system(
-    system: HomogeneousStrictSystem,
-    require_positive: bool = False,
-    row_cap: int = DEFAULT_ROW_CAP,
+    system: HomogeneousStrictSystem, require_positive: bool = False
 ) -> FeasibilityResult:
     """Decide feasibility of ``A·ε > 0`` (optionally with ``ε > 0``) exactly.
 
     When *require_positive* is set, the positivity rows ``ε_j > 0`` are added
     before solving; the witness, if any, is then component-wise positive.
-    Raises :class:`~repro.exceptions.DeadlineExceeded` when an ambient
+    Raises :class:`LinearSystemError` when the elimination exceeds
+    :data:`ROW_CAP` rows, and :class:`~repro.exceptions.DeadlineExceeded` when an ambient
     deadline (:func:`repro.faults.runtime.deadline_scope`) expires mid-elimination.
     """
     working = system.with_positivity() if require_positive else system
@@ -293,31 +228,9 @@ def solve_strict_system(
         list(working.integer_rows()),
         list(range(working.dimension)),
         working.dimension,
-        row_cap,
         deadline_handle(),
     )
     if result.feasible and result.witness is not None and len(working) > 0:
         if not working.is_solution(result.witness):  # pragma: no cover - sanity check
             raise LinearSystemError("internal error: Fourier-Motzkin witness does not verify")
     return result
-
-
-def is_feasible(
-    system: HomogeneousStrictSystem,
-    require_positive: bool = False,
-    row_cap: int = DEFAULT_ROW_CAP,
-) -> bool:
-    """Boolean shortcut for :func:`solve_strict_system`."""
-    return solve_strict_system(system, require_positive=require_positive, row_cap=row_cap).feasible
-
-
-def feasibility_witness(
-    rows: Sequence[Sequence[object]],
-    dimension: int,
-    require_positive: bool = False,
-    row_cap: int = DEFAULT_ROW_CAP,
-) -> tuple[Fraction, ...] | None:
-    """Convenience wrapper: witness of ``rows·ε > 0`` or ``None`` if infeasible."""
-    system = HomogeneousStrictSystem(rows, dimension)
-    result = solve_strict_system(system, require_positive=require_positive, row_cap=row_cap)
-    return result.witness if result.feasible else None

@@ -1,10 +1,11 @@
-"""Linear-programming fast path for strict homogeneous feasibility.
+"""Floating-point LP formulation of strict homogeneous feasibility.
 
 Theorem 4.2 observes that the rational feasibility of the homogeneous strict
 system ``A·ε > 0`` is decidable in polynomial time.  The exact solver of
-:mod:`repro.linalg.fourier_motzkin` is the authoritative implementation; the
-LP formulation below is the *fast path* used on larger random workloads and
-benchmarked against it (experiment E6).
+:mod:`repro.linalg.fourier_motzkin` is the production implementation; the
+LP formulation below has two roles only: the independent reference that the
+differential oracle's ``lp`` axis compares against, and the fallback taken
+when Fourier–Motzkin overflows its row cap (``method="lp-fallback"``).
 
 The formulation exploits homogeneity: ``A·ε > 0`` has a solution iff the LP
 
@@ -35,7 +36,7 @@ from typing import Sequence
 from repro.exceptions import LinearSystemError
 from repro.linalg.systems import HomogeneousStrictSystem
 
-__all__ = ["LpFeasibility", "lp_feasibility", "lp_witness"]
+__all__ = ["LpFeasibility", "lp_feasibility"]
 
 #: Margins below this value are treated as "numerically zero" (infeasible).
 DEFAULT_TOLERANCE = 1e-9
@@ -43,7 +44,7 @@ DEFAULT_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class LpFeasibility:
-    """Outcome of the LP fast path.
+    """Outcome of the LP formulation.
 
     ``margin`` is the optimum ``δ*`` (0 when the solver failed); ``witness``
     is a rational rounding of the LP point, present only when the margin is
@@ -93,7 +94,7 @@ def lp_feasibility(
         from scipy.optimize import linprog
     except ImportError as error:
         raise LinearSystemError(
-            f"the LP fast path needs scipy and numpy, which are not installed ({error})"
+            f"the LP solver needs scipy and numpy, which are not installed ({error})"
         ) from None
 
     matrix = np.array([[float(value) for value in row] for row in working.rows], dtype=float)
@@ -115,12 +116,3 @@ def lp_feasibility(
 
     witness = _round_witness(working, outcome.x[:-1])
     return LpFeasibility(True, margin, witness, witness is not None)
-
-
-def lp_witness(
-    system: HomogeneousStrictSystem,
-    require_positive: bool = False,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[Fraction, ...] | None:
-    """Rational witness from the LP fast path, or ``None`` when unavailable."""
-    return lp_feasibility(system, require_positive=require_positive, tolerance=tolerance).witness

@@ -41,17 +41,16 @@ EVALUATION_SEMANTICS = ("bag", "set", "bag-set")
 class ContainmentRequest:
     """Decide ``containee ⊑ containing`` under the requested semantics.
 
-    ``strategy`` and ``diophantine_path`` only apply to bag semantics (the
-    paper's procedure); set and bag-set containment have a single decision
-    path each.  ``verify_certificates`` re-checks negative bag verdicts by
-    replaying the counterexample through direct bag evaluation.
+    ``strategy`` only applies to bag semantics (the paper's procedure); set
+    and bag-set containment have a single decision path each.
+    ``verify_certificates`` re-checks negative bag verdicts by replaying the
+    counterexample through direct bag evaluation.
     """
 
     containee: ConjunctiveQuery
     containing: ConjunctiveQuery
     semantics: str = "bag"
     strategy: str = "most-general"
-    diophantine_path: str = "exact"
     verify_certificates: bool = True
 
     def __post_init__(self) -> None:
@@ -59,10 +58,6 @@ class ContainmentRequest:
             raise SessionError(
                 f"unknown containment semantics {self.semantics!r}; "
                 f"expected one of {CONTAINMENT_SEMANTICS}"
-            )
-        if self.diophantine_path not in ("exact", "lp"):
-            raise SessionError(
-                f"unknown diophantine path {self.diophantine_path!r}; expected 'exact' or 'lp'"
             )
 
 
@@ -97,22 +92,17 @@ class MpiRequest:
 
     Without ``probe`` the most-general probe tuple (Theorem 5.3) is used.
     With ``decide=True`` the encoded inequality is also run through the
-    Diophantine solver along ``diophantine_path``.
+    exact Diophantine solver.
     """
 
     containee: ConjunctiveQuery
     containing: ConjunctiveQuery
     probe: tuple[Term, ...] | None = None
     decide: bool = False
-    diophantine_path: str = "exact"
 
     def __post_init__(self) -> None:
         if self.probe is not None:
             object.__setattr__(self, "probe", tuple(self.probe))
-        if self.diophantine_path not in ("exact", "lp"):
-            raise SessionError(
-                f"unknown diophantine path {self.diophantine_path!r}; expected 'exact' or 'lp'"
-            )
 
 
 @dataclass(frozen=True)

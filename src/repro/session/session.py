@@ -404,7 +404,7 @@ class Session:
 
         Accepts either a prepared :class:`ContainmentRequest` or the pair
         plus any of its keyword fields (``semantics``, ``strategy``,
-        ``diophantine_path``, ``verify_certificates``).
+        ``verify_certificates``).
         """
         request = self._containment_request(containee, containing, options)
         return self._execute(
@@ -442,7 +442,6 @@ class Session:
                 request.containee,
                 request.containing,
                 strategy=request.strategy,
-                use_lp=(request.diophantine_path == "lp"),
                 verify_counterexamples=request.verify_certificates,
                 max_candidates=self.limits.bounded_guess_max_candidates,
             )
@@ -570,10 +569,9 @@ class Session:
             encoding = encode(request.containee, request.containing, request.probe)
         if not request.decide:
             return encoding
-        from repro.diophantine.solver import decide_mpi, decide_mpi_via_lp
+        from repro.diophantine.solver import decide_mpi
 
-        solver = decide_mpi_via_lp if request.diophantine_path == "lp" else decide_mpi
-        return encoding, solver(encoding.inequality)
+        return encoding, decide_mpi(encoding.inequality)
 
     @staticmethod
     def _interpret_mpi(value: Any) -> tuple[bool | None, Any | None]:

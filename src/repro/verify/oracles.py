@@ -4,10 +4,11 @@ The library derives the bag-containment verdict along independently
 implemented routes — three decision strategies (most-general probe,
 all-probes, bounded guess-&-check), two homomorphism backends (the naive
 reference and the integer-interned engine), two Diophantine feasibility
-paths (exact Fourier–Motzkin vs the scipy LP fast path) — plus the sound-but-
-incomplete refuter baselines and the cross-semantics implications.  A
-*differential oracle* runs one (containee, containing) pair through every
-requested combination and reports a :class:`Discrepancy` whenever
+paths (exact Fourier–Motzkin vs the scipy LP, see :data:`DIOPHANTINE_PATHS`)
+— plus the sound-but-incomplete refuter baselines and the cross-semantics
+implications.  A *differential oracle* runs one (containee, containing)
+pair through every requested combination and reports a :class:`Discrepancy`
+whenever
 
 * two successful runs disagree on the verdict (``verdict-mismatch``);
 * a negative verdict ships no counterexample, or its counterexample does
@@ -57,7 +58,10 @@ __all__ = [
     "run_differential_oracle",
 ]
 
-#: The two routes to deciding the encoded linear system.
+#: The two routes to deciding the encoded linear system.  ``"lp"`` accepts a
+#: feasible LP answer only with an exactly verified witness and falls back to
+#: Fourier–Motzkin when the LP answers infeasible, so it cross-checks the
+#: exact path on ⋢ verdicts only.
 DIOPHANTINE_PATHS = ("exact", "lp")
 
 
@@ -69,7 +73,8 @@ class OracleConfig:
     guess-&-check strategy; pairs whose Lemma 5.1 bound explodes past it
     are recorded as *skipped* rather than failing the oracle.  The refuter
     settings control the sound-but-incomplete cross-checks (``0`` trials
-    disables the random refuter).
+    disables the random refuter).  The ``"lp"`` entry of
+    ``diophantine_paths`` checks ⋢ verdicts only (see :data:`DIOPHANTINE_PATHS`).
     """
 
     strategies: tuple[str, ...] = STRATEGIES

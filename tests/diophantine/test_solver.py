@@ -1,5 +1,7 @@
 """Unit tests for the MPI decision procedure (Theorems 4.1 and 4.2)."""
 
+import random
+
 import pytest
 
 from repro.diophantine.inequalities import GeneralizedMPI, MonomialPolynomialInequality
@@ -204,3 +206,57 @@ class TestWitnessFromLinearSolution:
         # univariate inequality is unsolvable and the construction fails.
         with pytest.raises(DiophantineError):
             witness_from_linear_solution(section4_mpi(), (1, 1, 1))
+
+
+def _dim9_mpi(seed: int) -> MonomialPolynomialInequality:
+    """The dim-9, 27-term random family whose seed 16 overflows the FM row cap."""
+    rng = random.Random(seed)
+    monomial = Monomial(1, tuple(rng.randint(1, 3) for _ in range(9)))
+    polynomial = Polynomial(
+        [Monomial(1, tuple(rng.randint(0, 3) for _ in range(9))) for _ in range(27)],
+        dimension=9,
+    )
+    return MonomialPolynomialInequality(polynomial, monomial)
+
+
+#: ``(seed, solvable, method, linear_solution)`` on the dim-9 frontier.  The
+#: values were generated while Fourier–Motzkin still pruned implied rows, so
+#: they pin that elimination without the pruning decides the same way.
+_DIM9_FRONTIER = [
+    (10, True, "fourier-motzkin", (21, 1, 12, 1, 1, 1, 1, 1, 5)),
+    (11, True, "fourier-motzkin", (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (12, True, "fourier-motzkin", (1, 3, 4, 1, 1, 1, 1, 1, 1)),
+    (13, True, "fourier-motzkin", (1, 1, 3, 1, 1, 1, 1, 1, 1)),
+    (14, True, "fourier-motzkin", (2, 7, 2, 2, 2, 2, 2, 2, 2)),
+    (15, False, "fourier-motzkin", None),
+    (16, False, "lp-fallback", None),
+    (17, True, "fourier-motzkin", (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (18, True, "fourier-motzkin", (3, 3, 16, 12, 3, 3, 3, 3, 7)),
+    (19, True, "fourier-motzkin", (3, 1, 2, 1, 1, 1, 1, 1, 1)),
+    (20, True, "fourier-motzkin", (3, 3, 3, 3, 4, 3, 3, 3, 3)),
+    (21, True, "fourier-motzkin", (1, 1, 1, 1, 4, 1, 1, 1, 1)),
+    (22, True, "fourier-motzkin", (2, 2, 2, 7, 2, 2, 2, 2, 8)),
+    (23, True, "fourier-motzkin", (1, 1, 1, 3, 1, 1, 1, 4, 1)),
+    (24, True, "fourier-motzkin", (13, 9, 18, 3, 3, 3, 3, 3, 3)),
+    (25, True, "fourier-motzkin", (1, 1, 1, 1, 29, 14, 9, 16, 1)),
+    (26, True, "fourier-motzkin", (7, 3, 6, 3, 3, 3, 3, 3, 3)),
+    (27, True, "fourier-motzkin", (5, 3, 9, 3, 3, 3, 3, 3, 3)),
+    (28, True, "fourier-motzkin", (1, 10, 4, 8, 1, 1, 1, 1, 1)),
+    (29, True, "fourier-motzkin", (4, 3, 3, 6, 3, 3, 3, 3, 3)),
+]
+
+
+class TestFourierMotzkinFrontier:
+    @pytest.mark.parametrize("seed, solvable, method, linear_solution", _DIM9_FRONTIER)
+    def test_dim9_family_is_decided_as_pinned(self, seed, solvable, method, linear_solution):
+        if method == "lp-fallback":
+            pytest.importorskip("scipy")
+        inequality = _dim9_mpi(seed)
+        decision = decide_mpi(inequality)
+        assert (decision.solvable, decision.method, decision.linear_solution) == (
+            solvable,
+            method,
+            linear_solution,
+        )
+        if solvable:
+            assert inequality.is_solution(decision.witness)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from repro.exceptions import LinearSystemError
-from repro.linalg.fourier_motzkin import feasibility_witness, is_feasible, solve_strict_system
+from repro.linalg import fourier_motzkin
+from repro.linalg.fourier_motzkin import solve_strict_system
 from repro.linalg.systems import HomogeneousStrictSystem
 
 
@@ -19,11 +20,11 @@ class TestFeasibility:
     def test_contradictory_rows(self):
         # x > 0 and -x > 0 cannot both hold.
         system = HomogeneousStrictSystem([[1], [-1]])
-        assert not is_feasible(system)
+        assert not solve_strict_system(system).feasible
 
     def test_zero_row_is_infeasible(self):
         system = HomogeneousStrictSystem([[0, 0]])
-        assert not is_feasible(system)
+        assert not solve_strict_system(system).feasible
 
     def test_paper_section4_system(self):
         # The system derived from the Section 4 example:
@@ -40,7 +41,7 @@ class TestFeasibility:
     def test_infeasible_three_dimensional_system(self):
         # Rows sum to the negation of each other: (1,1,-1), (-1,-1,1) cannot both be positive.
         system = HomogeneousStrictSystem([[1, 1, -1], [-1, -1, 1]])
-        assert not is_feasible(system)
+        assert not solve_strict_system(system).feasible
 
     def test_empty_system_is_feasible(self):
         system = HomogeneousStrictSystem([], dimension=3)
@@ -51,9 +52,11 @@ class TestFeasibility:
     def test_require_positive_changes_the_answer(self):
         # -x + y > 0 is feasible, and with positivity (0 < x < y) still feasible;
         # but -x > 0 alone is feasible only without positivity.
-        assert is_feasible(HomogeneousStrictSystem([[-1, 1]]), require_positive=True)
-        assert is_feasible(HomogeneousStrictSystem([[-1]]), require_positive=False)
-        assert not is_feasible(HomogeneousStrictSystem([[-1]]), require_positive=True)
+        rising = HomogeneousStrictSystem([[-1, 1]])
+        negative = HomogeneousStrictSystem([[-1]])
+        assert solve_strict_system(rising, require_positive=True).feasible
+        assert solve_strict_system(negative, require_positive=False).feasible
+        assert not solve_strict_system(negative, require_positive=True).feasible
 
     def test_positive_witness_is_componentwise_positive(self):
         system = HomogeneousStrictSystem([[-5, 1, 3], [-3, -1, 3], [-1, -1, 3]])
@@ -68,11 +71,9 @@ class TestFeasibility:
         assert result.feasible
         assert system.is_solution(result.witness)
 
-    def test_row_cap_raises(self):
+    def test_row_cap_raises(self, monkeypatch):
         # Every column has three positive and three negative coefficients, so any
         # elimination step must create 9 combined rows, exceeding the tiny cap.
-        # No row is the opposite or the summed implication of two others — the
-        # redundancy pass would otherwise settle the system before eliminating.
         rows = [
             [1, -1, 2],
             [-1, 1, 3],
@@ -82,22 +83,23 @@ class TestFeasibility:
             [-1, 2, -2],
         ]
         system = HomogeneousStrictSystem(rows)
+        monkeypatch.setattr(fourier_motzkin, "ROW_CAP", 3)
         with pytest.raises(LinearSystemError):
-            solve_strict_system(system, row_cap=3)
+            solve_strict_system(system)
 
-    def test_opposite_rows_are_settled_before_elimination(self):
-        # a and -a cannot both be strictly positive; the redundancy pass
-        # detects the zero-sum pair and answers without combining anything.
+    def test_opposite_rows_combine_into_the_zero_row(self):
+        # a and -a cannot both be strictly positive: eliminating any column
+        # they share combines them into the zero row, which reads 0 > 0.
         system = HomogeneousStrictSystem([[2, 1, -1], [-2, -1, 1], [1, 0, 0]])
         assert not solve_strict_system(system).feasible
 
 
 class TestWitnessExtraction:
-    def test_feasibility_witness_wrapper(self):
-        witness = feasibility_witness([[1, -2]], dimension=2)
-        assert witness is not None
-        assert witness[0] - 2 * witness[1] > 0
-        assert feasibility_witness([[0, 0]], dimension=2) is None
+    def test_witness_of_a_single_row(self):
+        result = solve_strict_system(HomogeneousStrictSystem([[1, -2]]))
+        assert result.feasible
+        assert result.witness[0] - 2 * result.witness[1] > 0
+        assert solve_strict_system(HomogeneousStrictSystem([[0, 0]])).witness is None
 
     def test_witness_for_larger_random_like_system(self):
         rows = [

@@ -1,9 +1,9 @@
-"""Unit tests for the scipy-LP fast path, cross-checked against Fourier-Motzkin."""
+"""Unit tests for the scipy LP formulation, cross-checked against Fourier-Motzkin."""
 
 import pytest
 
-from repro.linalg.fourier_motzkin import is_feasible
-from repro.linalg.lp_scipy import lp_feasibility, lp_witness
+from repro.linalg.fourier_motzkin import solve_strict_system
+from repro.linalg.lp_scipy import lp_feasibility
 from repro.linalg.systems import HomogeneousStrictSystem
 
 
@@ -34,12 +34,12 @@ class TestLpFeasibility:
         assert outcome.witness is not None
         assert all(value > 0 for value in outcome.witness)
 
-    def test_lp_witness_wrapper(self):
+    def test_witness_of_a_single_row(self):
         system = HomogeneousStrictSystem([[2, -1]])
-        witness = lp_witness(system)
+        witness = lp_feasibility(system).witness
         assert witness is not None
         assert system.is_solution(witness)
-        assert lp_witness(HomogeneousStrictSystem([[0, 0]])) is None
+        assert lp_feasibility(HomogeneousStrictSystem([[0, 0]])).witness is None
 
 
 class TestAgreementWithExactSolver:
@@ -57,7 +57,7 @@ class TestAgreementWithExactSolver:
     @pytest.mark.parametrize("require_positive", [False, True])
     def test_verdicts_agree(self, rows, dimension, require_positive):
         system = HomogeneousStrictSystem(rows, dimension)
-        exact = is_feasible(system, require_positive=require_positive)
+        exact = solve_strict_system(system, require_positive=require_positive).feasible
         lp = lp_feasibility(system, require_positive=require_positive)
         # A feasible LP answer with an exact witness is authoritative; an
         # infeasible LP answer must match the exact solver on these

@@ -20,6 +20,8 @@ sys.modules["numpy"] = None
 sys.path.insert(0, {src_path!r})
 
 import repro
+from repro.core.encoding import encode_most_general
+from repro.diophantine.solver import decide_mpi_via_lp
 from repro.exceptions import ReproError
 
 smaller = repro.parse_cq("q1(x1, x2) <- R^2(x1, x2), P^3(x2, x2)")
@@ -34,7 +36,7 @@ report = {{
     "methods": sorted({{d.method for d in contained.value.mpi_decisions}}),
 }}
 try:
-    session.decide(smaller, larger, diophantine_path="lp")
+    decide_mpi_via_lp(encode_most_general(smaller, larger).inequality)
 except ReproError as error:
     report["lp_error"] = [type(error).__name__, str(error)]
 except Exception as error:
@@ -68,7 +70,7 @@ def test_refutation_certificate_verifies_without_scipy(report):
 
 
 def test_lp_path_names_the_missing_dependency(report):
-    # The LP path names the missing dependency through a library error.
+    # The LP reference path names the missing dependency through a library error.
     kind, message = report["lp_error"]
     assert kind == "LinearSystemError"
     assert "scipy" in message

@@ -80,10 +80,10 @@ class TestDecide:
         with pytest.raises(SessionError):
             Session().decide(ContainmentRequest(q1, q2), q2)
 
-    def test_lp_path(self, q1, q2):
-        pytest.importorskip("scipy")
-        outcome = Session().decide(q1, q2, diophantine_path="lp")
-        assert outcome.verdict is True
+    def test_diophantine_path_is_not_an_option(self, q1, q2):
+        # Bag decisions have one exact solver path; there is no LP switch.
+        with pytest.raises(TypeError):
+            Session().decide(q1, q2, diophantine_path="lp")
 
 
 class TestEvaluate:

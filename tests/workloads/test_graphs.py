@@ -70,3 +70,38 @@ class TestThreeColorability:
 
     def test_empty_edge_set_is_colorable(self):
         assert is_three_colorable([])
+
+
+class TestNetworkxParity:
+    """The stdlib generators list the same edges, in the same order, as networkx."""
+
+    @pytest.fixture(scope="class")
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def _edges(graph):
+        return [(source, target) for source, target in graph.edges()]
+
+    def test_structured_generators(self, nx):
+        for size in range(3, 10):
+            assert cycle_graph(size) == self._edges(nx.cycle_graph(size))
+            assert wheel_graph(size) == self._edges(nx.wheel_graph(size + 1))
+        for size in range(2, 10):
+            assert complete_graph(size) == self._edges(nx.complete_graph(size))
+        for left in range(1, 5):
+            for right in range(1, 5):
+                expected = self._edges(nx.complete_bipartite_graph(left, right))
+                assert bipartite_graph(left, right) == expected
+        assert petersen_graph() == self._edges(nx.petersen_graph())
+
+    @pytest.mark.parametrize("probability", [0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_random_graph(self, nx, probability):
+        import random
+
+        for vertices in range(2, 12):
+            for seed in range(5):
+                inner_seed = random.Random(seed).randrange(2**30)
+                graph = nx.gnp_random_graph(vertices, probability, seed=inner_seed)
+                expected = self._edges(graph) or [(0, 1)]
+                assert random_graph(vertices, probability, seed=seed) == expected
