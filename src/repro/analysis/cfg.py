@@ -1,11 +1,11 @@
 """Per-function control-flow graphs over the Python AST.
 
-The dataflow analyzers (:mod:`repro.analysis.dataflow` and the clients in
-:mod:`repro.analysis.taint` / :mod:`repro.analysis.forksafety`) need
-*flow-sensitive* facts: whether a value is still tainted **at the point it
-reaches a sink**, not merely whether a tainted expression appears somewhere
-in the same function.  That requires a control-flow graph; this module
-builds one per function (or per module body) from the AST alone.
+The dataflow analysis (:mod:`repro.analysis.dataflow` and its client
+:mod:`repro.analysis.taint`) needs *flow-sensitive* facts: whether a value
+is still tainted **at the point it reaches a sink**, not merely whether a
+tainted expression appears somewhere in the same function.  That requires
+a control-flow graph; this module builds one per function (or per module
+body) from the AST alone.
 
 The graph is statement-granular: a :class:`Block` holds a run of simple
 statements executed in sequence, and compound statements contribute their

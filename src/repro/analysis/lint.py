@@ -130,8 +130,9 @@ class LintStats:
 
     def describe(self) -> str:
         total = self.parse_seconds + self.check_seconds
+        rules = "rule" if self.rules == 1 else "rules"
         return (
-            f"checked {self.files} files with {self.rules} rules in {total:.2f}s "
+            f"checked {self.files} files with {self.rules} {rules} in {total:.2f}s "
             f"(parse {self.parse_seconds:.2f}s, rules {self.check_seconds:.2f}s; "
             "one parse per file, AST shared across rules)"
         )

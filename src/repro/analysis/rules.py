@@ -1,8 +1,8 @@
 """The repro-specific lint rules and dataflow analyzers.
 
 :data:`RULES` holds the syntactic checks (per-node AST matches);
-:data:`ANALYZER_RULES` holds the flow-sensitive dataflow analyzers built
-on :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`.  Both run
+:data:`ANALYZER_RULES` holds the flow-sensitive determinism-taint analyzer
+built on :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`.  Both run
 under the same driver, share one parsed AST per file (via
 :meth:`LintContext.nodes`), and use the same justified-suppression
 syntax.  The catalogue in ``docs/static-analysis.md`` documents every
@@ -165,24 +165,12 @@ def _check_bare_except(context: LintContext) -> Iterator[tuple[int, str]]:
 
 
 # --------------------------------------------------------------------------- #
-# Flow-sensitive analyzer rules (CFG + dataflow, see taint.py / forksafety.py)
+# Flow-sensitive analyzer rule (CFG + dataflow, see taint.py)
 # --------------------------------------------------------------------------- #
 def _check_determinism_taint(context: LintContext) -> Iterator[tuple[int, str]]:
     from repro.analysis.taint import analyze_module
 
     yield from analyze_module(context.tree)
-
-
-def _check_fork_unpicklable(context: LintContext) -> Iterator[tuple[int, str]]:
-    from repro.analysis.forksafety import unpicklable_findings
-
-    yield from unpicklable_findings(context.tree)
-
-
-def _check_fork_shared_state(context: LintContext) -> Iterator[tuple[int, str]]:
-    from repro.analysis.forksafety import shared_state_findings
-
-    yield from shared_state_findings(context.tree)
 
 
 RULES: tuple[LintRule, ...] = (
@@ -239,7 +227,7 @@ RULES: tuple[LintRule, ...] = (
     ),
 )
 
-#: The flow-sensitive analyzers.  They run under ``repro lint`` alongside
+#: The flow-sensitive analyzer.  It runs under ``repro lint`` alongside
 #: the syntactic rules and alone under ``repro analyze``.
 ANALYZER_RULES: tuple[LintRule, ...] = (
     LintRule(
@@ -261,36 +249,6 @@ ANALYZER_RULES: tuple[LintRule, ...] = (
             "value-level nondeterminism (identity, environment, time) are "
             "reported, which is what kills the false positives the syntactic "
             "set-order-iteration rule had to suppress."
-        ),
-    ),
-    LintRule(
-        name="fork-unpicklable",
-        summary="every value crossing parallel_batch/SessionSpec must "
-        "be picklable",
-        check=_check_fork_unpicklable,
-        explanation=(
-            "A flow-sensitive binding analysis labels names bound to lambdas, "
-            "function-local defs and classes, and open file handles, and "
-            "reports any labelled value (or literal lambda) reaching a "
-            "parallel_batch()/SessionSpec() argument — those "
-            "values cross the multiprocessing pickle boundary and would raise "
-            "PicklingError only when the parallel path actually runs.  "
-            "Rebinding the name to a module-level callable before the call "
-            "site is recognised as clean."
-        ),
-    ),
-    LintRule(
-        name="fork-shared-state",
-        summary="no worker-reachable writes to module-level state (lost update "
-        "across fork)",
-        check=_check_fork_shared_state,
-        explanation=(
-            "Builds the same-module call graph rooted at every function handed "
-            "to a worker boundary (parallel_batch targets, initializer= callbacks) "
-            "and reports global rebinding or in-place mutation of module-level "
-            "mutable containers anywhere reachable: under fork/spawn the write "
-            "lands in the worker's copy of the module and is silently lost in "
-            "the parent."
         ),
     ),
 )

@@ -47,13 +47,13 @@ Sub-commands
     source trees: the syntactic rules (determinism hazards in the
     fingerprint/serialisation paths, mutable defaults, process-global
     state, bare excepts) plus the
-    flow-sensitive dataflow analyzers.  ``--check`` is the quiet CI mode
+    flow-sensitive determinism-taint analyzer.  ``--check`` is the quiet CI mode
     (a timing line goes to stderr); suppressions require a justification.
 
 ``analyze``
-    Run only the flow-sensitive dataflow analyzers
-    (``repro.analysis.taint`` / ``repro.analysis.forksafety``) plus the
-    persist-schema lock check (``repro.analysis.schema_lock``).
+    Run only the flow-sensitive determinism-taint analyzer
+    (``repro.analysis.taint``) plus the persist-schema lock check
+    (``repro.analysis.schema_lock``).
     ``--explain NAME`` prints a rule's full rationale, and
     ``--write-schema-lock`` regenerates ``persist-schema.lock`` after a
     deliberate ``SCHEMA_VERSION`` bump.
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subparsers.add_parser(
         "analyze",
-        help="run the flow-sensitive dataflow analyzers and the persist-schema lock check",
+        help="run the determinism-taint analyzer and the persist-schema lock check",
     )
     analyze.add_argument(
         "paths",
@@ -284,13 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="CI mode: print nothing on success, exit 1 on any finding",
-    )
-    analyze.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only this analyzer (repeatable)",
     )
     analyze.add_argument(
         "--explain",
@@ -316,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--no-schema-lock",
         action="store_true",
-        help="skip the persist-schema lock check (dataflow analyzers only)",
+        help="skip the persist-schema lock check (taint analyzer only)",
     )
 
     cache = subparsers.add_parser(
@@ -584,7 +577,7 @@ def _run_lint(args: argparse.Namespace, session: Session) -> int:
 
 
 def _run_analyze(args: argparse.Namespace, session: Session) -> int:
-    """Run the dataflow analyzers and schema-lock check (``analyze ...``)."""
+    """Run the taint analyzer and schema-lock check (``analyze ...``)."""
     from pathlib import Path
 
     from repro.analysis.lint import lint_paths_timed
@@ -613,23 +606,12 @@ def _run_analyze(args: argparse.Namespace, session: Session) -> int:
             f"{len(fingerprint.types)} types, digest {fingerprint.digest[:16]}…)"
         )
         return 0
-    rules = ANALYZER_RULES
     if args.list_rules:
-        for rule in rules:
+        for rule in ANALYZER_RULES:
             print(f"{rule.name:<24} {rule.summary}")
         return 0
-    if args.rule:
-        wanted = set(args.rule)
-        known = {rule.name for rule in rules}
-        unknown = wanted - known
-        if unknown:
-            raise CliError(
-                f"unknown analyzer(s) {', '.join(sorted(unknown))}; "
-                f"known analyzers: {', '.join(sorted(known))}"
-            )
-        rules = tuple(rule for rule in rules if rule.name in wanted)
     paths = [Path(path) for path in args.paths] if args.paths else None
-    findings, stats = lint_paths_timed(paths, rules)
+    findings, stats = lint_paths_timed(paths, ANALYZER_RULES)
     for finding in findings:
         print(finding.describe())
     problems = [] if args.no_schema_lock else check_lock(args.schema_lock)

@@ -46,6 +46,7 @@ from repro.diophantine.solver import (
     witness_from_linear_solution,
 )
 from repro.exceptions import ContainmentError, EnumerationBudgetError
+from repro.faults.runtime import TICK_INTERVAL, deadline_handle
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.terms import Term
 
@@ -262,7 +263,8 @@ def decide_via_bounded_guess(
     through the Theorem 4.1 construction.
 
     The enumeration is exponential; *max_candidates* protects against
-    accidental use on large instances by raising :class:`ContainmentError`.
+    accidental use on large instances by raising :class:`ContainmentError`,
+    and an ambient deadline is polled every :data:`TICK_INTERVAL` candidates.
     """
     containee.require_projection_free()
     encodings: list[MpiEncoding] = []
@@ -296,7 +298,15 @@ def decide_via_bounded_guess(
                 "use the most-general strategy or lower the bound explicitly"
             )
 
+        tick = deadline_handle()
+        countdown = TICK_INTERVAL if tick is not None else 0
         for candidate in _bounded_vectors(dimension, effective_bound):
+            if countdown:
+                countdown -= 1
+                if not countdown:
+                    assert tick is not None
+                    tick()
+                    countdown = TICK_INTERVAL
             if all(value == 0 for value in candidate):
                 continue
             if system.is_solution(candidate):

@@ -321,9 +321,9 @@ _WORKER_INIT_ERROR: str | None = None
 def _batch_worker_init(spec: SessionSpec) -> None:
     global _WORKER_SESSION, _WORKER_INIT_ERROR
     try:
-        _WORKER_SESSION = spec.build()  # lint: disable=fork-shared-state -- deliberate per-worker state installed by the pool initializer inside the worker; the parent never reads it
+        _WORKER_SESSION = spec.build()
     except BaseException as error:  # noqa: BLE001 - see _WORKER_SESSION note
-        _WORKER_INIT_ERROR = repr(error)  # lint: disable=fork-shared-state -- deliberate per-worker error capture inside the worker; surfaced via task results, not the parent module
+        _WORKER_INIT_ERROR = repr(error)
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,6 @@ class TestRepoIsClean:
             "global-mutable-state",
             "bare-except",
             "determinism-taint",
-            "fork-unpicklable",
-            "fork-shared-state",
         }
 
     def test_repro_package_tree_is_lint_clean(self):

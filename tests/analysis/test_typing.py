@@ -20,7 +20,6 @@ STRICT_MODULES = (
     "repro.analysis.cfg",
     "repro.analysis.dataflow",
     "repro.analysis.taint",
-    "repro.analysis.forksafety",
     "repro.analysis.schema_lock",
 )
 

@@ -140,6 +140,24 @@ class TestSessionDeadline:
         retried = session.decide(containee, containing)
         assert retried.degraded is None and retried.verdict is True
 
+    def test_bounded_guess_enumeration_polls_the_deadline(self):
+        # The triangle against itself leaves millions of candidate vectors
+        # under the Lemma 5.1 bound; without a poll inside the candidate
+        # loop the request overran a 5ms budget by seconds.
+        from repro.queries.parser import parse_cq
+
+        triangle = parse_cq("q(x,y,z) :- R(x,y), R(y,z), R(z,x)")
+        session = Session(
+            limits=Limits(deadline_ms=5, bounded_guess_max_candidates=5_000_000),
+            memoize=False,
+        )
+        started = time.perf_counter()
+        outcome = session.decide(triangle, triangle, strategy="bounded-guess")
+        elapsed_ms = (time.perf_counter() - started) * 1000
+        assert outcome.degraded == "deadline"
+        assert outcome.verdict is None and outcome.error is None
+        assert elapsed_ms < 500, f"degraded only after {elapsed_ms:.0f}ms"
+
     def test_degraded_run_does_not_poison_the_memo(self):
         containee, containing = _small_pair()
         plan = FaultPlan(

@@ -9,6 +9,9 @@ traceback) and names the failing request's index and fingerprint; and a
 pool without charging innocent shards any retry budget.
 """
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.exceptions import FaultInjected, ParallelError
@@ -25,6 +28,13 @@ def _requests(count=8):
 
 def _crash_plan():
     return FaultPlan(seed=1, rules=(FaultRule("parallel.request", "crash", keys=(POISON,)),))
+
+
+def _assert_no_leaked_workers():
+    deadline = time.monotonic() + 10.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not multiprocessing.active_children(), "worker processes leaked"
 
 
 class TestQuarantine:
@@ -148,9 +158,6 @@ class TestCampaignWorkerCrash:
     def test_fuzz_crash_names_the_case_and_leaks_no_workers(self):
         # Fuzz cases are session requests on the supervised harness, so a
         # keyed worker crash is retried, bisected and finally named.
-        import multiprocessing
-        import time
-
         session = Session(fault_plan=_crash_plan())
         with pytest.raises(ParallelError, match=f"on request {POISON}") as excinfo:
             session.fuzz(
@@ -164,7 +171,23 @@ class TestCampaignWorkerCrash:
                 diophantine_paths=("exact",),
             )
         assert isinstance(excinfo.value.__cause__, FaultInjected)
-        deadline = time.monotonic() + 10.0
-        while multiprocessing.active_children() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not multiprocessing.active_children(), "worker processes leaked"
+        _assert_no_leaked_workers()
+
+
+class TestPickleBoundary:
+    def test_unpicklable_request_fails_loudly_and_leaks_no_workers(self):
+        # A request type defined inside a function cannot cross the pool's
+        # pickle boundary; the batch must name that failure, not hang or
+        # fall back to a silent serial run.
+        from repro.session import ContainmentRequest
+        from repro.workloads.structured import chain_containment_pair
+
+        class LocalRequest(ContainmentRequest):
+            pass
+
+        containee, containing = chain_containment_pair(2)
+        requests = [LocalRequest(containee, containing) for _ in range(2)]
+        with pytest.raises(ParallelError, match="pickle") as excinfo:
+            list(Session().batch(requests, jobs=2, chunk_size=1))
+        assert "LocalRequest" in str(excinfo.value)
+        _assert_no_leaked_workers()

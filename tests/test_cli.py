@@ -421,19 +421,6 @@ class TestAnalyze:
         assert code == 1
         assert "[determinism-taint]" in captured.out
 
-    def test_rule_filter_selects_one_analyzer(self, capsys, tmp_path):
-        bad = tmp_path / "module.py"
-        bad.write_text(
-            "import json\n"
-            "def f(s: set):\n"
-            "    xs = list(s)\n"
-            "    return json.dumps(xs)\n"
-        )
-        code = main(
-            ["analyze", "--no-schema-lock", "--rule", "fork-unpicklable", str(bad)]
-        )
-        assert code == 0  # the taint defect is outside the selected analyzer
-
     def test_explain_prints_the_rationale(self, capsys):
         code = main(["analyze", "--explain", "determinism-taint"])
         captured = capsys.readouterr()
@@ -445,14 +432,15 @@ class TestAnalyze:
         code = main(["analyze", "--list-rules"])
         captured = capsys.readouterr()
         assert code == 0
-        assert "fork-unpicklable" in captured.out
-        assert "fork-shared-state" in captured.out
+        names = [line.split()[0] for line in captured.out.splitlines()]
+        assert names == ["determinism-taint"]
 
-    def test_unknown_analyzer_is_a_clean_error(self, capsys):
-        code = main(["analyze", "--rule", "no-such-analyzer", "src/repro"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "error:" in captured.err
+    def test_rule_option_is_rejected(self, capsys):
+        # One analyzer is left; ``repro lint --rule`` selects any rule.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--rule", "determinism-taint", "src/repro"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --rule" in capsys.readouterr().err
 
     def test_write_schema_lock_round_trips(self, capsys, tmp_path):
         lock = tmp_path / "persist-schema.lock"
