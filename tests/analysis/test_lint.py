@@ -1,6 +1,9 @@
 """Fixture tests for the lint framework and every built-in rule."""
 
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis.lint import (
     LintRule,
@@ -111,6 +114,60 @@ class TestSetOrderIteration:
         source = "def f(items):\n    return [i for i in set(items)]\n"
         assert run(source, "src/repro/workloads/random_queries.py") == []
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/engine/fingerprints.py",
+            "src/repro/engine/persist.py",
+            "src/repro/io/json_codec.py",
+        ],
+    )
+    def test_every_scoped_module_is_checked(self, path):
+        source = "def f(items):\n    return [i for i in set(items)]\n"
+        assert codes(run(source, path)) == ["set-order-iteration"]
+
+    def test_set_literal_and_set_comprehension_iterables_are_flagged(self):
+        source = """
+        def f(a, b, items):
+            for item in {a, b}:
+                yield item
+            for item in {i for i in items}:
+                yield item
+        """
+        findings = run(source, self.PATH)
+        assert codes(findings) == ["set-order-iteration"] * 2
+        assert [finding.line for finding in findings] == [3, 5]
+
+    def test_async_for_and_generator_over_set_are_flagged(self):
+        source = """
+        async def f(items):
+            async for item in set(items):
+                yield item
+
+        def g(items):
+            return b",".join(i for i in frozenset(items))
+        """
+        assert codes(run(source, self.PATH)) == ["set-order-iteration"] * 2
+
+    def test_guards_the_digest_canonicaliser_that_taint_treats_as_clean(self):
+        # determinism-taint treats persistent_digest as a sanitizer and sees
+        # no sink inside the canonical encoder, so a raw set iteration in
+        # the encoder's body is this rule's alone to catch.
+        source = """
+        import hashlib
+
+        def _encode_canonical(obj):
+            if isinstance(obj, (set, frozenset)):
+                return b",".join(_encode_canonical(i) for i in frozenset(obj))
+            return repr(obj).encode()
+
+        def persistent_digest(obj):
+            return hashlib.sha256(_encode_canonical(obj)).hexdigest()
+        """
+        findings = run(source, self.PATH)
+        assert codes(findings) == ["set-order-iteration"]
+        assert findings[0].line == 6
+
 
 class TestMutableDefault:
     def test_function_defaults(self):
@@ -140,6 +197,25 @@ class TestMutableDefault:
     def test_plain_class_attributes_are_not_dataclass_fields(self):
         assert run("class C:\n    shared = {}\n") == []
 
+    def test_async_and_constructor_call_defaults(self):
+        assert codes(run("async def f(a=[]):\n    pass\n")) == ["mutable-default"]
+        assert codes(run("def f(a=collections.deque()):\n    pass\n")) == ["mutable-default"]
+        assert codes(run("def f(a=defaultdict(list)):\n    pass\n")) == ["mutable-default"]
+        assert run("def f(a=frozenset(), b=tuple()):\n    pass\n") == []
+
+    def test_called_and_qualified_dataclass_decorators(self):
+        source = """
+        import dataclasses
+
+        @dataclasses.dataclass(frozen=True)
+        class Config:
+            names: list = [i for i in range(3)]
+            label: str = "x"
+        """
+        findings = run(source)
+        assert codes(findings) == ["mutable-default"]
+        assert findings[0].line == 6
+
 
 class TestGlobalMutableState:
     def test_module_level_mutables_are_flagged(self):
@@ -161,11 +237,39 @@ class TestGlobalMutableState:
     def test_function_locals_are_not_module_level(self):
         assert run("def f():\n    local = {}\n    return local\n") == []
 
+    def test_comprehensions_and_qualified_constructors_are_flagged(self):
+        assert codes(run("SQUARES = [i * i for i in range(4)]\n")) == ["global-mutable-state"]
+        assert codes(run("INDEX = {k: 0 for k in 'ab'}\n")) == ["global-mutable-state"]
+        assert codes(run("ORDER = collections.OrderedDict()\n")) == ["global-mutable-state"]
+
+    def test_declaration_without_a_value_is_clean(self):
+        assert run("CACHE: dict\n") == []
+
 
 class TestBareExcept:
     def test_bare_except_is_flagged(self):
         source = "def f():\n    try:\n        return 1\n    except:\n        return 2\n"
         assert "bare-except" in codes(run(source))
+
+    def test_each_bare_handler_is_reported_at_its_line(self):
+        source = """
+        try:
+            import fast
+        except:
+            fast = None
+
+        class C:
+            def f(self):
+                try:
+                    return 1
+                except ValueError:
+                    return 2
+                except:
+                    return 3
+        """
+        findings = run(source)
+        assert codes(findings) == ["bare-except"] * 2
+        assert [finding.line for finding in findings] == [4, 13]
 
     def test_typed_except_is_clean(self):
         source = "def f():\n    try:\n        return 1\n    except ValueError:\n        return 2\n"
@@ -182,6 +286,13 @@ class TestRepoIsClean:
             "bare-except",
             "determinism-taint",
         }
+
+    def test_every_rule_has_an_audit_row_and_a_catalog_section(self):
+        docs = Path(__file__).resolve().parents[2] / "docs" / "static-analysis.md"
+        text = docs.read_text(encoding="utf-8")
+        for rule in default_rules():
+            assert f"| `{rule.name}` |" in text, f"{rule.name} missing from the audit"
+            assert f"### `{rule.name}`" in text, f"{rule.name} has no catalog section"
 
     def test_repro_package_tree_is_lint_clean(self):
         findings = lint_paths()

@@ -158,6 +158,44 @@ class TestSessionDeadline:
         assert outcome.verdict is None and outcome.error is None
         assert elapsed_ms < 500, f"degraded only after {elapsed_ms:.0f}ms"
 
+    def test_generous_deadline_leaves_bounded_guess_outcomes_unchanged(self):
+        # The contained pairs here enumerate about 1,200 candidates each, so
+        # the candidate loop's deadline poll fires many times per request.
+        from repro.session import ContainmentRequest
+        from repro.workloads.random_queries import random_adversarial_pair
+
+        requests = [
+            ContainmentRequest(
+                *random_adversarial_pair(seed, num_atoms=2, head_size=1),
+                strategy="bounded-guess",
+            )
+            for seed in range(16)
+        ]
+        plain = list(Session(memoize=False).batch(requests, capture_errors=True))
+        bounded = list(
+            Session(limits=Limits(deadline_ms=120_000), memoize=False).batch(
+                requests, capture_errors=True
+            )
+        )
+        assert [o.verdict for o in plain] == [o.verdict for o in bounded]
+        assert [o.error for o in plain] == [o.error for o in bounded]
+        assert all(o.degraded is None for o in bounded)
+        assert {o.verdict for o in bounded} >= {True, False}
+
+    def test_candidate_cap_still_raises_under_a_deadline(self):
+        # The budget check runs before the enumeration starts; an armed
+        # deadline must not turn it into a degraded outcome.
+        from repro.exceptions import EnumerationBudgetError
+        from repro.queries.parser import parse_cq
+
+        triangle = parse_cq("q(x,y,z) :- R(x,y), R(y,z), R(z,x)")
+        session = Session(
+            limits=Limits(deadline_ms=60_000, bounded_guess_max_candidates=10),
+            memoize=False,
+        )
+        with pytest.raises(EnumerationBudgetError, match="bounded-guess enumeration"):
+            session.decide(triangle, triangle, strategy="bounded-guess")
+
     def test_degraded_run_does_not_poison_the_memo(self):
         containee, containing = _small_pair()
         plan = FaultPlan(

@@ -191,3 +191,36 @@ class TestPickleBoundary:
             list(Session().batch(requests, jobs=2, chunk_size=1))
         assert "LocalRequest" in str(excinfo.value)
         _assert_no_leaked_workers()
+
+    def test_local_request_type_runs_without_a_pool(self):
+        # The same request type is fine in-process: the failure above is
+        # the pickle boundary's, not the request's.
+        from repro.session import ContainmentRequest
+        from repro.workloads.structured import chain_containment_pair
+
+        class LocalRequest(ContainmentRequest):
+            pass
+
+        containee, containing = chain_containment_pair(2)
+        requests = [LocalRequest(containee, containing) for _ in range(2)]
+        outcomes = list(Session().batch(requests, jobs=1))
+        assert [outcome.verdict for outcome in outcomes] == [True, True]
+        assert all(outcome.request is request for outcome, request in zip(outcomes, requests))
+
+    def test_session_runs_parallel_batches_after_a_pickling_failure(self):
+        from repro.session import ContainmentRequest
+        from repro.workloads.structured import chain_containment_pair
+
+        class LocalRequest(ContainmentRequest):
+            pass
+
+        containee, containing = chain_containment_pair(2)
+        session = Session()
+        with pytest.raises(ParallelError, match="pickle"):
+            list(session.batch([LocalRequest(containee, containing)] * 2, jobs=2))
+        requests = _requests(6)
+        oracle = list(Session(name="oracle").batch(requests, capture_errors=True))
+        outcomes = list(session.batch(requests, capture_errors=True, jobs=2, chunk_size=2))
+        assert [o.verdict for o in outcomes] == [o.verdict for o in oracle]
+        assert [str(o.error) for o in outcomes] == [str(o.error) for o in oracle]
+        _assert_no_leaked_workers()

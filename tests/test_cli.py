@@ -382,6 +382,39 @@ class TestLint:
         assert code == 2
         assert "error:" in captured.err
 
+    def test_list_rules_shows_the_five_rules(self, capsys):
+        code = main(["lint", "--list-rules"])
+        captured = capsys.readouterr()
+        assert code == 0
+        names = [line.split()[0] for line in captured.out.splitlines()]
+        assert names == [
+            "set-order-iteration",
+            "mutable-default",
+            "global-mutable-state",
+            "bare-except",
+            "determinism-taint",
+        ]
+
+    def test_rule_filter_selects_the_taint_analyzer(self, capsys, tmp_path):
+        bad = tmp_path / "module.py"
+        bad.write_text(
+            "import json\n"
+            "def f(s: set):\n"
+            "    return json.dumps(list(s))\n"
+        )
+        code = main(["lint", "--rule", "determinism-taint", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[determinism-taint]" in captured.out
+        assert main(["lint", "--rule", "bare-except", str(bad)]) == 0
+
+    def test_removed_fork_rules_are_unknown(self, capsys):
+        for name in ("fork-unpicklable", "fork-shared-state"):
+            code = main(["lint", "--rule", name, "src/repro"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert f"unknown lint rule(s) {name}" in captured.err
+
     def test_timing_line_is_printed_in_normal_mode(self, capsys, tmp_path):
         clean = tmp_path / "module.py"
         clean.write_text("def f():\n    return 1\n")
@@ -427,6 +460,34 @@ class TestAnalyze:
         assert code == 0
         assert captured.out.startswith("determinism-taint:")
         assert len(captured.out.splitlines()) > 2  # summary + extended rationale
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "set-order-iteration",
+            "mutable-default",
+            "global-mutable-state",
+            "bare-except",
+            "determinism-taint",
+        ],
+    )
+    def test_explain_covers_every_lint_rule(self, capsys, name):
+        from repro.analysis.rules import ALL_RULES
+
+        (rule,) = [rule for rule in ALL_RULES if rule.name == name]
+        code = main(["analyze", "--explain", name])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith(f"{name}: {rule.summary}")
+        assert ("scope: " in captured.out) == bool(rule.scope)
+        assert "no extended rationale recorded" not in captured.out
+
+    def test_explain_rejects_a_removed_rule(self, capsys):
+        code = main(["analyze", "--explain", "fork-shared-state"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unknown rule 'fork-shared-state'" in captured.err
+        assert "fork-unpicklable" not in captured.err
 
     def test_list_rules_shows_the_analyzers(self, capsys):
         code = main(["analyze", "--list-rules"])
