@@ -16,22 +16,35 @@ the inequality ``P < M``.
 
 :class:`MpiEncoding` bundles everything a caller could want to inspect:
 the grounded containee, the ordered atom/unknown correspondence, both sides
-of the inequality, the containment mappings that generated the polynomial,
-and whether the probe tuple is unifiable with the head of the containing
-query (condition (1) of Theorem 3.1).
+of the inequality, the number of containment mappings that generated the
+polynomial, and whether the probe tuple is unifiable with the head of the
+containing query (condition (1) of Theorem 3.1).
 
 Image queries ``h(q2)`` are never materialised: only their exponent vectors
 enter the polynomial.  A position table, built once per (containing,
 grounded containee) pair, maps each containing-body atom's image under
 ``h`` straight to its unknown index, and identical vectors are counted as
 integer tuples before any :class:`Monomial` is built.
+
+The polynomial is computed in factorised form.  Once the probe fixes the
+head, the containing body splits into *factors*: atoms connected through
+non-head variables (:func:`~repro.engine.batch.body_factors`).  Factors
+share no free variable, so the containment mappings are the Cartesian
+product of the factors' mappings.  Equation 1 adds multiplicities, so an
+image's exponent vector is the sum of its factors' vectors, and ``P`` is
+the product of one small sum per factor.  The engine enumerates each
+factor once, each factor's mappings fold into a ``vector -> count``
+table, and the tables convolve: vectors add, counts multiply.  A star
+with ``k`` existential rays over ``r`` leaves costs ``k·r`` mappings
+instead of ``r^k``, and the product is never materialised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from math import prod
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.probe_tuples import most_general_probe_tuple
 from repro.diophantine.inequalities import MonomialPolynomialInequality
@@ -72,18 +85,15 @@ class MpiEncoding:
     monomial: Monomial
     polynomial: Polynomial
     inequality: MonomialPolynomialInequality
-    mappings: tuple[Substitution, ...]
+    #: Containment mappings that generated the polynomial: the product of
+    #: the factors' counts (the mappings themselves are never materialised).
+    num_mappings: int
     probe_unifiable_with_containing: bool
 
     @property
     def dimension(self) -> int:
         """Number of unknowns (= distinct atoms of the grounded containee)."""
         return len(self.atoms)
-
-    @property
-    def num_mappings(self) -> int:
-        """Number of containment mappings from the containing query into ``q1(t)``."""
-        return len(self.mappings)
 
     def atom_index(self, atom: Atom) -> int:
         """Position of *atom* in the unknown order; raises ``ValueError`` if absent."""
@@ -120,20 +130,21 @@ def _outside_body(containing: ConjunctiveQuery, atom: Atom, mapping: Substitutio
 def _image_polynomial(
     containing: ConjunctiveQuery,
     atoms: Sequence[Atom],
-    mappings: Sequence[Substitution],
+    factors: Sequence[tuple[Atom, ...]],
+    factor_mappings: Sequence[Sequence[Substitution]],
 ) -> Polynomial:
     """``P^{q2}_{q1(t)}``: one monomial per distinct image exponent vector.
 
-    The position table numbers the grounded terms and maps each grounded
-    atom's term numbers to its unknown index (one dict per relation).  A
-    mapping ``h`` numbers the images of its bindings once; each containing
-    atom then reads its terms' numbers through an ``itemgetter`` and adds
-    its multiplicity at the index of its image, so atoms that collapse onto
-    one image sum their multiplicities (Equation 1).  Mappings with equal
-    vectors merge into one monomial whose coefficient counts them.
+    *factor_mappings* holds each factor's containment mappings, or nothing
+    when some factor has none (the zero polynomial).  The position table
+    numbers the grounded terms and maps each grounded atom's term numbers
+    to its unknown index (one dict per relation); it is built once and
+    shared by every factor.  Each factor's mappings fold into a
+    ``vector -> count`` table (:func:`_fold`), and the tables convolve
+    into the polynomial (:func:`_convolve`).
     """
     dimension = len(atoms)
-    if not mappings:
+    if not factor_mappings:
         return Polynomial((), dimension)
     term_ids: dict[Term, int] = {}
     for atom in atoms:
@@ -144,8 +155,6 @@ def _image_polynomial(
         positions.setdefault(atom.relation, {})[_key([term_ids[t] for t in atom.terms])] = index
 
     body = containing.body
-    variables = containing.variables()
-    constants = tuple(sorted({t for atom in body for t in atom.terms} - variables, key=str))
     # Atoms without variables are their own image under every mapping.
     base = [0] * dimension
     moving = []
@@ -156,13 +165,54 @@ def _image_polynomial(
             continue
         position = at_relation.get(_key([term_ids.get(term) for term in atom.terms]))
         if position is None:
-            raise _outside_body(containing, atom, mappings[0])
+            raise _outside_body(containing, atom, factor_mappings[0][0])
         base[position] += multiplicity
+    # A single-factor body folds every moving atom, exactly as before
+    # factorisation; only a split body pays for regrouping them.
+    parts = [moving]
+    if len(factors) > 1:
+        entry_of = {entry[0]: entry for entry in moving}
+        parts = [[entry_of[atom] for atom in factor if atom in entry_of] for factor in factors]
+
+    tick = deadline_handle()
+    counts: dict[tuple[int, ...], int] = {}
+    for index, (part, mappings) in enumerate(zip(parts, factor_mappings)):
+        start = [0] * dimension if index else base
+        table = _fold(containing, part, term_ids, start, mappings, tick)
+        counts = _convolve(counts, table, tick) if index else table
+    return Polynomial(
+        [Monomial(count, vector) for vector, count in counts.items()], dimension=dimension
+    )
+
+
+def _fold(
+    containing: ConjunctiveQuery,
+    moving: Sequence[tuple[Atom, dict[object, int], int]],
+    term_ids: dict[Term, int],
+    base: list[int],
+    mappings: Sequence[Substitution],
+    tick: Callable[[], None] | None,
+) -> dict[tuple[int, ...], int]:
+    """One factor's ``vector -> count`` table, starting every vector at *base*.
+
+    A mapping ``h`` numbers the images of its bindings once; each moving
+    atom ``(atom, at_relation, multiplicity)`` then reads its terms'
+    numbers through an ``itemgetter`` and adds its multiplicity at the
+    index of its image, so atoms that collapse onto one image sum their
+    multiplicities (Equation 1).  Mappings with equal vectors merge into
+    one entry whose count is their number.
+    """
+    terms = dict.fromkeys(term for atom, _, _ in moving for term in atom.terms)
 
     def layout(domain: tuple[Variable, ...]) -> tuple[tuple, tuple[int | None, ...]]:
-        """Atom getters over a mapping's bindings in *domain* order, then the fixed terms."""
-        fixed = tuple(sorted(variables.difference(domain))) + constants
-        slot_of = {term: slot for slot, term in enumerate(domain + fixed)}
+        """Atom getters over a mapping's bindings in *domain* order, then the fixed terms.
+
+        Fixed terms are the atoms' constants and the variables the mapping
+        leaves out (identity bindings): each is its own image.
+        """
+        slot_of = {term: slot for slot, term in enumerate(domain)}
+        fixed = [term for term in terms if term not in slot_of]
+        slot_of.update((term, slot) for slot, term in enumerate(fixed, len(domain)))
         table = tuple(
             (itemgetter(*(slot_of[term] for term in atom.terms)), at_relation, multiplicity, atom)
             for atom, at_relation, multiplicity in moving
@@ -173,7 +223,6 @@ def _image_polynomial(
     # The engine emits every mapping's bindings in one order, so the layout
     # is built once and re-checked with an identity-fast tuple comparison.
     domain: tuple[Variable, ...] | None = None
-    tick = deadline_handle()
     countdown = TICK_INTERVAL if tick is not None else 0
     for mapping in mappings:
         if countdown:
@@ -196,9 +245,28 @@ def _image_polynomial(
             exponents[position] += multiplicity
         vector = tuple(exponents)
         counts[vector] = counts.get(vector, 0) + 1
-    return Polynomial(
-        [Monomial(count, vector) for vector, count in counts.items()], dimension=dimension
-    )
+    return counts
+
+
+def _convolve(
+    left: dict[tuple[int, ...], int],
+    right: dict[tuple[int, ...], int],
+    tick: Callable[[], None] | None,
+) -> dict[tuple[int, ...], int]:
+    """The product of two factor tables: vectors add, counts multiply."""
+    product: dict[tuple[int, ...], int] = {}
+    countdown = TICK_INTERVAL if tick is not None else 0
+    for left_vector, left_count in left.items():
+        for right_vector, right_count in right.items():
+            if countdown:
+                countdown -= 1
+                if not countdown:
+                    assert tick is not None
+                    tick()
+                    countdown = TICK_INTERVAL
+            vector = tuple(map(add, left_vector, right_vector))
+            product[vector] = product.get(vector, 0) + left_count * right_count
+    return product
 
 
 def _key(ids: Sequence[int | None]) -> object:
@@ -226,10 +294,16 @@ def _encode_at_probe(
     except UnificationError:
         unifiable = False
 
-    mappings: tuple[Substitution, ...] = ()
+    # Enumerate factor by factor; a factor without mappings empties the product.
+    factor_mappings: list[tuple[Substitution, ...]] = []
     if unifiable:
-        mappings = batcher.mappings(grounded, probe_tuple)
-    polynomial = _image_polynomial(containing, atoms, mappings)
+        for index in range(len(batcher.factors)):
+            mappings = batcher.mappings(grounded, probe_tuple, index)
+            if not mappings:
+                factor_mappings = []
+                break
+            factor_mappings.append(mappings)
+    polynomial = _image_polynomial(containing, atoms, batcher.factors, factor_mappings)
     inequality = MonomialPolynomialInequality(polynomial, monomial)
 
     return MpiEncoding(
@@ -242,7 +316,7 @@ def _encode_at_probe(
         monomial=monomial,
         polynomial=polynomial,
         inequality=inequality,
-        mappings=mappings,
+        num_mappings=prod(map(len, factor_mappings)) if factor_mappings else 0,
         probe_unifiable_with_containing=unifiable,
     )
 

@@ -80,6 +80,22 @@ class Backend:
     ) -> Iterator[Substitution]:
         raise NotImplementedError
 
+    def iterate_factor(
+        self,
+        source_atoms: Iterable[Atom],
+        factor_atoms: tuple[Atom, ...],
+        target_atoms: Iterable[Atom],
+        fixed: Mapping[Variable, Term] | None = None,
+    ) -> Iterator[Substitution]:
+        """The homomorphisms of *factor_atoms*, a factor of *source_atoms*.
+
+        A factor shares no variable outside *fixed* with the rest of the
+        source, so the source's homomorphisms are the Cartesian product of
+        its factors' homomorphisms.  This default runs the factor's atoms
+        directly.
+        """
+        return self.iterate(factor_atoms, target_atoms, fixed)
+
     def count(
         self,
         source_atoms: Iterable[Atom],
@@ -321,6 +337,24 @@ class InternedBackend(Backend):
         fixed: Mapping[Variable, Term] | None = None,
     ) -> Iterator[Substitution]:
         plan = self.plan(source_atoms, target_atoms, fixed)
+        return interned_iterate(plan, self.dictionary, fixed, stats=self.stats)
+
+    def iterate_factor(
+        self,
+        source_atoms: Iterable[Atom],
+        factor_atoms: tuple[Atom, ...],
+        target_atoms: Iterable[Atom],
+        fixed: Mapping[Variable, Term] | None = None,
+    ) -> Iterator[Substitution]:
+        """Run the factor's steps of the whole source's plan (one compile per source)."""
+        plan = self.plan(source_atoms, target_atoms, fixed).restricted(factor_atoms)
+        if _verify_hooks.verification_enabled():
+            _verify_hooks.check_plan(
+                plan,
+                source_atoms=factor_atoms,
+                fixed_variables=frozenset(fixed or ()),
+                dictionary=self.dictionary,
+            )
         return interned_iterate(plan, self.dictionary, fixed, stats=self.stats)
 
     def count(

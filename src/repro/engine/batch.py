@@ -36,6 +36,7 @@ __all__ = [
     "ContainmentMappingBatcher",
     "evaluate_bag_many",
     "BagBatchEvaluator",
+    "body_factors",
     "head_fixing",
 ]
 
@@ -86,6 +87,44 @@ def head_fixing(head: Sequence[Term], target: Sequence[Term]) -> dict[Variable, 
     return fixed
 
 
+def body_factors(query: ConjunctiveQuery) -> tuple[tuple[Atom, ...], ...]:
+    """The body of *query* split into factors, each in body order.
+
+    A factor is a set of atoms connected through non-head variables.  Atoms
+    with no non-head variable (only head variables or constants) join the
+    first factor.  Once the head is fixed, factors share no free variable,
+    so a body's mappings are the Cartesian product of its factors'
+    mappings.  Factors are ordered by their first atom.
+    """
+    atoms = query.body_atoms()
+    head = query.head_variables()
+    # Union-find over atom indices; a component's root is its first atom.
+    root = list(range(len(atoms)))
+
+    def find(index: int) -> int:
+        while root[index] != index:
+            index = root[index]
+        return index
+
+    first_atom: dict[Variable, int] = {}
+    existential = [False] * len(atoms)
+    for index, atom in enumerate(atoms):
+        for term in atom.terms:
+            if isinstance(term, Variable) and term not in head:
+                existential[index] = True
+                earlier = first_atom.setdefault(term, index)
+                if earlier != index:
+                    left, right = find(earlier), find(index)
+                    root[max(left, right)] = min(left, right)
+    if True not in existential:
+        return (atoms,)
+    first = existential.index(True)
+    factors: dict[int, list[Atom]] = {}
+    for index, atom in enumerate(atoms):
+        factors.setdefault(find(index) if existential[index] else first, []).append(atom)
+    return tuple(map(tuple, factors.values()))
+
+
 class ContainmentMappingBatcher:
     """``CM(containing, grounded@probe)`` for a stream of grounded containees.
 
@@ -96,19 +135,35 @@ class ContainmentMappingBatcher:
     callers (the all-probes decision strategy stops at the first refuting
     probe) use this class directly; :func:`containment_mappings_many` is
     the eager list-in/list-out wrapper.
+
+    :attr:`factors` splits the body (see :func:`body_factors`), and
+    ``mappings(..., factor=k)`` enumerates the k-th factor alone, so a
+    caller that only needs per-factor sums never builds the product.
     """
 
-    __slots__ = ("containing", "_source", "_backend")
+    __slots__ = ("containing", "_source", "_backend", "_factors")
 
     def __init__(self, containing: ConjunctiveQuery, backend: Backend | None = None) -> None:
         self.containing = containing
         self._source = containing.body_atoms()
         self._backend = backend
+        self._factors: tuple[tuple[Atom, ...], ...] | None = None
+
+    @property
+    def factors(self) -> tuple[tuple[Atom, ...], ...]:
+        """The containing body's factors (computed on first use)."""
+        if self._factors is None:
+            self._factors = body_factors(self.containing)
+        return self._factors
 
     def mappings(
-        self, grounded: ConjunctiveQuery, probe: Sequence[Term]
+        self, grounded: ConjunctiveQuery, probe: Sequence[Term], factor: int | None = None
     ) -> tuple[Substitution, ...]:
-        """``CM(containing, grounded@probe)``."""
+        """``CM(containing, grounded@probe)``, or the mappings of one factor's atoms.
+
+        A factor's mappings bind the head and that factor's variables only.
+        A single-factor body enumerates the whole body either way.
+        """
         probe = tuple(probe)
         if self.containing.arity != len(probe):
             return ()
@@ -116,7 +171,10 @@ class ContainmentMappingBatcher:
         if fixed is None:
             return ()
         backend = self._backend if self._backend is not None else get_default_backend()
-        return tuple(backend.iterate(self._source, grounded.body_atoms(), fixed))
+        target = grounded.body_atoms()
+        if factor is None or len(self.factors) == 1:
+            return tuple(backend.iterate(self._source, target, fixed))
+        return tuple(backend.iterate_factor(self._source, self.factors[factor], target, fixed))
 
 
 def containment_mappings_many(

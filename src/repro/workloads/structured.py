@@ -117,10 +117,12 @@ def chain_containment_pair(length: int, relax: int = 1) -> tuple[ConjunctiveQuer
 def star_containment_pair(rays: int) -> tuple[ConjunctiveQuery, ConjunctiveQuery]:
     """A star containee and a containing star whose leaves are existential copies.
 
-    The containing query maps onto the containee in many ways (every
-    existential leaf may go to any canonical leaf), making the number of
-    containment mappings grow like ``rays^rays`` in the worst case — the
-    stress test for the polynomial construction of Definition 3.3.
+    The containing query maps onto the containee in many ways: each of the
+    ``rays`` existential leaves may go to any of the ``rays`` canonical
+    leaves, so there are exactly ``rays**rays`` containment mappings — the
+    stress test for the polynomial construction of Definition 3.3.  Each
+    existential leaf is its own factor, so the factorised encoding
+    enumerates only ``rays * rays`` factor mappings.
     """
     containee = projection_free_star(rays, name="star1")
     center = Variable("c")

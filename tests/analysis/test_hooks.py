@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import hooks
 from repro.exceptions import PlanVerificationError
 from repro.queries.parser import parse_cq
+from repro.relational.terms import Constant, Variable
 from repro.session import Session
 
 
@@ -131,6 +132,43 @@ class TestRaisingChecks:
                 backend.plan(source, target, frozenset())
         plans, violations = hooks.verification_counts()
         assert plans == 1 and violations > 0
+
+
+class TestFactorExecution:
+    CONTAINING = parse_cq("q(x) :- e(x,y), f(y,w), e(x,z)")
+    TARGET = parse_cq("q(x) :- e(x,a), e(x,b), f(a,b)").body_atoms()
+    FIXED = {Variable("x"): Constant("x")}
+
+    def test_each_factor_step_subset_is_verified(self):
+        from repro.engine import ContainmentMappingBatcher, EngineCache, create_backend
+
+        backend = create_backend("interned", cache=EngineCache())
+        source = self.CONTAINING.body_atoms()
+        factors = ContainmentMappingBatcher(self.CONTAINING).factors
+        assert len(factors) == 2
+        with hooks.debug_verify_plans():
+            for factor in factors:
+                list(backend.iterate_factor(source, factor, self.TARGET, self.FIXED))
+        # Each call checks the whole plan on retrieval, then its factor's subset.
+        assert hooks.verification_counts() == (4, 0)
+
+    def test_a_split_that_cuts_a_component_is_rejected(self):
+        from repro.engine import EngineCache, create_backend
+
+        backend = create_backend("interned", cache=EngineCache())
+        source = self.CONTAINING.body_atoms()
+        # f(y, w) reads y, which only e(x, y) binds: not a factor on its own.
+        cut = tuple(atom for atom in source if atom.relation == "f")
+        with hooks.debug_verify_plans():
+            with pytest.raises(PlanVerificationError, match="unbound-read"):
+                list(backend.iterate_factor(source, cut, self.TARGET, self.FIXED))
+
+    def test_decisions_verify_factor_execution(self):
+        session = Session(backend="interned", debug_verify_plans=True)
+        outcome = session.decide(parse_cq("q(x) :- e(x,a), e(x,b), f(a,b)"), self.CONTAINING)
+        assert outcome.verdict is True
+        # Two factors, each checked as the whole plan and as its own subset.
+        assert hooks.verification_counts() == (4, 0)
 
 
 class TestCampaignReporting:

@@ -1,5 +1,6 @@
 """Unit tests for the MPI encoding (Definitions 3.2 and 3.3)."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,30 @@ class TestPolynomialEncoding:
         assert encoding.num_mappings == 4
         assert len(encoding.polynomial) == 3
         assert sorted(monomial.coefficient for monomial in encoding.polynomial) == [1, 1, 2]
+
+    def test_a_star_with_sixteen_million_mappings_has_its_closed_form(self):
+        # Twelve existential rays over four boosted leaves: P = Π u_i² · (Σ u_i)^12,
+        # so the 4^12 containment mappings merge into the 455 monomials of the
+        # multinomial expansion.  Enumerating them one by one takes minutes;
+        # the factorised encoding enumerates 12 factors of 4 mappings each.
+        from math import comb, factorial, prod
+
+        from repro.session import Session
+        from repro.workloads.scale import wide_star_pair
+
+        containee, containing = wide_star_pair(4, 12, 2, 2)
+        started = time.perf_counter()
+        encoding = encode_most_general(containee, containing)
+        outcome = Session(memoize=False).decide(containee, containing)
+        elapsed = time.perf_counter() - started
+        assert encoding.num_mappings == 4**12 == 16_777_216
+        assert len(encoding.polynomial) == comb(12 + 3, 3) == 455
+        for monomial in encoding.polynomial:
+            rays = [exponent - 2 for exponent in monomial.integer_exponents()]
+            assert min(rays) >= 0 and sum(rays) == 12
+            assert monomial.coefficient == factorial(12) // prod(map(factorial, rays))
+        assert outcome.verdict is True
+        assert elapsed < 5.0, f"encoded and decided in {elapsed:.2f}s"
 
     def test_no_containment_mappings_gives_the_zero_polynomial(self):
         containee = parse_cq("q1(x1) <- R(x1, x1)")

@@ -1,11 +1,14 @@
-"""Differential tests: the position-table encoding against image-query construction.
+"""Differential tests: the factorised encoding against image-query construction.
 
 The oracle below is the direct reading of Definition 3.3: for every
-containment mapping ``h`` build the image query ``h(q2)`` (Equation 1 sums
-the multiplicities of collapsing atoms), read its exponent vector off the
-grounded containee's atoms as fractions, and let :class:`Polynomial` merge
-equal monomials.  The library never materialises image queries; both must
-agree on the monomial, the polynomial, the inequality and the mapping count.
+containment mapping ``h`` of the whole body (the unfactorised
+``batcher.mappings(grounded, probe)``) build the image query ``h(q2)``
+(Equation 1 sums the multiplicities of collapsing atoms), read its exponent
+vector off the grounded containee's atoms as fractions, and let
+:class:`Polynomial` merge equal monomials.  The library never materialises
+image queries, and it enumerates each factor of the containing body
+separately and convolves; both must agree on the monomial, the polynomial,
+the inequality and the mapping count.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.encoding import _encode_at_probe, encode, encode_most_general
 from repro.core.probe_tuples import most_general_probe_tuple
@@ -22,8 +26,10 @@ from repro.diophantine.monomials import Monomial
 from repro.diophantine.polynomials import Polynomial
 from repro.engine import ContainmentMappingBatcher
 from repro.exceptions import ContainmentError, UnificationError
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_cq
 from repro.session import Session
+from repro.relational.atoms import Atom
 from repro.relational.substitutions import Substitution, unify_tuples
 from repro.relational.terms import CanonicalConstant, Constant, Variable
 
@@ -69,14 +75,15 @@ def _assert_agrees(containee, containing, probe):
     return encoding
 
 
-class _FixedBatcher:
-    """A stand-in engine that returns a fixed tuple of mappings."""
+class _FixedBatcher(ContainmentMappingBatcher):
+    """The real factors over a stand-in engine that returns a fixed tuple of mappings."""
 
-    def __init__(self, mappings):
-        self._mappings = tuple(mappings)
+    def __init__(self, containing, mappings):
+        super().__init__(containing)
+        self._fixed = tuple(mappings)
 
-    def mappings(self, grounded, probe):
-        return self._mappings
+    def mappings(self, grounded, probe, factor=None):
+        return self._fixed
 
 
 class TestHandCases:
@@ -131,7 +138,9 @@ class TestHandCases:
         containing = parse_cq("q2(x1) <- R(x1, y)")
         probe = most_general_probe_tuple(containee)
         x1, y = Variable("x1"), Variable("y")
-        bogus = _FixedBatcher([Substitution({x1: CanonicalConstant("x1"), y: binding})])
+        bogus = _FixedBatcher(
+            containing, [Substitution({x1: CanonicalConstant("x1"), y: binding})]
+        )
         with pytest.raises(ContainmentError, match="not part of the grounded containee body"):
             _encode_at_probe(containee, containing, probe, bogus)
         with pytest.raises(ContainmentError):
@@ -143,7 +152,7 @@ class TestHandCases:
         probe = most_general_probe_tuple(containee)
         mapping = Substitution({Variable("x1"): CanonicalConstant("x1"), Variable("y"): Constant("c1")})
         with pytest.raises(ContainmentError, match="S\\(c1, c1\\)"):
-            _encode_at_probe(containee, containing, probe, _FixedBatcher([mapping]))
+            _encode_at_probe(containee, containing, probe, _FixedBatcher(containing, [mapping]))
 
     def test_paper_section3_example(self):
         from repro.workloads.paper_examples import section3_containee, section3_containing
@@ -157,7 +166,104 @@ class TestHandCases:
         assert encoding.inequality == inequality and encoding.num_mappings == num_mappings == 3
 
 
+@pytest.mark.parametrize("backend", ["naive", "interned"])
+class TestFactorisedHandCases:
+    def _agrees(self, backend, containee, containing, factors):
+        assert len(ContainmentMappingBatcher(containing).factors) == factors
+        with Session(backend=backend).activate():
+            return _assert_agrees(containee, containing, most_general_probe_tuple(containee))
+
+    def test_components_that_collapse_onto_one_atom(self, backend):
+        containee = parse_cq("q1(x) <- R(x, a), R(x, b)")
+        containing = parse_cq("q2(x) <- R^2(x, y), R^3(x, z)")
+        encoding = self._agrees(backend, containee, containing, factors=2)
+        assert encoding.num_mappings == 4
+        assert sorted(m.integer_exponents() for m in encoding.polynomial) == [
+            (0, 5), (2, 3), (3, 2), (5, 0)
+        ]
+
+    def test_a_factor_without_mappings_gives_the_zero_polynomial(self, backend):
+        containee = parse_cq("q1(x) <- R(x, a), S(a, x)")
+        containing = parse_cq("q2(x) <- R(x, y), T(x, z)")
+        encoding = self._agrees(backend, containee, containing, factors=2)
+        assert encoding.polynomial.is_zero() and encoding.num_mappings == 0
+
+    def test_a_head_only_atom_missing_from_the_grounded_body(self, backend):
+        containee = parse_cq("q1(x) <- R(x, a), S(a, x)")
+        containing = parse_cq("q2(x) <- R(x, y), S(z, x), S(x, x)")
+        encoding = self._agrees(backend, containee, containing, factors=2)
+        assert encoding.polynomial.is_zero() and encoding.num_mappings == 0
+
+    def test_head_only_and_constant_only_atoms_join_the_first_factor(self, backend):
+        containee = parse_cq("q1(x) <- R(x, a), R(x, b), S(a, x), S(a, a)")
+        containing = parse_cq("q2(x) <- S(a, x), R(x, y), S^2(a, a), R(x, z), S(a, x)")
+        encoding = self._agrees(backend, containee, containing, factors=2)
+        assert encoding.num_mappings == 4
+
+
+#: The most general probe collapses nothing, so repeated head variables
+#: need constant probes to unify.
+_CONSTANT_PROBES = ((Constant("a"), Constant("b")), (Constant("a"), Constant("a")))
+
+
+_X, _Y, _A = Variable("x"), Variable("y"), Constant("a")
+
+
+@st.composite
+def dense_containees(draw) -> ConjunctiveQuery:
+    """Projection-free containees with head ``(x, y)`` and three to six more atoms over ``x, y, a``."""
+    terms = st.sampled_from([_X, _Y, _A])
+    body: dict[Atom, int] = {Atom("R", (_X, _Y)): 1}
+    for _ in range(draw(st.integers(min_value=3, max_value=6))):
+        atom = Atom(draw(st.sampled_from("RS")), (draw(terms), draw(terms)))
+        body[atom] = body.get(atom, 0) + draw(st.integers(min_value=1, max_value=2))
+    return ConjunctiveQuery((_X, _Y), body, name="q")
+
+
+@st.composite
+def multi_factor_queries(draw) -> ConjunctiveQuery:
+    """Containing queries whose body has two or three existential components.
+
+    Every atom of component ``i`` holds ``z<i>``, and its other term is a
+    head variable, ``a``, ``z<i>`` or ``w<i>``, so components never share
+    an existential variable.  Relation ``T`` never occurs in a containee,
+    which makes its factor empty.  The head atom keeps the query safe; up
+    to two head-only or constant-only atoms ride along, and the head may
+    repeat a variable.
+    """
+    head = draw(st.sampled_from([(_X, _Y), (_X, _X)]))
+    head_terms = sorted(set(head), key=str) + [_A]
+    body: dict[Atom, int] = {Atom("R", head): 1}
+
+    def add(relation, terms):
+        atom = Atom(relation, terms)
+        body[atom] = body.get(atom, 0) + draw(st.integers(min_value=1, max_value=3))
+
+    for component in range(draw(st.integers(min_value=2, max_value=3))):
+        z, w = Variable(f"z{component}"), Variable(f"w{component}")
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            other = draw(st.sampled_from([*head_terms, z, w, w, w]))
+            add(draw(st.sampled_from("RSRSRST")), tuple(draw(st.permutations([z, other]))))
+    terms = st.sampled_from(head_terms)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        add(draw(st.sampled_from("RS")), (draw(terms), draw(terms)))
+    return ConjunctiveQuery(head, body, name="p")
+
+
 class TestGenerated:
+    @pytest.mark.parametrize("backend", ["naive", "interned"])
+    @given(dense_containees(), multi_factor_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_multi_factor_bodies_agree_with_image_queries(self, backend, containee, containing):
+        assert len(ContainmentMappingBatcher(containing).factors) >= 2
+        with Session(backend=backend).activate():
+            for probe in (most_general_probe_tuple(containee), *_CONSTANT_PROBES):
+                try:
+                    containee.ground(probe)
+                except UnificationError:
+                    continue
+                _assert_agrees(containee, containing, probe)
+
     @given(projection_free_queries(), queries_over_shared_head())
     @settings(max_examples=80, deadline=None)
     def test_most_general_probe_agrees_with_image_queries(self, containee, containing):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.probe_tuples import iter_probe_tuples
 from repro.engine import (
     BagBatchEvaluator,
+    ContainmentMappingBatcher,
     containment_mappings_many,
     count_many,
     evaluate_bag_many,
@@ -15,6 +16,7 @@ from repro.exceptions import ReproError
 from repro.queries.parser import parse_cq
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
+from repro.relational.substitutions import Substitution
 from repro.relational.terms import Constant, Variable
 from repro.session import Session
 
@@ -65,6 +67,46 @@ class TestContainmentMappingsMany:
         probe = next(iter_probe_tuples(containee))
         (mappings,) = containment_mappings_many(containing, [(containee.ground(probe), probe)])
         assert mappings == ()
+
+
+class TestFactors:
+    def test_factors_split_on_non_head_variables(self):
+        # Factors and their atoms follow body_atoms() order.
+        containing = parse_cq("q(x) <- S(a, x), R(x, y), R(y, w), R^2(x, z), S(a, a), T(z)")
+        factors = ContainmentMappingBatcher(containing).factors
+        assert [[str(atom) for atom in factor] for factor in factors] == [
+            ["R(x, y)", "R(y, w)", "S(a, a)", "S(a, x)"],
+            ["R(x, z)", "T(z)"],
+        ]
+
+    def test_a_body_without_existential_variables_is_one_factor(self):
+        containing = parse_cq("q(x, y) <- R(x, y), S(y, a)")
+        assert ContainmentMappingBatcher(containing).factors == (containing.body_atoms(),)
+
+    def test_a_later_atom_joins_two_earlier_components(self):
+        containing = parse_cq("q(x) <- R(x, y), R(x, z), S(y, z), R(x, w)")
+        factors = ContainmentMappingBatcher(containing).factors
+        assert [len(factor) for factor in factors] == [1, 3]
+
+    @pytest.mark.parametrize("backend", ["naive", "interned"])
+    def test_factor_mappings_multiply_to_the_full_enumeration(self, backend):
+        containee = parse_cq("q1(x) <- R(x, a), R(x, b), S(a, b), S(b, b)")
+        containing = parse_cq("q2(x) <- R(x, y), S(y, v), R(x, z), S(z, b), R(x, x1)")
+        probe = next(iter_probe_tuples(containee))
+        grounded = containee.ground(probe)
+        batcher = ContainmentMappingBatcher(containing)
+        with Session(backend=backend).activate():
+            full = batcher.mappings(grounded, probe)
+            parts = [batcher.mappings(grounded, probe, index) for index in range(3)]
+        assert len(batcher.factors) == 3
+        assert [len(part) for part in parts] == [2, 2, 2] and len(full) == 8
+        products = {
+            Substitution({**left, **middle, **right})
+            for left in parts[0]
+            for middle in parts[1]
+            for right in parts[2]
+        }
+        assert products == set(full)
 
 
 class TestBagBatchEvaluator:

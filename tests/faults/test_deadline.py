@@ -116,16 +116,16 @@ class TestSessionDeadline:
 
     def test_budget_spent_after_the_engine_degrades_in_the_encoding(self, monkeypatch):
         # The engine returns its mappings just before the budget runs out;
-        # nothing downstream of it polls the engine's tick, so only the
-        # encoding's mapping loop can turn the rest of the request into an
-        # honest degradation instead of a late verdict.
+        # nothing downstream of the last factor's enumeration polls the
+        # engine's tick, so only the encoding can turn the rest of the
+        # request into an honest degradation instead of a late verdict.
         from repro.engine.batch import ContainmentMappingBatcher
         from repro.workloads.scale import wide_star_pair
 
         engine_mappings = ContainmentMappingBatcher.mappings
 
-        def slow_mappings(self, grounded, probe):
-            mappings = engine_mappings(self, grounded, probe)
+        def slow_mappings(self, grounded, probe, factor=None):
+            mappings = engine_mappings(self, grounded, probe, factor)
             time.sleep(0.06)
             return mappings
 
@@ -139,6 +139,21 @@ class TestSessionDeadline:
         monkeypatch.setattr(ContainmentMappingBatcher, "mappings", engine_mappings)
         retried = session.decide(containee, containing)
         assert retried.degraded is None and retried.verdict is True
+
+    def test_factor_convolution_polls_the_deadline(self):
+        # Twelve existential rays over nine leaves: 108 factor mappings
+        # convolve into 125,970 monomials.  Without a poll inside the
+        # convolution the request overran a 5ms budget by seconds.
+        from repro.workloads.scale import wide_star_pair
+
+        containee, containing = wide_star_pair(9, 12)
+        session = Session(limits=Limits(deadline_ms=5), memoize=False)
+        started = time.perf_counter()
+        outcome = session.decide(containee, containing)
+        elapsed_ms = (time.perf_counter() - started) * 1000
+        assert outcome.degraded == "deadline"
+        assert outcome.verdict is None and outcome.error is None
+        assert elapsed_ms < 500, f"degraded only after {elapsed_ms:.0f}ms"
 
     def test_bounded_guess_enumeration_polls_the_deadline(self):
         # The triangle against itself leaves millions of candidate vectors
