@@ -28,7 +28,8 @@ integer tuples before any :class:`Monomial` is built.
 
 The polynomial is computed in factorised form.  Once the probe fixes the
 head, the containing body splits into *factors*: atoms connected through
-non-head variables (:func:`~repro.engine.batch.body_factors`).  Factors
+non-head variables
+(:attr:`~repro.engine.batch.ContainmentMappingBatcher.factors`).  Factors
 share no free variable, so the containment mappings are the Cartesian
 product of the factors' mappings.  Equation 1 adds multiplicities, so an
 image's exponent vector is the sum of its factors' vectors, and ``P`` is

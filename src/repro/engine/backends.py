@@ -286,18 +286,28 @@ class InternedBackend(Backend):
         arriving under fresh identities.
         """
         fixed_variables = frozenset(fixed or ())
+        plan, source = self._lookup_plan(source_atoms, target_atoms, fixed_variables)
+        if _verify_hooks.verification_enabled():
+            _verify_hooks.check_plan(
+                plan,
+                source_atoms=tuple(source),
+                fixed_variables=fixed_variables,
+                dictionary=self.dictionary,
+            )
+        return plan
+
+    def _lookup_plan(
+        self,
+        source_atoms: Iterable[Atom],
+        target_atoms: Iterable[Atom],
+        fixed_variables: frozenset[Variable],
+    ) -> tuple[InternedPlan, Iterable[Atom]]:
+        """:meth:`plan` without verification, and the source atoms it was compiled from."""
         ident = (id(source_atoms), id(target_atoms), fixed_variables)
         memo = self._plan_memo
         entry = memo.get(ident)
         if entry is not None and entry[0] is source_atoms and entry[1] is target_atoms:
-            if _verify_hooks.verification_enabled():
-                _verify_hooks.check_plan(
-                    entry[2],
-                    source_atoms=tuple(entry[0]),
-                    fixed_variables=fixed_variables,
-                    dictionary=self.dictionary,
-                )
-            return entry[2]
+            return entry[2], source_atoms
 
         source = tuple(source_atoms)
         target = tuple(target_atoms)
@@ -318,14 +328,7 @@ class InternedBackend(Backend):
         if len(memo) >= self._PLAN_MEMO_LIMIT:
             memo.clear()
         memo[ident] = (source_atoms, target_atoms, plan)  # type: ignore[arg-type]
-        if _verify_hooks.verification_enabled():
-            _verify_hooks.check_plan(
-                plan,
-                source_atoms=source,
-                fixed_variables=fixed_variables,
-                dictionary=self.dictionary,
-            )
-        return plan  # type: ignore[return-value]
+        return plan, source  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
     # Backend interface
@@ -346,13 +349,19 @@ class InternedBackend(Backend):
         target_atoms: Iterable[Atom],
         fixed: Mapping[Variable, Term] | None = None,
     ) -> Iterator[Substitution]:
-        """Run the factor's steps of the whole source's plan (one compile per source)."""
-        plan = self.plan(source_atoms, target_atoms, fixed).restricted(factor_atoms)
+        """Run the factor's steps of the whole source's plan (one compile per source).
+
+        Plan verification checks the factor's step subset against its atoms
+        only: the whole plan is never run here.
+        """
+        fixed_variables = frozenset(fixed or ())
+        plan, _ = self._lookup_plan(source_atoms, target_atoms, fixed_variables)
+        plan = plan.restricted(factor_atoms)
         if _verify_hooks.verification_enabled():
             _verify_hooks.check_plan(
                 plan,
                 source_atoms=factor_atoms,
-                fixed_variables=frozenset(fixed or ()),
+                fixed_variables=fixed_variables,
                 dictionary=self.dictionary,
             )
         return interned_iterate(plan, self.dictionary, fixed, stats=self.stats)

@@ -36,7 +36,6 @@ __all__ = [
     "ContainmentMappingBatcher",
     "evaluate_bag_many",
     "BagBatchEvaluator",
-    "body_factors",
     "head_fixing",
 ]
 
@@ -87,7 +86,7 @@ def head_fixing(head: Sequence[Term], target: Sequence[Term]) -> dict[Variable, 
     return fixed
 
 
-def body_factors(query: ConjunctiveQuery) -> tuple[tuple[Atom, ...], ...]:
+def _body_factors(query: ConjunctiveQuery) -> tuple[tuple[Atom, ...], ...]:
     """The body of *query* split into factors, each in body order.
 
     A factor is a set of atoms connected through non-head variables.  Atoms
@@ -136,7 +135,7 @@ class ContainmentMappingBatcher:
     probe) use this class directly; :func:`containment_mappings_many` is
     the eager list-in/list-out wrapper.
 
-    :attr:`factors` splits the body (see :func:`body_factors`), and
+    :attr:`factors` splits the body into factors, and
     ``mappings(..., factor=k)`` enumerates the k-th factor alone, so a
     caller that only needs per-factor sums never builds the product.
     """
@@ -151,9 +150,9 @@ class ContainmentMappingBatcher:
 
     @property
     def factors(self) -> tuple[tuple[Atom, ...], ...]:
-        """The containing body's factors (computed on first use)."""
+        """The containing body's factors (computed on first use; see :func:`_body_factors`)."""
         if self._factors is None:
-            self._factors = body_factors(self.containing)
+            self._factors = _body_factors(self.containing)
         return self._factors
 
     def mappings(

@@ -30,7 +30,7 @@ of enumerating everything and taking the first element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 from repro.engine.interning import ID_BITS, InternedTarget, TermDictionary
@@ -138,10 +138,6 @@ class InternedPlan:
     #: order — the executor's fast path binds exactly these from the fixed
     #: mapping instead of re-deriving the layout per execution.
     fixed_slots: tuple[tuple[Variable, int], ...] = ()
-    #: :meth:`restricted` memo, keyed by the owned atoms.
-    _restrictions: dict[tuple[Atom, ...], "InternedPlan"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def num_steps(self) -> int:
@@ -154,18 +150,13 @@ class InternedPlan:
         source: every slot a kept step reads is then fixed or bound by an
         earlier kept step.  The slot layout is unchanged, so slots of the
         dropped atoms stay unbound and never reach a substitution.
-        Memoised per plan.
         """
-        plan = self._restrictions.get(atoms)
-        if plan is None:
-            owned = frozenset(atoms)
-            plan = replace(
-                self,
-                steps=tuple(step for step in self.steps if step.atom in owned),
-                static_steps=tuple(step for step in self.static_steps if step.atom in owned),
-            )
-            self._restrictions[atoms] = plan
-        return plan
+        owned = frozenset(atoms)
+        return replace(
+            self,
+            steps=tuple(step for step in self.steps if step.atom in owned),
+            static_steps=tuple(step for step in self.static_steps if step.atom in owned),
+        )
 
     def describe(self) -> str:
         """The cost-ordered join sequence with per-step signatures."""

@@ -149,8 +149,8 @@ class TestFactorExecution:
         with hooks.debug_verify_plans():
             for factor in factors:
                 list(backend.iterate_factor(source, factor, self.TARGET, self.FIXED))
-        # Each call checks the whole plan on retrieval, then its factor's subset.
-        assert hooks.verification_counts() == (4, 0)
+        # Each call checks its factor's step subset, never the whole plan.
+        assert hooks.verification_counts() == (2, 0)
 
     def test_a_split_that_cuts_a_component_is_rejected(self):
         from repro.engine import EngineCache, create_backend
@@ -167,8 +167,8 @@ class TestFactorExecution:
         session = Session(backend="interned", debug_verify_plans=True)
         outcome = session.decide(parse_cq("q(x) :- e(x,a), e(x,b), f(a,b)"), self.CONTAINING)
         assert outcome.verdict is True
-        # Two factors, each checked as the whole plan and as its own subset.
-        assert hooks.verification_counts() == (4, 0)
+        # Two factors, each checked as its own step subset.
+        assert hooks.verification_counts() == (2, 0)
 
 
 class TestCampaignReporting:

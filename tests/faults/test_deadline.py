@@ -115,27 +115,41 @@ class TestSessionDeadline:
         assert outcome.verdict is None
 
     def test_budget_spent_after_the_engine_degrades_in_the_encoding(self, monkeypatch):
-        # The engine returns its mappings just before the budget runs out;
-        # nothing downstream of the last factor's enumeration polls the
-        # engine's tick, so only the encoding can turn the rest of the
-        # request into an honest degradation instead of a late verdict.
+        # The engine returns its last factor's mappings just before the
+        # budget runs out; nothing downstream of it polls the engine's tick,
+        # so the encoding must turn the rest of the request into an honest
+        # degradation instead of a late verdict.  Earlier factors return at
+        # once: a slow one would trip the next factor's engine start check
+        # instead.  The polynomial must never be built, so the degradation
+        # cannot come from the Diophantine solver's own poll either.
+        from repro.core import encoding
         from repro.engine.batch import ContainmentMappingBatcher
         from repro.workloads.scale import wide_star_pair
 
         engine_mappings = ContainmentMappingBatcher.mappings
+        image_polynomial = encoding._image_polynomial
+        built = []
 
         def slow_mappings(self, grounded, probe, factor=None):
             mappings = engine_mappings(self, grounded, probe, factor)
-            time.sleep(0.06)
+            if factor is None or factor == len(self.factors) - 1:
+                time.sleep(0.06)
             return mappings
 
+        def watched_image_polynomial(*args):
+            polynomial = image_polynomial(*args)
+            built.append(polynomial)
+            return polynomial
+
         monkeypatch.setattr(ContainmentMappingBatcher, "mappings", slow_mappings)
+        monkeypatch.setattr(encoding, "_image_polynomial", watched_image_polynomial)
         containee, containing = wide_star_pair(2, 2)
         session = Session(limits=Limits(deadline_ms=30))
         outcome = session.decide(containee, containing)
         assert outcome.degraded == "deadline"
         assert outcome.verdict is None and outcome.value is None
         assert outcome.error is None
+        assert built == []
         monkeypatch.setattr(ContainmentMappingBatcher, "mappings", engine_mappings)
         retried = session.decide(containee, containing)
         assert retried.degraded is None and retried.verdict is True
