@@ -799,11 +799,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print("  note: this run used the naive backend, which bypasses the cache")
             for line in session.cache.describe().splitlines():
                 print(f"  {line}")
-            backend = session.backend
-            if hasattr(backend, "describe_selectivity"):
-                print("per-signature selectivity (probes / candidates returned):")
-                for line in backend.describe_selectivity().splitlines():
-                    print(f"  {line}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -168,12 +168,8 @@ def _image_polynomial(
         if position is None:
             raise _outside_body(containing, atom, factor_mappings[0][0])
         base[position] += multiplicity
-    # A single-factor body folds every moving atom, exactly as before
-    # factorisation; only a split body pays for regrouping them.
-    parts = [moving]
-    if len(factors) > 1:
-        entry_of = {entry[0]: entry for entry in moving}
-        parts = [[entry_of[atom] for atom in factor if atom in entry_of] for factor in factors]
+    entry_of = {entry[0]: entry for entry in moving}
+    parts = [[entry_of[atom] for atom in factor if atom in entry_of] for factor in factors]
 
     tick = deadline_handle()
     counts: dict[tuple[int, ...], int] = {}

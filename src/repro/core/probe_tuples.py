@@ -64,32 +64,24 @@ def is_probe_tuple(query: ConjunctiveQuery, candidate: Sequence[Term]) -> bool:
     return True
 
 
-def _repeated_position_groups(query: ConjunctiveQuery) -> tuple[tuple[int, ...], ...]:
-    """Head positions sharing a variable (only groups of size ≥ 2 constrain)."""
-    positions: dict[Term, list[int]] = {}
-    for position, variable in enumerate(query.head):
-        positions.setdefault(variable, []).append(position)
-    return tuple(tuple(group) for group in positions.values() if len(group) > 1)
-
-
 def iter_probe_tuples(query: ConjunctiveQuery) -> Iterator[tuple[Term, ...]]:
     """Enumerate every probe tuple of *query* (Definition 3.1), lazily.
 
-    The number of probe tuples is ``|adom(I_q)|^arity`` before the
-    unifiability filter, so this enumeration is exponential in the arity of
-    the query; the main decision path never needs it (Theorem 5.3).  The
-    unifiability condition is checked structurally — a candidate passes iff
-    every group of head positions sharing a variable carries one value — so
-    the inner loop of the all-probes sweep is exception-free.
+    A probe tuple assigns one value per distinct head variable, so there are
+    ``|adom(I_q)|^k`` of them for ``k`` distinct head variables: this
+    enumeration is exponential in that number, and the main decision path
+    never needs it (Theorem 5.3).  Values are chosen per distinct variable,
+    in first-occurrence order, and copied to every position the variable
+    holds, so unifiability holds by construction.  The order is the
+    lexicographic order over head positions, the order of filtering the
+    full ``product(domain, repeat=arity)``, without ever building a
+    candidate that fails the filter.
     """
     domain = probe_domain(query)
-    groups = _repeated_position_groups(query)
-    for candidate in product(domain, repeat=query.arity):
-        if all(
-            all(candidate[position] == candidate[group[0]] for position in group[1:])
-            for group in groups
-        ):
-            yield candidate
+    variables = tuple(dict.fromkeys(query.head))
+    positions = tuple(map(variables.index, query.head))
+    for values in product(domain, repeat=len(variables)):
+        yield tuple(values[index] for index in positions)
 
 
 def probe_tuples(query: ConjunctiveQuery) -> tuple[tuple[Term, ...], ...]:

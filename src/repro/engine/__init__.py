@@ -12,7 +12,8 @@ package turns that question into a compiled subsystem:
    signature indexes built on first use.
 2. **Plan and execute** (:mod:`repro.engine.interned`): a ``(source,
    target, fixed)`` triple is compiled once into an :class:`InternedPlan` —
-   a join order picked greedily by observed per-signature selectivity —
+   a join order picked greedily by the selectivity of the target's built
+   signature indexes —
    and an iterative, trail-based executor runs it in one of three modes,
    ``iterate``, ``count`` or ``exists``, so decision callers never pay for
    enumeration.
@@ -63,7 +64,6 @@ from repro.engine.cache import (
 from repro.engine.fingerprints import (
     UnpersistableKeyError,
     atoms_fingerprint,
-    instance_fingerprint,
     persistent_digest,
     query_fingerprint,
 )
@@ -109,7 +109,6 @@ __all__ = [
     "get_backend",
     "get_default_backend",
     "has_homomorphism",
-    "instance_fingerprint",
     "interned_count",
     "interned_exists",
     "interned_iterate",

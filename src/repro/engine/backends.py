@@ -80,22 +80,6 @@ class Backend:
     ) -> Iterator[Substitution]:
         raise NotImplementedError
 
-    def iterate_factor(
-        self,
-        source_atoms: Iterable[Atom],
-        factor_atoms: tuple[Atom, ...],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> Iterator[Substitution]:
-        """The homomorphisms of *factor_atoms*, a factor of *source_atoms*.
-
-        A factor shares no variable outside *fixed* with the rest of the
-        source, so the source's homomorphisms are the Cartesian product of
-        its factors' homomorphisms.  This default runs the factor's atoms
-        directly.
-        """
-        return self.iterate(factor_atoms, target_atoms, fixed)
-
     def count(
         self,
         source_atoms: Iterable[Atom],
@@ -230,8 +214,8 @@ class InternedBackend(Backend):
     columnar per-relation buckets of tuple-of-int rows, signature indexes
     key on packed integer keys, and plan steps address a flat slot-binding
     list instead of a variable dictionary.  Join orders are chosen by the
-    *observed* per-signature selectivity accumulated in ``selectivity``
-    (see :func:`~repro.engine.interned.compile_interned_plan`).
+    selectivity of the target's built signature indexes (see
+    :func:`~repro.engine.interned.compile_interned_plan`).
 
     Compiled artefacts live in the shared :class:`EngineCache` — interned
     targets in the index layer, interned plans in the plan layer, scalar
@@ -241,20 +225,10 @@ class InternedBackend(Backend):
 
     name = "interned"
 
-    def __init__(self, cache: EngineCache | None = None, collect_stats: bool = True) -> None:
+    def __init__(self, cache: EngineCache | None = None) -> None:
         self.cache = cache if cache is not None else EngineCache()
-        self.stats = ExecutionStats() if collect_stats else None
+        self.stats = ExecutionStats()
         self.dictionary = TermDictionary()
-        #: Per-signature ``[probes, candidates returned]`` counters, keyed by
-        #: ``(relation, arity, signature)`` — the statistics the planner's
-        #: cost ordering reads and ``--engine-stats`` prints.
-        self.selectivity: dict[tuple[str, int, tuple[int, ...]], list[int]] = {}
-        #: Identity-keyed plan memo: callers that re-execute with the *same*
-        #: atom containers (cached ``body_atoms()`` tuples, ``facts``
-        #: frozensets) skip fingerprinting entirely.  Values hold strong
-        #: references to the keyed containers, so an id can never be
-        #: recycled while its entry is alive; cleared wholesale when full.
-        self._plan_memo: dict[tuple, tuple[object, object, InternedPlan]] = {}
 
     # ------------------------------------------------------------------ #
     # Compiled artefact access
@@ -267,10 +241,6 @@ class InternedBackend(Backend):
             key, lambda: InternedTarget(self.dictionary, target)
         )
 
-    #: Identity-memo bound: cleared wholesale beyond this (entries rebuild
-    #: cheaply from the fingerprint-keyed plan layer underneath).
-    _PLAN_MEMO_LIMIT = 1024
-
     def plan(
         self,
         source_atoms: Iterable[Atom],
@@ -279,36 +249,12 @@ class InternedBackend(Backend):
     ) -> InternedPlan:
         """The (cached) cost-ordered integer plan for a ``(source, target, fixed)`` triple.
 
-        Lookup is two-tier: an identity memo keyed on the container ids
-        (hit when callers pass stable tuples/frozensets, as the cached
-        query/instance accessors do), backed by the shared cache's
-        fingerprint-keyed plan layer, which unifies logically equal triples
-        arriving under fresh identities.
+        Plans live in the shared cache's fingerprint-keyed plan layer, so
+        logically equal triples share one compiled plan.  Under
+        ``debug_verify_plans`` every plan is checked against *source_atoms*
+        before it runs.
         """
         fixed_variables = frozenset(fixed or ())
-        plan, source = self._lookup_plan(source_atoms, target_atoms, fixed_variables)
-        if _verify_hooks.verification_enabled():
-            _verify_hooks.check_plan(
-                plan,
-                source_atoms=tuple(source),
-                fixed_variables=fixed_variables,
-                dictionary=self.dictionary,
-            )
-        return plan
-
-    def _lookup_plan(
-        self,
-        source_atoms: Iterable[Atom],
-        target_atoms: Iterable[Atom],
-        fixed_variables: frozenset[Variable],
-    ) -> tuple[InternedPlan, Iterable[Atom]]:
-        """:meth:`plan` without verification, and the source atoms it was compiled from."""
-        ident = (id(source_atoms), id(target_atoms), fixed_variables)
-        memo = self._plan_memo
-        entry = memo.get(ident)
-        if entry is not None and entry[0] is source_atoms and entry[1] is target_atoms:
-            return entry[2], source_atoms
-
         source = tuple(source_atoms)
         target = tuple(target_atoms)
         key = (
@@ -318,17 +264,20 @@ class InternedBackend(Backend):
             "interned",
             self.dictionary.serial,
         )
-
-        def build() -> InternedPlan:
-            return compile_interned_plan(
-                self.dictionary, self.target(target), source, fixed_variables, self.selectivity
+        plan: InternedPlan = self.cache.plan_entry(  # type: ignore[assignment]
+            key,
+            lambda: compile_interned_plan(
+                self.dictionary, self.target(target), source, fixed_variables
+            ),
+        )
+        if _verify_hooks.verification_enabled():
+            _verify_hooks.check_plan(
+                plan,
+                source_atoms=source,
+                fixed_variables=fixed_variables,
+                dictionary=self.dictionary,
             )
-
-        plan = self.cache.plan_entry(key, build)  # type: ignore[assignment]
-        if len(memo) >= self._PLAN_MEMO_LIMIT:
-            memo.clear()
-        memo[ident] = (source_atoms, target_atoms, plan)  # type: ignore[arg-type]
-        return plan, source  # type: ignore[return-value]
+        return plan
 
     # ------------------------------------------------------------------ #
     # Backend interface
@@ -340,30 +289,6 @@ class InternedBackend(Backend):
         fixed: Mapping[Variable, Term] | None = None,
     ) -> Iterator[Substitution]:
         plan = self.plan(source_atoms, target_atoms, fixed)
-        return interned_iterate(plan, self.dictionary, fixed, stats=self.stats)
-
-    def iterate_factor(
-        self,
-        source_atoms: Iterable[Atom],
-        factor_atoms: tuple[Atom, ...],
-        target_atoms: Iterable[Atom],
-        fixed: Mapping[Variable, Term] | None = None,
-    ) -> Iterator[Substitution]:
-        """Run the factor's steps of the whole source's plan (one compile per source).
-
-        Plan verification checks the factor's step subset against its atoms
-        only: the whole plan is never run here.
-        """
-        fixed_variables = frozenset(fixed or ())
-        plan, _ = self._lookup_plan(source_atoms, target_atoms, fixed_variables)
-        plan = plan.restricted(factor_atoms)
-        if _verify_hooks.verification_enabled():
-            _verify_hooks.check_plan(
-                plan,
-                source_atoms=factor_atoms,
-                fixed_variables=fixed_variables,
-                dictionary=self.dictionary,
-            )
         return interned_iterate(plan, self.dictionary, fixed, stats=self.stats)
 
     def count(
@@ -407,28 +332,6 @@ class InternedBackend(Backend):
         fixed: Mapping[Variable, Term] | None,
     ) -> tuple:
         return _scalar_result_key(cls.name, mode, source, target, fixed)
-
-    # ------------------------------------------------------------------ #
-    # Selectivity statistics
-    # ------------------------------------------------------------------ #
-    def describe_selectivity(self, top: int = 10) -> str:
-        """The busiest per-signature selectivity counters, one line each.
-
-        ``avg`` is candidates returned per probe — the observed selectivity
-        the planner orders join steps by (lower probes earlier).
-        """
-        if not self.selectivity:
-            return "no signature probes recorded"
-        entries = sorted(self.selectivity.items(), key=lambda item: -item[1][0])[:top]
-        lines = [f"{'signature':<24} {'probes':>8} {'candidates':>11} {'avg':>7}"]
-        for (relation, arity, signature), (probes, candidates) in entries:
-            positions = ",".join(str(position) for position in signature) or "-"
-            average = candidates / probes if probes else 0.0
-            lines.append(
-                f"{relation}/{arity}[{positions}]".ljust(24)
-                + f" {probes:>8} {candidates:>11} {average:>7.2f}"
-            )
-        return "\n".join(lines)
 
 
 #: The backend names, in CLI presentation order.

@@ -136,8 +136,9 @@ class ContainmentMappingBatcher:
     the eager list-in/list-out wrapper.
 
     :attr:`factors` splits the body into factors, and
-    ``mappings(..., factor=k)`` enumerates the k-th factor alone, so a
-    caller that only needs per-factor sums never builds the product.
+    ``mappings(..., factor=k)`` enumerates the k-th factor's atoms alone
+    (an ordinary backend call with its own compiled plan), so a caller that
+    only needs per-factor sums never builds the product.
     """
 
     __slots__ = ("containing", "_source", "_backend", "_factors")
@@ -161,7 +162,6 @@ class ContainmentMappingBatcher:
         """``CM(containing, grounded@probe)``, or the mappings of one factor's atoms.
 
         A factor's mappings bind the head and that factor's variables only.
-        A single-factor body enumerates the whole body either way.
         """
         probe = tuple(probe)
         if self.containing.arity != len(probe):
@@ -170,10 +170,8 @@ class ContainmentMappingBatcher:
         if fixed is None:
             return ()
         backend = self._backend if self._backend is not None else get_default_backend()
-        target = grounded.body_atoms()
-        if factor is None or len(self.factors) == 1:
-            return tuple(backend.iterate(self._source, target, fixed))
-        return tuple(backend.iterate_factor(self._source, self.factors[factor], target, fixed))
+        source = self._source if factor is None else self.factors[factor]
+        return tuple(backend.iterate(source, grounded.body_atoms(), fixed))
 
 
 def containment_mappings_many(

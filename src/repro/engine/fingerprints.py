@@ -1,14 +1,11 @@
 """Canonical fingerprints used as engine-cache keys.
 
 Cache keys must be cheap to compute, hashable, and collision-free for the
-value objects the engine works with.  Three granularities are provided:
+value objects the engine works with.  Two granularities are provided:
 
 * :func:`atoms_fingerprint` — an order-insensitive key for a collection of
   atoms (sources and targets are semantically sets once deduplicated, so two
   call sites passing the same atoms in different orders share cache entries);
-* :func:`instance_fingerprint` — the key of a set or bag instance (the bag's
-  multiplicities are irrelevant to homomorphism enumeration, so a bag keys
-  by its support);
 * :func:`query_fingerprint` — a structural key for a conjunctive query:
   variables are replaced by integers assigned through a name-free iterative
   refinement, so renaming-isomorphic queries share a fingerprint whenever
@@ -33,13 +30,11 @@ from typing import Iterable, Mapping
 
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
-from repro.relational.instances import BagInstance, SetInstance
 from repro.relational.terms import CanonicalConstant, Constant, Variable
 
 __all__ = [
     "UnpersistableKeyError",
     "atoms_fingerprint",
-    "instance_fingerprint",
     "persistent_digest",
     "query_fingerprint",
 ]
@@ -48,15 +43,6 @@ __all__ = [
 def atoms_fingerprint(atoms: Iterable[Atom]) -> frozenset[Atom]:
     """An order-insensitive, hashable key for a collection of atoms."""
     return frozenset(atoms)
-
-
-def instance_fingerprint(instance: SetInstance | BagInstance | Iterable[Atom]) -> frozenset[Atom]:
-    """The cache key of an instance: the frozenset of its (support) facts."""
-    if isinstance(instance, SetInstance):
-        return instance.facts
-    if isinstance(instance, BagInstance):
-        return instance.support().facts
-    return frozenset(instance)
 
 
 #: Body size above which the canonical search falls back to a greedy pass.

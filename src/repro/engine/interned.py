@@ -11,11 +11,11 @@ inside the inner loop:
 * every plan step is compiled down to integer column positions: constants
   become term ids, variables become dense *slot* numbers into a flat binding
   list, and candidate lookup keys are packed integers;
-* join steps are **cost-ordered** by the observed per-signature selectivity
-  of the target's built indexes (average candidates returned per probe),
-  falling back to the static fail-first estimate only for signatures that
-  have never been probed — the planner learns from the index statistics the
-  executor accumulates.
+* join steps are **cost-ordered** by the selectivity of the target's
+  built signature indexes (rows per distinct key: the average number of
+  candidates a probe returns), falling back to a static fail-first estimate
+  for signatures whose index is not built yet.  The order is a function of
+  the target's state alone.
 
 The executor is an iterative loop with an explicit binding trail and an
 early-exit ``exists`` mode, solution-for-solution interchangeable with the
@@ -30,7 +30,7 @@ of enumerating everything and taking the first element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.engine.interning import ID_BITS, InternedTarget, TermDictionary
@@ -52,10 +52,6 @@ __all__ = [
     "interned_iterate",
     "step_cost",
 ]
-
-#: Selectivity counters: ``[probes, candidates returned]`` per signature.
-SelectivityCounters = dict[tuple[str, int, tuple[int, ...]], list[int]]
-
 
 @dataclass
 class ExecutionStats:
@@ -87,12 +83,10 @@ class InternedStep:
     assembles the packed probe key — each op is one int: a slot number when
     non-negative, a constant term id encoded as ``-1 - id`` otherwise —
     and ``new_ops`` lists the ``(column, slot)`` pairs that bind fresh
-    slots.  ``counter`` is the backend-level ``[probes, candidates]`` pair
-    for the step's signature — the statistics stream the cost ordering
-    feeds on.
+    slots.
     """
 
-    __slots__ = ("atom", "group", "bucket", "key_ops", "new_ops", "counter")
+    __slots__ = ("atom", "group", "bucket", "key_ops", "new_ops")
 
     def __init__(
         self,
@@ -101,14 +95,12 @@ class InternedStep:
         bucket: tuple[tuple[int, ...], ...],
         key_ops: tuple[int, ...],
         new_ops: tuple[tuple[int, int], ...],
-        counter: list[int],
     ) -> None:
         self.atom = atom
         self.group = group
         self.bucket = bucket
         self.key_ops = key_ops
         self.new_ops = new_ops
-        self.counter = counter
 
 
 @dataclass(frozen=True)
@@ -142,21 +134,6 @@ class InternedPlan:
     @property
     def num_steps(self) -> int:
         return len(self.static_steps) + len(self.steps)
-
-    def restricted(self, atoms: tuple[Atom, ...]) -> "InternedPlan":
-        """This plan cut down to the steps of *atoms*, in schedule order.
-
-        Sound when *atoms* share no unfixed variable with the rest of the
-        source: every slot a kept step reads is then fixed or bound by an
-        earlier kept step.  The slot layout is unchanged, so slots of the
-        dropped atoms stay unbound and never reach a substitution.
-        """
-        owned = frozenset(atoms)
-        return replace(
-            self,
-            steps=tuple(step for step in self.steps if step.atom in owned),
-            static_steps=tuple(step for step in self.static_steps if step.atom in owned),
-        )
 
     def describe(self) -> str:
         """The cost-ordered join sequence with per-step signatures."""
@@ -242,7 +219,6 @@ def step_cost(
 def compile_step(
     dictionary: TermDictionary,
     target: InternedTarget,
-    selectivity: SelectivityCounters,
     slot_of: Mapping[Variable, int],
     atom: Atom,
     bound: set[Variable],
@@ -267,8 +243,7 @@ def compile_step(
     else:
         group = None
         bucket = target.rows(atom.relation, atom.arity)
-    counter = selectivity.setdefault((atom.relation, atom.arity, determined), [0, 0])
-    return InternedStep(atom, group, bucket, tuple(key_ops), tuple(new_ops), counter)
+    return InternedStep(atom, group, bucket, tuple(key_ops), tuple(new_ops))
 
 
 def compile_interned_plan(
@@ -276,18 +251,16 @@ def compile_interned_plan(
     target: InternedTarget,
     source_atoms: Iterable[Atom],
     fixed_variables: frozenset[Variable],
-    selectivity: SelectivityCounters,
 ) -> InternedPlan:
     """Compile a cost-ordered integer plan against an interned target.
 
-    The join order is greedy fail-first, and the per-atom cost is the
-    *observed* selectivity of the atom's bound-position signature whenever
-    the target has already built (and therefore measured) that signature
-    index: ``len(bucket) / groups`` is exactly the
-    average number of candidates a probe returns.  Signatures never probed
-    fall back to the static ``bucket / 4^determined`` guess.  Ties prefer
-    more determined positions, then the original atom order — deterministic
-    for a fixed statistics state.
+    The join order is greedy fail-first (:func:`step_cost`), and the per-atom
+    cost is the selectivity of the atom's bound-position signature whenever
+    the target has already built that signature index: ``len(bucket) /
+    groups`` is exactly the average number of candidates a probe returns.
+    Signatures whose index is not built yet fall back to the static
+    ``bucket / 4^determined`` guess.  Ties prefer more determined positions,
+    then the original atom order — deterministic for a fixed target state.
     """
     source = tuple(dict.fromkeys(source_atoms))
     source_variables: set[Variable] = set()
@@ -308,7 +281,7 @@ def compile_interned_plan(
         atom = remaining.pop(
             min(range(len(remaining)), key=lambda i: step_cost(target, remaining[i], bound))
         )
-        steps.append(compile_step(dictionary, target, selectivity, slot_of, atom, bound))
+        steps.append(compile_step(dictionary, target, slot_of, atom, bound))
         bound.update(atom.variables())
 
     # Hoist the pure preconditions: filter steps (no fresh slots) whose keys
@@ -369,9 +342,6 @@ def _solutions(plan: InternedPlan, binding: list[int], run: _Run) -> Iterator[li
                 for op in step.key_ops:
                     key = (key << ID_BITS) | (binding[op] if op >= 0 else -1 - op)
                 rows = group.get(key, ())
-            counter = step.counter
-            counter[0] += 1
-            counter[1] += len(rows)
             if not rows:
                 return
             candidates += 1
@@ -410,9 +380,6 @@ def _solutions(plan: InternedPlan, binding: list[int], run: _Run) -> Iterator[li
                     for op in step.key_ops:
                         key = (key << ID_BITS) | (binding[op] if op >= 0 else -1 - op)
                     rows = group.get(key, ())
-                counter = step.counter
-                counter[0] += 1
-                counter[1] += len(rows)
                 if new_ops:
                     iterators[depth] = iter(rows)
                 else:

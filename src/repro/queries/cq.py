@@ -155,9 +155,8 @@ class ConjunctiveQuery:
     def body_atoms(self) -> tuple[Atom, ...]:
         """The distinct atoms of the body, in a deterministic order.
 
-        The tuple is built once and cached: queries are immutable, and a
-        *stable* tuple identity lets the engine's identity-keyed plan memo
-        recognise repeated executions without re-fingerprinting the atoms.
+        The tuple is built once and cached: queries are immutable, so every
+        caller shares one tuple.
         """
         try:
             return self._body_atoms

@@ -172,9 +172,8 @@ class BagInstance:
     def support(self) -> SetInstance:
         """The underlying set instance (facts with positive multiplicity).
 
-        Built once and cached (bags are immutable): a stable ``facts``
-        identity lets the engine's identity-keyed plan memo recognise
-        repeated evaluations of the same bag without re-fingerprinting.
+        Built once and cached (bags are immutable), so repeated
+        evaluations of the same bag share one support instance.
         """
         try:
             return self._support

@@ -125,7 +125,7 @@ class TestRaisingChecks:
         step = (plan.static_steps + plan.steps)[-1]
         # InternedStep uses __slots__: corrupt the cached step in place.
         type(step).__init__(
-            step, step.atom, step.group, step.bucket, step.key_ops[:-1], step.new_ops, step.counter
+            step, step.atom, step.group, step.bucket, step.key_ops[:-1], step.new_ops
         )
         with hooks.debug_verify_plans():
             with pytest.raises(PlanVerificationError):
@@ -139,35 +139,23 @@ class TestFactorExecution:
     TARGET = parse_cq("q(x) :- e(x,a), e(x,b), f(a,b)").body_atoms()
     FIXED = {Variable("x"): Constant("x")}
 
-    def test_each_factor_step_subset_is_verified(self):
+    def test_each_factor_plan_is_verified(self):
         from repro.engine import ContainmentMappingBatcher, EngineCache, create_backend
 
         backend = create_backend("interned", cache=EngineCache())
-        source = self.CONTAINING.body_atoms()
         factors = ContainmentMappingBatcher(self.CONTAINING).factors
         assert len(factors) == 2
         with hooks.debug_verify_plans():
             for factor in factors:
-                list(backend.iterate_factor(source, factor, self.TARGET, self.FIXED))
-        # Each call checks its factor's step subset, never the whole plan.
+                list(backend.iterate(factor, self.TARGET, self.FIXED))
+        # Each factor runs its own plan, checked against its own atoms.
         assert hooks.verification_counts() == (2, 0)
-
-    def test_a_split_that_cuts_a_component_is_rejected(self):
-        from repro.engine import EngineCache, create_backend
-
-        backend = create_backend("interned", cache=EngineCache())
-        source = self.CONTAINING.body_atoms()
-        # f(y, w) reads y, which only e(x, y) binds: not a factor on its own.
-        cut = tuple(atom for atom in source if atom.relation == "f")
-        with hooks.debug_verify_plans():
-            with pytest.raises(PlanVerificationError, match="unbound-read"):
-                list(backend.iterate_factor(source, cut, self.TARGET, self.FIXED))
 
     def test_decisions_verify_factor_execution(self):
         session = Session(backend="interned", debug_verify_plans=True)
         outcome = session.decide(parse_cq("q(x) :- e(x,a), e(x,b), f(a,b)"), self.CONTAINING)
         assert outcome.verdict is True
-        # Two factors, each checked as its own step subset.
+        # Two factors, each checked as its own plan.
         assert hooks.verification_counts() == (2, 0)
 
 

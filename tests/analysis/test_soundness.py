@@ -97,7 +97,7 @@ class TestVerifyInternedPlan:
         bad_ops[constant_position] = bad_ops[constant_position] - 1  # off-by-one id
         # InternedStep uses __slots__, not a dataclass: rebuild it in place.
         type(step).__init__(
-            step, step.atom, step.group, step.bucket, tuple(bad_ops), step.new_ops, step.counter
+            step, step.atom, step.group, step.bucket, tuple(bad_ops), step.new_ops
         )
         violations = verify_plan(
             plan, source_atoms=source, dictionary=backend.dictionary
@@ -125,7 +125,7 @@ def rebuilt(step, **changes):
     """A copy of an :class:`InternedStep` with some fields replaced."""
     fields = {
         name: getattr(step, name)
-        for name in ("atom", "group", "bucket", "key_ops", "new_ops", "counter")
+        for name in ("atom", "group", "bucket", "key_ops", "new_ops")
     }
     fields.update(changes)
     return InternedStep(**fields)

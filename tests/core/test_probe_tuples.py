@@ -1,5 +1,7 @@
 """Unit tests for probe tuples (Definition 3.1)."""
 
+from itertools import product
+
 from repro.core.probe_tuples import (
     canonical_probe_representative,
     is_probe_tuple,
@@ -8,8 +10,12 @@ from repro.core.probe_tuples import (
     probe_tuples,
     reduced_probe_tuples,
 )
+from repro.exceptions import UnificationError
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_cq
-from repro.relational.terms import CanonicalConstant, Constant
+from repro.relational.atoms import Atom
+from repro.relational.substitutions import unify_tuples
+from repro.relational.terms import CanonicalConstant, Constant, Variable
 from repro.workloads.paper_examples import section3_probe_example_query
 
 x1_hat, x2_hat = CanonicalConstant("x1"), CanonicalConstant("x2")
@@ -71,6 +77,31 @@ class TestUnifiabilityFilter:
         assert is_probe_tuple(query, (c1,))
         assert not is_probe_tuple(query, (Constant("unknown"),))
         assert not is_probe_tuple(query, (c1, c1))
+
+
+    def test_sequence_equals_the_filtered_product(self):
+        # Every head of arity <= 4 over three variables, against the
+        # brute-force filter of the full product: same tuples, same order.
+        variables = tuple(Variable(name) for name in ("x", "y", "z"))
+
+        def unifiable(head, candidate):
+            try:
+                unify_tuples(head, candidate)
+            except UnificationError:
+                return False
+            return True
+
+        for arity in range(5):
+            for head in product(variables, repeat=arity):
+                body = {Atom("R", (variable, c1)): 1 for variable in dict.fromkeys(head)}
+                body[Atom("S", (Variable("w"), c2))] = 1
+                query = ConjunctiveQuery(head, body)
+                expected = tuple(
+                    candidate
+                    for candidate in product(probe_domain(query), repeat=arity)
+                    if unifiable(head, candidate)
+                )
+                assert probe_tuples(query) == expected, head
 
 
 class TestCanonicalRepresentative:

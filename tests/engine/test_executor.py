@@ -24,7 +24,6 @@ def compile_plan(source, target, fixed_variables=()):
         InternedTarget(dictionary, target),
         source,
         frozenset(fixed_variables),
-        {},
     )
     return plan, dictionary
 

@@ -195,20 +195,6 @@ class TestBackendBehaviour:
         assert interned.count(source, target) == 2
         assert cache.result_stats.misses == misses_before + 1  # not a shared hit
 
-    def test_selectivity_counters_accumulate_and_describe(self):
-        backend = fresh_backend()
-        source = (Atom("R", (x, y)),)
-        target = (Atom("R", (a, b)), Atom("R", (a, c)))
-        list(backend.iterate(source, target, {x: a}))
-        key = ("R", 2, (0,))
-        probes, candidates = backend.selectivity[key]
-        assert probes >= 1 and candidates >= 2
-        rendered = backend.describe_selectivity()
-        assert "R/2[0]" in rendered
-        assert InternedBackend(cache=EngineCache()).describe_selectivity() == (
-            "no signature probes recorded"
-        )
-
     def test_arity_zero_atoms(self):
         backend = fresh_backend()
         assert backend.count((Atom("R", ()),), (Atom("R", ()),)) == 1

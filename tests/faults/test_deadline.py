@@ -187,6 +187,23 @@ class TestSessionDeadline:
         assert outcome.verdict is None and outcome.error is None
         assert elapsed_ms < 500, f"degraded only after {elapsed_ms:.0f}ms"
 
+    def test_all_probes_enumeration_stays_inside_the_budget(self):
+        # Six head positions share one variable over a 16-constant domain:
+        # 16 probe tuples, but filtering all 16^6 candidate tuples took
+        # seconds between two probes, where no deadline poll runs.
+        from repro.queries.parser import parse_cq
+
+        atoms = ", ".join(f"R(x,c{index})" for index in range(15))
+        containee = parse_cq(f"q1(x,x,x,x,x,x) <- {atoms}")
+        containing = parse_cq(f"q2(y,y,y,y,y,y) <- {atoms.replace('x', 'y')}")
+        session = Session(limits=Limits(deadline_ms=5), memoize=False)
+        started = time.perf_counter()
+        outcome = session.decide(containee, containing, strategy="all-probes")
+        elapsed_ms = (time.perf_counter() - started) * 1000
+        assert outcome.degraded == "deadline"
+        assert outcome.verdict is None and outcome.error is None
+        assert elapsed_ms < 500, f"degraded only after {elapsed_ms:.0f}ms"
+
     def test_generous_deadline_leaves_bounded_guess_outcomes_unchanged(self):
         # The contained pairs here enumerate about 1,200 candidates each, so
         # the candidate loop's deadline poll fires many times per request.
