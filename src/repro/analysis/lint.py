@@ -111,7 +111,7 @@ class LintRule:
     summary: str
     check: Check
     scope: tuple[str, ...] = ()
-    #: Long-form rationale shown by ``repro analyze --explain NAME``.
+    #: Long-form rationale shown by ``repro lint --explain NAME``.
     explanation: str = ""
 
     def applies(self, path: str) -> bool:
@@ -139,14 +139,14 @@ class LintStats:
 
 
 def default_rules() -> tuple[LintRule, ...]:
-    """The built-in rule set (imported lazily to keep this module generic).
+    """The built-in per-file rules (imported lazily to keep this module generic).
 
-    Includes both the syntactic rules and the flow-sensitive analyzers;
-    ``repro analyze`` runs the analyzer subset alone.
+    Both the syntactic rules and the flow-sensitive determinism-taint
+    analyzer.
     """
-    from repro.analysis.rules import ALL_RULES
+    from repro.analysis.rules import RULES
 
-    return ALL_RULES
+    return RULES
 
 
 def default_paths() -> list[Path]:

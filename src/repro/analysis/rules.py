@@ -1,12 +1,14 @@
 """The repro-specific lint rules and dataflow analyzers.
 
-:data:`RULES` holds the syntactic checks (per-node AST matches);
-:data:`ANALYZER_RULES` holds the flow-sensitive determinism-taint analyzer
-built on :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`.  Both run
-under the same driver, share one parsed AST per file (via
-:meth:`LintContext.nodes`), and use the same justified-suppression
-syntax.  The catalogue in ``docs/static-analysis.md`` documents every
-rule's rationale and suppression guidance; keep the two in sync.
+:data:`RULES` holds the syntactic checks (per-node AST matches) and the
+flow-sensitive determinism-taint analyzer built on
+:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`.  They run under
+the same driver, share one parsed AST per file (via
+:meth:`LintContext.nodes`), and use the same justified-suppression syntax.
+:data:`PERSIST_SCHEMA` names the persist-schema lock check, which
+``repro lint`` runs once per invocation beside them.  The catalogue in
+``docs/static-analysis.md`` documents every rule's rationale and
+suppression guidance; keep the two in sync.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterator
 
 from repro.analysis.lint import LintContext, LintRule
 
-__all__ = ["ALL_RULES", "ANALYZER_RULES", "RULES"]
+__all__ = ["PERSIST_SCHEMA", "RULES"]
 
 #: Node types whose evaluation yields a freshly allocated mutable object.
 _MUTABLE_LITERALS = (
@@ -225,11 +227,6 @@ RULES: tuple[LintRule, ...] = (
             "narrowest exception type the recovery actually handles."
         ),
     ),
-)
-
-#: The flow-sensitive analyzer.  It runs under ``repro lint`` alongside
-#: the syntactic rules and alone under ``repro analyze``.
-ANALYZER_RULES: tuple[LintRule, ...] = (
     LintRule(
         name="determinism-taint",
         summary="no nondeterministic value may flow into verdicts, certificates, "
@@ -253,5 +250,21 @@ ANALYZER_RULES: tuple[LintRule, ...] = (
     ),
 )
 
-#: Everything ``repro lint`` runs by default.
-ALL_RULES: tuple[LintRule, ...] = RULES + ANALYZER_RULES
+#: The persist-schema lock (:mod:`repro.analysis.schema_lock`).  It compares
+#: the running code's pickled layouts with the committed lock, not a source
+#: file, so it has no per-file check: ``repro lint`` runs
+#: :func:`~repro.analysis.schema_lock.check_lock` once when it is selected.
+PERSIST_SCHEMA = LintRule(
+    name="persist-schema",
+    summary="pickled persist layouts match persist-schema.lock, or SCHEMA_VERSION was bumped",
+    check=lambda context: (),
+    explanation=(
+        "The persistent cache pickles decision memos and their certificate "
+        "payloads, keyed in part by SCHEMA_VERSION.  The check fingerprints "
+        "the layout of every repro type reachable from those roots and "
+        "compares it with persist-schema.lock (--schema-lock PATH).  A "
+        "layout change without a SCHEMA_VERSION bump fails with a per-type "
+        "field diff; after a bump, regenerate the lock with "
+        "--write-schema-lock and commit it with the bump."
+    ),
+)

@@ -26,7 +26,7 @@ interesting states:
 * layouts changed, same ``SCHEMA_VERSION`` → **drift without a bump**, the
   failure this module exists to catch, reported with a per-type diff;
 * ``SCHEMA_VERSION`` bumped → the lock is stale and must be regenerated
-  with ``repro analyze --write-schema-lock`` (a deliberate second commit
+  with ``repro lint --write-schema-lock`` (a deliberate second commit
   step, so the bump and the new fingerprint land together in review).
 
 Fingerprints are *structural*, not semantic: renaming a field the pickle
@@ -257,13 +257,13 @@ def check_lock(path: str | Path) -> list[str]:
     if not lock_path.exists():
         return [
             f"schema lock {lock_path} is missing; generate it with "
-            "`repro analyze --write-schema-lock`"
+            "`repro lint --write-schema-lock`"
         ]
     lock = _load_lock(lock_path)
     if lock is None:
         return [
             f"schema lock {lock_path} is unreadable; regenerate it with "
-            "`repro analyze --write-schema-lock`"
+            "`repro lint --write-schema-lock`"
         ]
     if lock.digest == current.digest and lock.schema_version == current.schema_version:
         return []
@@ -271,14 +271,14 @@ def check_lock(path: str | Path) -> list[str]:
         return [
             "persist-schema.lock is stale: SCHEMA_VERSION is now "
             f"{current.schema_version} (lock has {lock.schema_version}); "
-            "refresh it with `repro analyze --write-schema-lock` and commit "
+            "refresh it with `repro lint --write-schema-lock` and commit "
             "the result alongside the bump"
         ]
     problems = [
         "persisted-object layout changed without a SCHEMA_VERSION bump "
         f"(still {current.schema_version}); bump repro.engine.persist."
         "SCHEMA_VERSION, then refresh the lock with "
-        "`repro analyze --write-schema-lock`"
+        "`repro lint --write-schema-lock`"
     ]
     problems.extend(diff_layouts(lock.types, current.types))
     return problems

@@ -1,6 +1,9 @@
-"""Baselines: brute-force refuters and cross-checking utilities."""
+"""Baselines: the brute-force bag refuters.
 
-from repro.baselines.comparison import AgreementReport, cross_check
+They are sound but incomplete checks of a verdict; ``Session.verify`` runs
+them next to the exact decider (see :mod:`repro.verify.oracles`).
+"""
+
 from repro.baselines.refuters import (
     RefutationOutcome,
     bounded_bag_refuter,
@@ -9,10 +12,8 @@ from repro.baselines.refuters import (
 )
 
 __all__ = [
-    "AgreementReport",
     "RefutationOutcome",
     "bounded_bag_refuter",
     "check_bag",
-    "cross_check",
     "random_bag_refuter",
 ]

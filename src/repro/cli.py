@@ -46,14 +46,10 @@ Sub-commands
     Run the repro-specific static checks (``repro.analysis.lint``) over
     source trees: the syntactic rules (determinism hazards in the
     fingerprint/serialisation paths, mutable defaults, process-global
-    state, bare excepts) plus the
-    flow-sensitive determinism-taint analyzer.  ``--check`` is the quiet CI mode
-    (a timing line goes to stderr); suppressions require a justification.
-
-``analyze``
-    Run only the flow-sensitive determinism-taint analyzer
-    (``repro.analysis.taint``) plus the persist-schema lock check
-    (``repro.analysis.schema_lock``).
+    state, bare excepts), the flow-sensitive determinism-taint analyzer,
+    and the persist-schema lock check (``repro.analysis.schema_lock``).
+    ``--check`` is the quiet CI mode (a timing line goes to stderr);
+    suppressions require a justification.  ``--rule NAME`` selects rules,
     ``--explain NAME`` prints a rule's full rationale, and
     ``--write-schema-lock`` regenerates ``persist-schema.lock`` after a
     deliberate ``SCHEMA_VERSION`` bump.
@@ -246,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     lint = subparsers.add_parser(
-        "lint", help="run the repro-specific AST lint rules over source trees"
+        "lint",
+        help="run the repro-specific lint rules, the determinism-taint analyzer "
+        "and the persist-schema lock check",
     )
     lint.add_argument(
         "paths",
@@ -269,47 +267,23 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true", help="list the available rules and exit"
     )
-
-    analyze = subparsers.add_parser(
-        "analyze",
-        help="run the determinism-taint analyzer and the persist-schema lock check",
-    )
-    analyze.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="files or directories to analyze (default: the installed repro package)",
-    )
-    analyze.add_argument(
-        "--check",
-        action="store_true",
-        help="CI mode: print nothing on success, exit 1 on any finding",
-    )
-    analyze.add_argument(
+    lint.add_argument(
         "--explain",
         metavar="NAME",
         default=None,
-        help="print the full rationale of one rule or analyzer and exit",
+        help="print the full rationale of one rule and exit",
     )
-    analyze.add_argument(
-        "--list-rules", action="store_true", help="list the available analyzers and exit"
-    )
-    analyze.add_argument(
+    lint.add_argument(
         "--schema-lock",
         metavar="PATH",
         default="persist-schema.lock",
         help="location of the committed schema lock (default: ./persist-schema.lock)",
     )
-    analyze.add_argument(
+    lint.add_argument(
         "--write-schema-lock",
         action="store_true",
         help="regenerate the schema lock from the running code and exit "
         "(commit the result alongside a SCHEMA_VERSION bump)",
-    )
-    analyze.add_argument(
-        "--no-schema-lock",
-        action="store_true",
-        help="skip the persist-schema lock check (taint analyzer only)",
     )
 
     cache = subparsers.add_parser(
@@ -544,52 +518,29 @@ def _run_fuzz(args: argparse.Namespace, session: Session) -> int:
 
 
 def _run_lint(args: argparse.Namespace, session: Session) -> int:
-    """Run the AST lint rules (``lint [--check] [--rule NAME] [PATHS]``)."""
+    """Run the static checks (``lint [--check] [--rule NAME] [PATHS]``).
+
+    The per-file rules run over *PATHS*; the ``persist-schema`` rule checks
+    the committed lock against the running code once.
+    """
     from pathlib import Path
 
     from repro.analysis.lint import default_rules, lint_paths_timed
+    from repro.analysis.rules import PERSIST_SCHEMA
+    from repro.analysis.schema_lock import check_lock, write_lock
 
-    rules = default_rules()
+    catalogue = default_rules() + (PERSIST_SCHEMA,)
     if args.list_rules:
-        for rule in rules:
+        for rule in catalogue:
             scope = f" [{', '.join(rule.scope)}]" if rule.scope else ""
             print(f"{rule.name:<24} {rule.summary}{scope}")
         return 0
-    if args.rule:
-        wanted = set(args.rule)
-        known = {rule.name for rule in rules}
-        unknown = wanted - known
-        if unknown:
-            raise CliError(
-                f"unknown lint rule(s) {', '.join(sorted(unknown))}; "
-                f"known rules: {', '.join(sorted(known))}"
-            )
-        rules = tuple(rule for rule in rules if rule.name in wanted)
-    paths = [Path(path) for path in args.paths] if args.paths else None
-    findings, stats = lint_paths_timed(paths, rules)
-    for finding in findings:
-        print(finding.describe())
-    if not findings and not args.check:
-        print("no lint findings")
-    # Timing goes to stderr so --check stays silent on stdout for CI logs.
-    print(stats.describe(), file=sys.stderr if args.check else sys.stdout)
-    return 1 if findings else 0
-
-
-def _run_analyze(args: argparse.Namespace, session: Session) -> int:
-    """Run the taint analyzer and schema-lock check (``analyze ...``)."""
-    from pathlib import Path
-
-    from repro.analysis.lint import lint_paths_timed
-    from repro.analysis.rules import ALL_RULES, ANALYZER_RULES
-    from repro.analysis.schema_lock import check_lock, write_lock
-
     if args.explain is not None:
-        matches = [rule for rule in ALL_RULES if rule.name == args.explain]
+        matches = [rule for rule in catalogue if rule.name == args.explain]
         if not matches:
             raise CliError(
                 f"unknown rule {args.explain!r}; known rules: "
-                f"{', '.join(sorted(rule.name for rule in ALL_RULES))}"
+                f"{', '.join(sorted(rule.name for rule in catalogue))}"
             )
         rule = matches[0]
         print(f"{rule.name}: {rule.summary}")
@@ -606,20 +557,29 @@ def _run_analyze(args: argparse.Namespace, session: Session) -> int:
             f"{len(fingerprint.types)} types, digest {fingerprint.digest[:16]}…)"
         )
         return 0
-    if args.list_rules:
-        for rule in ANALYZER_RULES:
-            print(f"{rule.name:<24} {rule.summary}")
-        return 0
+    selected = catalogue
+    if args.rule:
+        wanted = set(args.rule)
+        known = {rule.name for rule in catalogue}
+        unknown = wanted - known
+        if unknown:
+            raise CliError(
+                f"unknown lint rule(s) {', '.join(sorted(unknown))}; "
+                f"known rules: {', '.join(sorted(known))}"
+            )
+        selected = tuple(rule for rule in catalogue if rule.name in wanted)
     paths = [Path(path) for path in args.paths] if args.paths else None
-    findings, stats = lint_paths_timed(paths, ANALYZER_RULES)
+    findings, stats = lint_paths_timed(paths, [rule for rule in selected if rule != PERSIST_SCHEMA])
     for finding in findings:
         print(finding.describe())
-    problems = [] if args.no_schema_lock else check_lock(args.schema_lock)
+    lock_checked = PERSIST_SCHEMA in selected
+    problems = check_lock(args.schema_lock) if lock_checked else []
     for problem in problems:
         print(f"persist-schema: {problem}")
     failed = bool(findings) or bool(problems)
     if not failed and not args.check:
-        print("no analyzer findings; persist-schema lock matches")
+        print("no lint findings" + ("; persist-schema lock matches" if lock_checked else ""))
+    # Timing goes to stderr so --check stays silent on stdout for CI logs.
     print(stats.describe(), file=sys.stderr if args.check else sys.stdout)
     return 1 if failed else 0
 
@@ -768,7 +728,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "compare": _run_compare,
         "fuzz": _run_fuzz,
         "lint": _run_lint,
-        "analyze": _run_analyze,
         "cache": _run_cache,
         "chaos": _run_chaos,
         "profile": _run_profile,

@@ -20,16 +20,18 @@ points of the paper:
     procedure literally (and is therefore exponential-time when run
     deterministically); only suitable for small instances and cross-checks.
 
-All strategies return a :class:`BagContainmentResult` that carries the MPI
-encodings they inspected and, for negative answers, a verified
-counterexample certificate.
+The three share one probe walk (Theorem 3.1): a probe tuple that is not
+unifiable with the containing head refutes containment with the uniform
+counterexample, and otherwise the strategy's own step (the solver, or the
+bounded guess) looks for a solution of that probe's MPI.  All strategies
+return a :class:`BagContainmentResult` that carries the MPI encodings they
+inspected and, for negative answers, a verified counterexample certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.certificates import (
     ContainmentCounterexample,
@@ -98,35 +100,91 @@ class BagContainmentResult:
         return "\n".join(lines)
 
 
-def _negative_result(
+def _probe_text(probe: Sequence[Term]) -> str:
+    return f"({', '.join(str(t) for t in probe)})"
+
+
+#: One probe's MPI settled: the solver outcome (if a solver ran), a natural
+#: witness when the probe refutes containment, and the refutation's reason.
+Settle = Callable[[MpiEncoding], tuple[MpiDecision | None, tuple[int, ...] | None, str]]
+
+
+def _walk(
     containee: ConjunctiveQuery,
     containing: ConjunctiveQuery,
     strategy: str,
-    reason: str,
-    encoding: MpiEncoding | None,
-    decision: MpiDecision | None,
-    counterexample: ContainmentCounterexample | None,
+    encodings: Iterable[MpiEncoding],
+    settle: Settle,
+    contained_reason: str,
     verify: bool,
 ) -> BagContainmentResult:
-    verified = False
-    if counterexample is not None and verify:
-        verified = counterexample.verify(containee, containing)
-        if not verified:
+    """The probe walk every strategy shares (Theorem 3.1).
+
+    Each probe is refuted outright when it is not unifiable with the
+    containing head (condition (1)); otherwise *settle* looks for a solution
+    of its MPI.  The first refuting probe ends the walk with a counterexample
+    bag, replayed when *verify* is set; a walk with no refuting probe proves
+    containment.
+    """
+    inspected: list[MpiEncoding] = []
+    decisions: list[MpiDecision] = []
+    for encoding in encodings:
+        inspected.append(encoding)
+        decision: MpiDecision | None = None
+        if not encoding.probe_unifiable_with_containing:
+            counterexample = uniform_counterexample(encoding)
+            if strategy == "most-general":
+                reason = "the most-general probe tuple is not unifiable with the head of the containing query"
+            else:
+                reason = f"probe tuple {_probe_text(encoding.probe)} is not unifiable with the containing head"
+        else:
+            decision, witness, reason = settle(encoding)
+            if decision is not None:
+                decisions.append(decision)
+            if witness is None:
+                continue
+            counterexample = counterexample_from_witness(encoding, witness)
+
+        verified = verify and counterexample.verify(containee, containing)
+        if verify and not verified:
             raise ContainmentError(
                 "internal error: a negative verdict produced a counterexample that does not verify"
             )
+        return BagContainmentResult(
+            contained=False,
+            containee=containee,
+            containing=containing,
+            strategy=strategy,
+            reason=reason,
+            encodings=(encoding,),
+            mpi_decisions=(decision,) if decision is not None else (),
+            counterexample=counterexample,
+            failing_probe=encoding.probe,
+            verified=verified,
+        )
+
     return BagContainmentResult(
-        contained=False,
+        contained=True,
         containee=containee,
         containing=containing,
         strategy=strategy,
-        reason=reason,
-        encodings=(encoding,) if encoding is not None else (),
-        mpi_decisions=(decision,) if decision is not None else (),
-        counterexample=counterexample,
-        failing_probe=encoding.probe if encoding is not None else None,
-        verified=verified,
+        reason=contained_reason,
+        encodings=tuple(inspected),
+        mpi_decisions=tuple(decisions),
     )
+
+
+def _solve(use_lp: bool, solvable_reason: Callable[[MpiEncoding], str]) -> Settle:
+    """Settle a probe with the Diophantine solver (Theorem 4.2)."""
+
+    def settle(encoding: MpiEncoding) -> tuple[MpiDecision, tuple[int, ...] | None, str]:
+        decision = decide_mpi_via_lp(encoding.inequality) if use_lp else decide_mpi(encoding.inequality)
+        if not decision.solvable:
+            return decision, None, ""
+        assert decision.witness is not None
+        return decision, decision.witness, solvable_reason(encoding)
+
+    return settle
 
 
 def decide_via_most_general_probe(
@@ -137,44 +195,17 @@ def decide_via_most_general_probe(
 ) -> BagContainmentResult:
     """Theorem 5.3: decide containment through the most-general probe tuple only."""
     containee.require_projection_free()
-    encoding = encode_most_general(containee, containing)
-
-    if not encoding.probe_unifiable_with_containing:
-        counterexample = uniform_counterexample(encoding)
-        return _negative_result(
-            containee,
-            containing,
-            "most-general",
-            "the most-general probe tuple is not unifiable with the head of the containing query",
-            encoding,
-            None,
-            counterexample,
-            verify_counterexamples,
-        )
-
-    decision = decide_mpi_via_lp(encoding.inequality) if use_lp else decide_mpi(encoding.inequality)
-    if decision.solvable:
-        assert decision.witness is not None
-        counterexample = counterexample_from_witness(encoding, decision.witness)
-        return _negative_result(
-            containee,
-            containing,
-            "most-general",
-            "the associated monomial-polynomial inequality admits a Diophantine solution",
-            encoding,
-            decision,
-            counterexample,
-            verify_counterexamples,
-        )
-
-    return BagContainmentResult(
-        contained=True,
-        containee=containee,
-        containing=containing,
-        strategy="most-general",
-        reason="the associated monomial-polynomial inequality has no Diophantine solution",
-        encodings=(encoding,),
-        mpi_decisions=(decision,),
+    return _walk(
+        containee,
+        containing,
+        "most-general",
+        (encode_most_general(containee, containing),),
+        _solve(
+            use_lp,
+            lambda encoding: "the associated monomial-polynomial inequality admits a Diophantine solution",
+        ),
+        "the associated monomial-polynomial inequality has no Diophantine solution",
+        verify_counterexamples,
     )
 
 
@@ -186,50 +217,19 @@ def decide_via_all_probes(
 ) -> BagContainmentResult:
     """Corollary 3.1: decide containment by checking one MPI per probe tuple."""
     containee.require_projection_free()
-    encodings: list[MpiEncoding] = []
-    decisions: list[MpiDecision] = []
-
-    for encoding in encode_many(containee, containing, iter_probe_tuples(containee)):
-        probe = encoding.probe
-        encodings.append(encoding)
-
-        if not encoding.probe_unifiable_with_containing:
-            counterexample = uniform_counterexample(encoding)
-            return _negative_result(
-                containee,
-                containing,
-                "all-probes",
-                f"probe tuple ({', '.join(str(t) for t in probe)}) is not unifiable with the containing head",
-                encoding,
-                None,
-                counterexample,
-                verify_counterexamples,
-            )
-
-        decision = decide_mpi_via_lp(encoding.inequality) if use_lp else decide_mpi(encoding.inequality)
-        decisions.append(decision)
-        if decision.solvable:
-            assert decision.witness is not None
-            counterexample = counterexample_from_witness(encoding, decision.witness)
-            return _negative_result(
-                containee,
-                containing,
-                "all-probes",
-                f"the inequality at probe tuple ({', '.join(str(t) for t in probe)}) admits a Diophantine solution",
-                encoding,
-                decision,
-                counterexample,
-                verify_counterexamples,
-            )
-
-    return BagContainmentResult(
-        contained=True,
-        containee=containee,
-        containing=containing,
-        strategy="all-probes",
-        reason="no probe tuple yields a solvable monomial-polynomial inequality",
-        encodings=tuple(encodings),
-        mpi_decisions=tuple(decisions),
+    return _walk(
+        containee,
+        containing,
+        "all-probes",
+        encode_many(containee, containing, iter_probe_tuples(containee)),
+        _solve(
+            use_lp,
+            lambda encoding: (
+                f"the inequality at probe tuple {_probe_text(encoding.probe)} admits a Diophantine solution"
+            ),
+        ),
+        "no probe tuple yields a solvable monomial-polynomial inequality",
+        verify_counterexamples,
     )
 
 
@@ -267,25 +267,8 @@ def decide_via_bounded_guess(
     and an ambient deadline is polled every :data:`TICK_INTERVAL` candidates.
     """
     containee.require_projection_free()
-    encodings: list[MpiEncoding] = []
 
-    for encoding in encode_many(containee, containing, iter_probe_tuples(containee)):
-        probe = encoding.probe
-        encodings.append(encoding)
-
-        if not encoding.probe_unifiable_with_containing:
-            counterexample = uniform_counterexample(encoding)
-            return _negative_result(
-                containee,
-                containing,
-                "bounded-guess",
-                f"probe tuple ({', '.join(str(t) for t in probe)}) is not unifiable with the containing head",
-                encoding,
-                None,
-                counterexample,
-                verify_counterexamples,
-            )
-
+    def guess(encoding: MpiEncoding) -> tuple[None, tuple[int, ...] | None, str]:
         system = encoding.inequality.to_linear_system()
         effective_bound = bound if bound is not None else solution_component_bound(system)
         dimension = encoding.dimension
@@ -310,81 +293,23 @@ def decide_via_bounded_guess(
             if all(value == 0 for value in candidate):
                 continue
             if system.is_solution(candidate):
-                witness = witness_from_linear_solution(encoding.inequality, candidate)
-                counterexample = counterexample_from_witness(encoding, witness)
-                return _negative_result(
-                    containee,
-                    containing,
-                    "bounded-guess",
-                    f"the bounded vector {candidate} violates every containment-mapping inequality "
-                    f"at probe tuple ({', '.join(str(t) for t in probe)})",
-                    encoding,
+                return (
                     None,
-                    counterexample,
-                    verify_counterexamples,
+                    witness_from_linear_solution(encoding.inequality, candidate),
+                    f"the bounded vector {candidate} violates every containment-mapping inequality "
+                    f"at probe tuple {_probe_text(encoding.probe)}",
                 )
+        return None, None, ""
 
-    return BagContainmentResult(
-        contained=True,
-        containee=containee,
-        containing=containing,
-        strategy="bounded-guess",
-        reason="no bounded natural vector violates the containment-mapping inequalities",
-        encodings=tuple(encodings),
+    return _walk(
+        containee,
+        containing,
+        "bounded-guess",
+        encode_many(containee, containing, iter_probe_tuples(containee)),
+        guess,
+        "no bounded natural vector violates the containment-mapping inequalities",
+        verify_counterexamples,
     )
-
-
-def _most_general_strategy(
-    containee: ConjunctiveQuery,
-    containing: ConjunctiveQuery,
-    *,
-    use_lp: bool = False,
-    verify_counterexamples: bool = True,
-    max_candidates: int | None = None,
-) -> BagContainmentResult:
-    return decide_via_most_general_probe(
-        containee, containing, use_lp=use_lp, verify_counterexamples=verify_counterexamples
-    )
-
-
-def _all_probes_strategy(
-    containee: ConjunctiveQuery,
-    containing: ConjunctiveQuery,
-    *,
-    use_lp: bool = False,
-    verify_counterexamples: bool = True,
-    max_candidates: int | None = None,
-) -> BagContainmentResult:
-    return decide_via_all_probes(
-        containee, containing, use_lp=use_lp, verify_counterexamples=verify_counterexamples
-    )
-
-
-def _bounded_guess_strategy(
-    containee: ConjunctiveQuery,
-    containing: ConjunctiveQuery,
-    *,
-    use_lp: bool = False,
-    verify_counterexamples: bool = True,
-    max_candidates: int | None = None,
-) -> BagContainmentResult:
-    kwargs = {} if max_candidates is None else {"max_candidates": max_candidates}
-    return decide_via_bounded_guess(
-        containee, containing, verify_counterexamples=verify_counterexamples, **kwargs
-    )
-
-
-#: Name → strategy.  A strategy decides ``containee ⊑b containing`` and
-#: returns a :class:`BagContainmentResult`; it receives every tunable as a
-#: keyword and ignores those it does not use (``use_lp`` for enumeration
-#: strategies, ``max_candidates`` for solver strategies).
-_STRATEGIES: Mapping[str, Callable[..., BagContainmentResult]] = MappingProxyType(
-    {
-        "most-general": _most_general_strategy,
-        "all-probes": _all_probes_strategy,
-        "bounded-guess": _bounded_guess_strategy,
-    }
-)
 
 
 def strategy_names() -> tuple[str, ...]:
@@ -404,22 +329,25 @@ def decide_bag_containment(
 
     The containee must be projection-free; the containing query is an
     arbitrary CQ.  See the module docstring for the strategies.
-    ``max_candidates`` caps the bounded-guess enumeration (ignored by the
-    solver strategies).
+    ``use_lp`` applies to the solver strategies and ``max_candidates`` caps
+    the bounded-guess enumeration; each is ignored by the other strategies.
     """
-    try:
-        fn = _STRATEGIES[strategy]
-    except KeyError:
-        raise ContainmentError(
-            f"unknown strategy {strategy!r}; expected one of {strategy_names()}"
-        ) from None
-    return fn(
-        containee,
-        containing,
-        use_lp=use_lp,
-        verify_counterexamples=verify_counterexamples,
-        max_candidates=max_candidates,
-    )
+    if strategy == "most-general":
+        return decide_via_most_general_probe(containee, containing, use_lp, verify_counterexamples)
+    if strategy == "all-probes":
+        return decide_via_all_probes(containee, containing, use_lp, verify_counterexamples)
+    if strategy == "bounded-guess":
+        if max_candidates is None:
+            return decide_via_bounded_guess(
+                containee, containing, verify_counterexamples=verify_counterexamples
+            )
+        return decide_via_bounded_guess(
+            containee,
+            containing,
+            max_candidates=max_candidates,
+            verify_counterexamples=verify_counterexamples,
+        )
+    raise ContainmentError(f"unknown strategy {strategy!r}; expected one of {strategy_names()}")
 
 
 def is_bag_contained(

@@ -11,12 +11,38 @@ containment mapping into the grounded containee.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.exceptions import DimensionMismatchError, DiophantineError
 from repro.diophantine.monomials import Monomial
+from repro.faults.runtime import TICK_INTERVAL, deadline_handle
 
 __all__ = ["Polynomial"]
+
+
+def _polled(monomials: tuple[Monomial, ...]) -> Iterable[Monomial]:
+    """*monomials*, polling an ambient deadline every :data:`TICK_INTERVAL` of them.
+
+    Witness assembly spends its time in per-monomial ``Fraction`` work: on
+    a wide encoding (thousands of monomials) specialising the MPI for the
+    Lemma 4.1 search, checking the witness and building the counterexample
+    each take hundreds of milliseconds, while the search itself takes well
+    under one.
+    """
+    tick = deadline_handle()
+    if tick is None:
+        return monomials
+    return _ticked(monomials, tick)
+
+
+def _ticked(monomials: tuple[Monomial, ...], tick: Callable[[], None]) -> Iterator[Monomial]:
+    countdown = TICK_INTERVAL
+    for monomial in monomials:
+        countdown -= 1
+        if not countdown:
+            tick()
+            countdown = TICK_INTERVAL
+        yield monomial
 
 
 class Polynomial:
@@ -100,12 +126,12 @@ class Polynomial:
     # Evaluation and algebra
     # ------------------------------------------------------------------ #
     def evaluate(self, point: Sequence[object]) -> Fraction:
-        """Exact value of the polynomial at *point*."""
+        """Exact value of the polynomial at *point*, polling any deadline."""
         if len(point) != self._dimension:
             raise DimensionMismatchError(
                 f"point of size {len(point)} supplied to a polynomial of dimension {self._dimension}"
             )
-        return sum((monomial.evaluate(point) for monomial in self._monomials), Fraction(0))
+        return sum((monomial.evaluate(point) for monomial in _polled(self._monomials)), Fraction(0))
 
     def float_evaluate(self, point: Sequence[float]) -> float:
         """Floating-point value of the polynomial at *point*."""
@@ -124,9 +150,12 @@ class Polynomial:
         return Polynomial([monomial.scale(factor) for monomial in self._monomials], self._dimension)
 
     def substitute_power(self, epsilon: Sequence[object]) -> "Polynomial":
-        """Univariate polynomial obtained by setting ``u_j = u^{ε_j}`` (Theorem 4.1)."""
+        """Univariate polynomial obtained by setting ``u_j = u^{ε_j}`` (Theorem 4.1).
+
+        Polls any deadline, like :meth:`evaluate`.
+        """
         return Polynomial(
-            [monomial.substitute_power(epsilon) for monomial in self._monomials], 1
+            [monomial.substitute_power(epsilon) for monomial in _polled(self._monomials)], 1
         )
 
     # ------------------------------------------------------------------ #

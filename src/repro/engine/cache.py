@@ -269,13 +269,8 @@ class EngineCache:
         self._plans.clear()
         self._results.clear()
 
-    def reset_stats(self) -> None:
-        """Zero all hit/miss/eviction counters."""
-        for layer in (self._indexes, self._plans, self._results):
-            layer.stats = CacheStats()
-
     def absorb_delta(
-        self, delta: Mapping[str, tuple[int, int, int]], token: Hashable | None = None
+        self, delta: Mapping[str, tuple[int, int, int]], token: Hashable
     ) -> bool:
         """Fold another cache's ``(hits, misses, evictions)`` delta into the stats.
 
@@ -287,16 +282,14 @@ class EngineCache:
 
         Absorption is idempotent per *token*: a chunk retried after a worker
         failure (or a delta accidentally replayed by a caller) is folded in
-        once — repeats return ``False`` without touching the counters.  A
-        ``None`` token skips the bookkeeping (legacy unconditional fold).
+        once — repeats return ``False`` without touching the counters.
         Returns whether the delta was absorbed.
         """
-        if token is not None:
-            if token in self._absorbed_tokens:
-                return False
-            self._absorbed_tokens[token] = None
-            if len(self._absorbed_tokens) > self._MAX_ABSORB_TOKENS:
-                self._absorbed_tokens.popitem(last=False)
+        if token in self._absorbed_tokens:
+            return False
+        self._absorbed_tokens[token] = None
+        if len(self._absorbed_tokens) > self._MAX_ABSORB_TOKENS:
+            self._absorbed_tokens.popitem(last=False)
         by_name = {layer.name: layer for layer in (self._plans, self._indexes, self._results)}
         for name, (hits, misses, evictions) in delta.items():
             layer = by_name.get(name)

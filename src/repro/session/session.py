@@ -77,15 +77,10 @@ class Limits:
 
     ``bounded_guess_max_candidates`` caps the ΠP2 guess-&-check enumeration
     (strategies exceeding it raise
-    :class:`~repro.exceptions.EnumerationBudgetError`); ``max_batch_size``
-    bounds how many requests one :meth:`Session.batch` stream may consume;
-    ``fuzz_time_budget`` is the default wall-clock budget of
-    :meth:`Session.fuzz` campaigns (``None`` = unbounded).
+    :class:`~repro.exceptions.EnumerationBudgetError`).
     """
 
     bounded_guess_max_candidates: int = 2_000_000
-    max_batch_size: int | None = None
-    fuzz_time_budget: float | None = None
     #: Wall-clock budget per service call, in milliseconds (``None`` =
     #: unbounded).  The engine driver loops poll a monotonic clock and a
     #: call that exhausts the budget yields an honest degraded Outcome
@@ -95,10 +90,6 @@ class Limits:
     def __post_init__(self) -> None:
         if self.bounded_guess_max_candidates < 1:
             raise SessionError("bounded_guess_max_candidates must be at least 1")
-        if self.max_batch_size is not None and self.max_batch_size < 1:
-            raise SessionError("max_batch_size must be at least 1 (or None)")
-        if self.fuzz_time_budget is not None and self.fuzz_time_budget <= 0:
-            raise SessionError("fuzz_time_budget must be positive (or None)")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise SessionError("deadline_ms must be positive (or None)")
 
@@ -632,8 +623,7 @@ class Session:
         """Run a differential fuzz campaign routed through this session.
 
         Builds a :class:`~repro.verify.CampaignConfig` from the arguments
-        (or takes a prepared one via ``config``), applies the session's
-        fuzz time budget when none is given, and runs every case as a
+        (or takes a prepared one via ``config``) and runs every case as a
         request of this session — through :meth:`submit` serially, or
         sharded by :func:`repro.parallel.parallel_batch` across workers
         rehydrated from :meth:`spec`.  The verdict reports a clean campaign;
@@ -642,8 +632,6 @@ class Session:
         from repro.verify.runner import CampaignConfig, run_campaign
 
         if config is None:
-            if "time_budget" not in overrides and self.limits.fuzz_time_budget is not None:
-                overrides["time_budget"] = self.limits.fuzz_time_budget
             overrides.setdefault("debug_verify_plans", self.debug_verify_plans)
             config = CampaignConfig(cases=cases, seed=seed, **overrides)
         elif overrides:
@@ -750,8 +738,7 @@ class Session:
 
         With ``capture_errors=True`` a failing request yields an
         :class:`Outcome` carrying the error instead of raising, so one
-        poisoned request cannot kill the stream.  The session's
-        ``max_batch_size`` limit bounds how many requests are consumed.
+        poisoned request cannot kill the stream.
 
         ``task_timeout`` (parallel path only) bounds each worker task's
         wall clock in seconds: a hung or dead worker's chunk is retried on
@@ -767,21 +754,12 @@ class Session:
                 raise SessionError(str(error)) from error
         if jobs < 1:
             raise SessionError("jobs must be at least 1")
-        limit = self.limits.max_batch_size
-
         if jobs > 1:
-            materialized = []
-            for index, request in enumerate(requests):
-                if limit is not None and index >= limit:
-                    raise SessionError(
-                        f"batch exceeded the session's max_batch_size limit of {limit}"
-                    )
-                materialized.append(request)
             from repro.parallel import parallel_batch
 
             yield from parallel_batch(
                 self,
-                materialized,
+                list(requests),
                 jobs=jobs,
                 chunk_size=chunk_size,
                 capture_errors=capture_errors,
@@ -790,10 +768,6 @@ class Session:
             return
 
         for index, request in enumerate(requests):
-            if limit is not None and index >= limit:
-                raise SessionError(
-                    f"batch exceeded the session's max_batch_size limit of {limit}"
-                )
             # The ambient request key lets keyed fault rules target the same
             # absolute index on the serial and parallel paths alike.  The
             # outcome is computed inside the scope but yielded outside it,

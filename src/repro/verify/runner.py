@@ -455,7 +455,6 @@ def run_campaign(
     :meth:`~repro.session.Session.submit`; otherwise
     :func:`~repro.parallel.parallel_batch` shards them across workers
     rehydrated from ``session.spec()``, ``chunk_size`` cases per task.
-    Either way the session's ``max_batch_size`` does not cap the campaign.
     """
     config = config or CampaignConfig()
     if session is None:

@@ -1,9 +1,33 @@
-"""Unit tests for the decider-vs-baselines cross-check harness."""
+"""The decider-vs-baselines cross-check, run through ``Session.verify``.
 
-from repro.baselines.comparison import cross_check
+The differential oracle checks a positive consensus against set
+containment (which bag containment implies) and the bounded and random
+refuters, and replays every negative verdict's counterexample bag.
+"""
+
 from repro.queries.parser import parse_cq
+from repro.session import Session
+from repro.verify import OracleConfig
 from repro.workloads.paper_examples import section2_q1, section2_q2, section2_q3
 from repro.workloads.random_queries import random_containment_pair, random_unrelated_pair
+
+#: The exact decider next to the baselines, on one decision path.
+CONFIG = OracleConfig(
+    strategies=("most-general",),
+    backends=("interned",),
+    diophantine_paths=("exact",),
+    refuter_max_multiplicity=2,
+    refuter_trials=25,
+)
+
+
+def _consistent(containee, containing, session=None, config=CONFIG):
+    """The oracle's report on the pair, asserted free of discrepancies."""
+    outcome = (session or Session()).verify(containee, containing, config)
+    report = outcome.value
+    assert report.ok, report.describe()
+    assert outcome.verdict is report.consensus is not None
+    return report
 
 
 class TestCrossCheck:
@@ -14,14 +38,12 @@ class TestCrossCheck:
             (section2_q1(), section2_q3()),
             (section2_q2(), section2_q3()),
         ]:
-            report = cross_check(containee, containing, max_multiplicity=2, random_trials=30)
-            assert report.consistent
-            assert report.exact.contained == (not report.bounded.refuted) or not report.exact.contained
+            _consistent(containee, containing)
 
     def test_negative_verdicts_carry_verified_counterexamples(self):
-        report = cross_check(section2_q2(), section2_q1())
-        assert not report.exact.contained
-        assert report.exact.counterexample is not None
+        report = _consistent(section2_q2(), section2_q1())
+        assert report.consensus is False
+        assert [run.certificate_ok for run in report.runs] == [True]
 
     def test_hand_written_pairs(self):
         pairs = [
@@ -31,27 +53,23 @@ class TestCrossCheck:
             ("q1(x) <- R(x, a)", "q2(x) <- R(x, y)"),
         ]
         for containee_text, containing_text in pairs:
-            report = cross_check(parse_cq(containee_text), parse_cq(containing_text))
-            assert report.consistent
+            _consistent(parse_cq(containee_text), parse_cq(containing_text))
 
     def test_random_containment_pairs_are_consistent(self):
         for seed in range(12):
             containee, containing = random_containment_pair(seed, num_atoms=3, head_size=2)
-            report = cross_check(containee, containing, max_multiplicity=2, random_trials=25)
-            assert report.consistent
+            _consistent(containee, containing)
 
     def test_random_unrelated_pairs_are_consistent(self):
         for seed in range(12):
             containee, containing = random_unrelated_pair(seed, num_atoms=3, head_size=2)
             if not containee.is_projection_free():
                 continue
-            report = cross_check(containee, containing, max_multiplicity=2, random_trials=25)
-            assert report.consistent
+            _consistent(containee, containing)
 
 
 class TestCrossCheckBackend:
-    @staticmethod
-    def _spy_naive(monkeypatch):
+    def test_oracle_runs_on_the_configured_backend(self, monkeypatch):
         from repro.engine.backends import NaiveBackend
 
         calls = []
@@ -62,31 +80,12 @@ class TestCrossCheckBackend:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(NaiveBackend, "iterate", spy)
-        return calls
-
-    def test_cross_check_runs_on_the_active_sessions_backend(self, monkeypatch):
-        from repro.session import Session, use_session
-
-        calls = self._spy_naive(monkeypatch)
-        with use_session(Session(backend="naive")):
-            report = cross_check(section2_q1(), section2_q2())
-        assert report.consistent
-        assert calls, "cross_check must run on the active session's backend"
-
-    def test_cross_check_runs_on_the_passed_sessions_backend(self, monkeypatch):
-        from repro.session import Session
-
-        calls = self._spy_naive(monkeypatch)
-        report = cross_check(section2_q1(), section2_q2(), session=Session(backend="naive"))
-        assert report.consistent
-        assert calls, "cross_check must run on the passed session's backend"
-
-    def test_cross_check_without_a_session_uses_the_shared_instances(self):
-        from repro.engine import default_cache
-
-        cache = default_cache()
-        before = sum(counts[0] + counts[1] for counts in cache.snapshot().values())
-        report = cross_check(section2_q1().with_name("shared"), section2_q2())
-        assert report.consistent
-        after = sum(counts[0] + counts[1] for counts in cache.snapshot().values())
-        assert after > before
+        naive = OracleConfig(
+            strategies=("most-general",),
+            backends=("naive",),
+            diophantine_paths=("exact",),
+            refuter_max_multiplicity=2,
+            refuter_trials=25,
+        )
+        _consistent(section2_q1(), section2_q2(), session=Session(backend="naive"), config=naive)
+        assert calls, "the cross-check must run on the configured backend"

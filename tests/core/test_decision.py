@@ -196,3 +196,101 @@ class TestResultObject:
         assert result.failing_probe is not None
         assert "⋢b" in result.explain()
         assert "counterexample" in result.explain()
+
+
+#: One pair per way a probe walk ends.
+_SHAPE_PAIRS = {
+    "non-unifiable": ("q1(x, y) <- R(x, y)", "q2(x, x) <- R(x, x)"),
+    "refuted": ("q1(x, y) <- R^2(x, y)", "q2(x, y) <- R(x, y)"),
+    "contained": ("q1(x, y) <- R(x, y)", "q2(x, y) <- R(x, y), R(x, z)"),
+}
+
+_NOT_UNIFIABLE = "probe tuple (^x, ^y) is not unifiable with the containing head"
+
+
+class TestReasonsAndShapes:
+    """Each strategy's exact reason and result shape, per way the walk ends.
+
+    Columns: reason, ``len(encodings)``, ``len(mpi_decisions)`` and the
+    failing probe.  A refutation keeps only the failing probe's encoding
+    (and its solver decision, if a solver ran); containment keeps every
+    probe inspected.
+    """
+
+    @pytest.mark.parametrize(
+        "strategy, kind, reason, encodings, decisions, failing_probe",
+        [
+            (
+                "most-general",
+                "non-unifiable",
+                "the most-general probe tuple is not unifiable with the head of the containing query",
+                1,
+                0,
+                ("^x", "^y"),
+            ),
+            (
+                "most-general",
+                "refuted",
+                "the associated monomial-polynomial inequality admits a Diophantine solution",
+                1,
+                1,
+                ("^x", "^y"),
+            ),
+            (
+                "most-general",
+                "contained",
+                "the associated monomial-polynomial inequality has no Diophantine solution",
+                1,
+                1,
+                None,
+            ),
+            ("all-probes", "non-unifiable", _NOT_UNIFIABLE, 1, 0, ("^x", "^y")),
+            (
+                "all-probes",
+                "refuted",
+                "the inequality at probe tuple (^x, ^x) admits a Diophantine solution",
+                1,
+                1,
+                ("^x", "^x"),
+            ),
+            (
+                "all-probes",
+                "contained",
+                "no probe tuple yields a solvable monomial-polynomial inequality",
+                4,
+                4,
+                None,
+            ),
+            ("bounded-guess", "non-unifiable", _NOT_UNIFIABLE, 1, 0, ("^x", "^y")),
+            (
+                "bounded-guess",
+                "refuted",
+                "the bounded vector (1,) violates every containment-mapping inequality "
+                "at probe tuple (^x, ^x)",
+                1,
+                0,
+                ("^x", "^x"),
+            ),
+            (
+                "bounded-guess",
+                "contained",
+                "no bounded natural vector violates the containment-mapping inequalities",
+                4,
+                0,
+                None,
+            ),
+        ],
+    )
+    def test_reason_and_shape(self, strategy, kind, reason, encodings, decisions, failing_probe):
+        containee, containing = (parse_cq(text) for text in _SHAPE_PAIRS[kind])
+        result = decide_bag_containment(containee, containing, strategy=strategy)
+        assert result.contained == (kind == "contained")
+        assert result.strategy == strategy
+        assert result.reason == reason
+        assert len(result.encodings) == encodings
+        assert len(result.mpi_decisions) == decisions
+        probe = result.failing_probe
+        assert (None if probe is None else tuple(str(term) for term in probe)) == failing_probe
+        assert result.verified == (kind != "contained")
+        if probe is not None:
+            assert result.encodings[0].probe == probe

@@ -30,12 +30,6 @@ class TestTokenedAbsorption:
         assert cache.absorb_delta(DELTA, token=("batch", 1, 25))
         assert cache.plan_stats.hits == 6
 
-    def test_none_token_keeps_the_legacy_unconditional_fold(self):
-        cache = EngineCache()
-        assert cache.absorb_delta(DELTA)
-        assert cache.absorb_delta(DELTA)
-        assert cache.plan_stats.hits == 6
-
     def test_retried_chunk_scenario_pins_merged_identity(self):
         # The fleet runs two chunks; chunk 0's delta arrives twice (retry).
         # The parent's statistics must equal the true two-chunk merge.

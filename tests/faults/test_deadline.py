@@ -310,6 +310,42 @@ class TestFourierMotzkinDeadline:
         assert time.perf_counter() - started < 0.05
 
 
+class TestWitnessDeadline:
+    @pytest.fixture(scope="class")
+    def wide_encoding(self):
+        from repro.core.encoding import encode_most_general
+        from repro.workloads.scale import wide_star_pair
+
+        return encode_most_general(*wide_star_pair(8, 8, containee_boost=4))
+
+    @staticmethod
+    def _raises_promptly(call):
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceeded):
+            with deadline_scope(5):
+                call()
+        # Polled, the call raises within ~10ms; either loop unpolled takes
+        # ~0.35-0.45 s on its own.
+        elapsed_ms = (time.perf_counter() - started) * 1000
+        assert elapsed_ms < 100, f"raised only after {elapsed_ms:.0f}ms"
+
+    def test_witness_assembly_polls_the_deadline(self, wide_encoding):
+        # 6,435 monomials at d = 1^8: the Lemma 4.1 search takes well under
+        # a millisecond, but specialising the MPI for it and checking the
+        # witness each spend ~0.4 s on Fraction arithmetic per monomial;
+        # unpolled, the call ran ~0.9 s past a 5ms budget.
+        from repro.diophantine.solver import witness_from_linear_solution
+
+        self._raises_promptly(
+            lambda: witness_from_linear_solution(wide_encoding.inequality, (1,) * 8)
+        )
+
+    def test_polynomial_evaluation_polls_the_deadline(self, wide_encoding):
+        # The witness check, the solver's re-check and the counterexample
+        # construction all evaluate the polynomial at the witness.
+        self._raises_promptly(lambda: wide_encoding.polynomial.evaluate((3,) * 8))
+
+
 class TestDeadlineNeutrality:
     """Satellite: under-deadline requests are byte-identical modulo timing."""
 

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.engine.cache import EngineCache
-from repro.exceptions import ParallelError, SessionError
+from repro.exceptions import ParallelError
 from repro.parallel import default_chunk_size, merged_cache_stats, shard
 from repro.session import ContainmentRequest, Limits, Session, SessionSpec
 from repro.workloads.random_queries import random_adversarial_pair
@@ -116,7 +116,7 @@ def test_worker_cache_deltas_merge_into_parent_session():
 
 def test_absorb_delta_moves_only_counters():
     cache = EngineCache()
-    cache.absorb_delta({"plans": (3, 2, 1), "results": (5, 0, 0), "unknown": (9, 9, 9)})
+    cache.absorb_delta({"plans": (3, 2, 1), "results": (5, 0, 0), "unknown": (9, 9, 9)}, token=0)
     assert cache.snapshot() == {
         "plans": (3, 2, 1),
         "indexes": (0, 0, 0),
@@ -148,13 +148,6 @@ def test_shard_and_chunk_size_helpers():
     assert default_chunk_size(1000, 4) == 32  # capped
     assert default_chunk_size(8, 4) == 1  # several chunks per worker
     assert 1 <= default_chunk_size(100, 3) <= 32
-
-
-def test_parallel_batch_respects_max_batch_size():
-    session = Session(limits=Limits(max_batch_size=5))
-    requests = mixed_requests(8, seed=1)
-    with pytest.raises(SessionError, match="max_batch_size"):
-        list(session.batch(requests, jobs=2))
 
 
 def test_session_spec_is_picklable_and_rehydrates():

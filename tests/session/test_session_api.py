@@ -207,11 +207,6 @@ class TestBatch:
         first = next(stream)
         assert first.verdict is True  # no SessionError: nothing else was consumed
 
-    def test_max_batch_size_limit(self, q1, q2):
-        session = Session(limits=Limits(max_batch_size=2))
-        with pytest.raises(SessionError):
-            list(session.batch([ContainmentRequest(q1, q2)] * 3))
-
     def test_capture_errors_keeps_the_stream_alive(self, q1, tiny_bag):
         bad = EvaluationRequest(q1, tiny_bag.support())  # bag semantics on a set
         good = EvaluationRequest(q1, tiny_bag)
@@ -268,15 +263,11 @@ class TestFixedNames:
         assert strategy_names() == ("most-general", "all-probes", "bounded-guess")
 
     def test_name_tables_are_read_only(self):
-        from repro.core import decision
         from repro.engine import backends
 
         with pytest.raises(TypeError):
             backends._FACTORIES["echo-test"] = lambda cache: backends.NaiveBackend()
-        with pytest.raises(TypeError):
-            decision._STRATEGIES["recording-test"] = decision._most_general_strategy
         assert "echo-test" not in backend_names()
-        assert "recording-test" not in strategy_names()
 
     def test_unknown_strategy_is_rejected_by_sessions(self, q1, q2):
         from repro.exceptions import ContainmentError
@@ -293,8 +284,6 @@ class TestInternalHygiene:
         ``repro.*`` modules to errors, so this test fails loudly if any
         internal code path calls deprecated Python or library API.
         """
-        from repro.baselines.comparison import cross_check
-
         session = Session()
         session.decide(q1, q2)
         session.decide(q2, q1)
@@ -302,7 +291,6 @@ class TestInternalHygiene:
         session.containment_spectrum(q1, q2)
         session.verify(q1, q2)
         session.fuzz(cases=3, seed=0, mutation_rate=0.5, shrink_failures=False)
-        cross_check(q1, q2)
 
 
 class TestLimits:
@@ -317,9 +305,7 @@ class TestLimits:
 
     def test_invalid_limits_are_rejected(self):
         with pytest.raises(SessionError):
-            Limits(max_batch_size=0)
-        with pytest.raises(SessionError):
-            Limits(fuzz_time_budget=0.0)
+            Limits(bounded_guess_max_candidates=0)
 
     def test_outcome_explain_mentions_timing(self, q1, q2):
         text = Session().decide(q1, q2).explain()

@@ -382,7 +382,7 @@ class TestLint:
         assert code == 2
         assert "error:" in captured.err
 
-    def test_list_rules_shows_the_five_rules(self, capsys):
+    def test_list_rules_shows_the_six_rules(self, capsys):
         code = main(["lint", "--list-rules"])
         captured = capsys.readouterr()
         assert code == 0
@@ -393,6 +393,7 @@ class TestLint:
             "global-mutable-state",
             "bare-except",
             "determinism-taint",
+            "persist-schema",
         ]
 
     def test_rule_filter_selects_the_taint_analyzer(self, capsys, tmp_path):
@@ -433,15 +434,15 @@ class TestLint:
         assert "one parse per file" in captured.err
 
 
-class TestAnalyze:
-    def test_repo_tree_is_clean_in_check_mode(self, capsys):
-        code = main(["analyze", "--check", "src/repro"])
+class TestLintAnalyzerAndSchemaLock:
+    def test_check_mode_runs_each_per_file_rule_once(self, capsys):
+        code = main(["lint", "--check", "src/repro"])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == ""
-        assert "one parse per file" in captured.err
+        assert "with 5 rules" in captured.err
 
-    def test_seeded_defect_is_reported_and_exits_one(self, capsys, tmp_path):
+    def test_seeded_taint_defect_is_reported_and_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "module.py"
         bad.write_text(
             "import json\n"
@@ -449,13 +450,13 @@ class TestAnalyze:
             "    xs = list(s)\n"
             "    return json.dumps(xs)\n"
         )
-        code = main(["analyze", "--no-schema-lock", str(bad)])
+        code = main(["lint", str(bad)])
         captured = capsys.readouterr()
         assert code == 1
         assert "[determinism-taint]" in captured.out
 
     def test_explain_prints_the_rationale(self, capsys):
-        code = main(["analyze", "--explain", "determinism-taint"])
+        code = main(["lint", "--explain", "determinism-taint"])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("determinism-taint:")
@@ -469,13 +470,14 @@ class TestAnalyze:
             "global-mutable-state",
             "bare-except",
             "determinism-taint",
+            "persist-schema",
         ],
     )
     def test_explain_covers_every_lint_rule(self, capsys, name):
-        from repro.analysis.rules import ALL_RULES
+        from repro.analysis.rules import PERSIST_SCHEMA, RULES
 
-        (rule,) = [rule for rule in ALL_RULES if rule.name == name]
-        code = main(["analyze", "--explain", name])
+        (rule,) = [rule for rule in RULES + (PERSIST_SCHEMA,) if rule.name == name]
+        code = main(["lint", "--explain", name])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith(f"{name}: {rule.summary}")
@@ -483,36 +485,39 @@ class TestAnalyze:
         assert "no extended rationale recorded" not in captured.out
 
     def test_explain_rejects_a_removed_rule(self, capsys):
-        code = main(["analyze", "--explain", "fork-shared-state"])
+        code = main(["lint", "--explain", "fork-shared-state"])
         captured = capsys.readouterr()
         assert code == 2
         assert "unknown rule 'fork-shared-state'" in captured.err
         assert "fork-unpicklable" not in captured.err
 
-    def test_list_rules_shows_the_analyzers(self, capsys):
-        code = main(["analyze", "--list-rules"])
-        captured = capsys.readouterr()
-        assert code == 0
-        names = [line.split()[0] for line in captured.out.splitlines()]
-        assert names == ["determinism-taint"]
-
-    def test_rule_option_is_rejected(self, capsys):
-        # One analyzer is left; ``repro lint --rule`` selects any rule.
+    def test_analyze_command_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", "--rule", "determinism-taint", "src/repro"])
+            main(["analyze", "--check", "src/repro"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --rule" in capsys.readouterr().err
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err
+
+    def test_rule_filter_selects_the_schema_lock(self, capsys, tmp_path):
+        clean = tmp_path / "module.py"
+        clean.write_text("def f():\n    return 1\n")
+        absent = str(tmp_path / "absent.lock")
+        code = main(["lint", "--rule", "persist-schema", "--schema-lock", absent, str(clean)])
+        assert code == 1
+        assert "persist-schema:" in capsys.readouterr().out
+        code = main(["lint", "--rule", "bare-except", "--schema-lock", absent, str(clean)])
+        assert code == 0
+        assert "persist-schema" not in capsys.readouterr().out
 
     def test_write_schema_lock_round_trips(self, capsys, tmp_path):
         lock = tmp_path / "persist-schema.lock"
         clean = tmp_path / "module.py"
         clean.write_text("def f():\n    return 1\n")
-        code = main(["analyze", "--write-schema-lock", "--schema-lock", str(lock)])
+        code = main(["lint", "--write-schema-lock", "--schema-lock", str(lock)])
         captured = capsys.readouterr()
         assert code == 0
         assert "schema lock written" in captured.out
         assert lock.exists()
-        code = main(["analyze", "--schema-lock", str(lock), str(clean)])
+        code = main(["lint", "--schema-lock", str(lock), str(clean)])
         captured = capsys.readouterr()
         assert code == 0
         assert "lock matches" in captured.out
@@ -520,7 +525,7 @@ class TestAnalyze:
     def test_missing_schema_lock_fails_the_check(self, capsys, tmp_path):
         clean = tmp_path / "module.py"
         clean.write_text("def f():\n    return 1\n")
-        code = main(["analyze", "--schema-lock", str(tmp_path / "absent.lock"), str(clean)])
+        code = main(["lint", "--schema-lock", str(tmp_path / "absent.lock"), str(clean)])
         captured = capsys.readouterr()
         assert code == 1
         assert "persist-schema:" in captured.out

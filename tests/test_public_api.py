@@ -18,7 +18,6 @@ RETIRED_NAMES = (
     "are_bag_set_equivalent",
     "are_set_equivalent",
     "compare",
-    "cross_check",
     "decide_bag_containment",
     "decide_bag_set_containment",
     "decide_set_containment",
