@@ -51,8 +51,8 @@ from record import write_record  # noqa: E402
 
 from repro.core.decision import decide_bag_containment
 from repro.core.probe_tuples import most_general_probe_tuple
+from repro.engine import ContainmentMappingBatcher
 from repro.evaluation.bag_evaluation import evaluate_bag
-from repro.evaluation.homomorphisms import containment_mappings_to_ground
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
@@ -115,7 +115,7 @@ def chain_mapping_workload(length: int) -> Callable[[], int]:
     grounded = containee.ground(probe)
 
     def run() -> int:
-        return sum(1 for _ in containment_mappings_to_ground(containing, grounded, probe))
+        return len(ContainmentMappingBatcher(containing).mappings(grounded, probe))
 
     return run
 
@@ -127,7 +127,7 @@ def star_mapping_workload(rays: int) -> Callable[[], int]:
     grounded = containee.ground(probe)
 
     def run() -> int:
-        return sum(1 for _ in containment_mappings_to_ground(containing, grounded, probe))
+        return len(ContainmentMappingBatcher(containing).mappings(grounded, probe))
 
     return run
 

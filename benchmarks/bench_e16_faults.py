@@ -46,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from record import write_record  # noqa: E402
 
 from repro.core.probe_tuples import most_general_probe_tuple
-from repro.evaluation.homomorphisms import containment_mappings_to_ground
+from repro.engine import ContainmentMappingBatcher
 from repro.faults import FaultPlan, FaultRule, use_faults
 from repro.session import Session
 from repro.workloads.structured import chain_containment_pair, star_containment_pair
@@ -106,9 +106,7 @@ def _mapping_workload(family: str) -> Callable[[], int]:
     def run() -> int:
         total = 0
         for _ in range(reps):
-            total += sum(
-                1 for _ in containment_mappings_to_ground(containing, grounded, probe)
-            )
+            total += len(ContainmentMappingBatcher(containing).mappings(grounded, probe))
         return total
 
     return run

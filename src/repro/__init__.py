@@ -54,8 +54,6 @@ from repro.diophantine import (
 from repro.engine import (
     BagBatchEvaluator,
     EngineCache,
-    containment_mappings_many,
-    count_many,
     default_cache,
     get_backend,
 )
@@ -137,8 +135,6 @@ __all__ = [
     "Variable",
     "backend_names",
     "bounded_bag_refuter",
-    "containment_mappings_many",
-    "count_many",
     "current_session",
     "decide_mpi",
     "default_cache",

@@ -15,9 +15,10 @@ containee.  These refuters are
 Every candidate bag shares the same support (the canonical instance of the
 grounded containee), so the homomorphisms of both queries are enumerated
 exactly once per probe tuple through the engine's
-:class:`~repro.engine.batch.BagBatchEvaluator`; each bag then only
-re-weights the cached contribution skeletons of Equation 2 instead of
-re-running the search.
+:class:`~repro.engine.batch.BagBatchEvaluator` — the one implementation of
+Equation 2, which also serves :func:`check_bag` and certificate replay;
+each bag then only re-weights the cached skeletons instead of re-running
+the search.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from repro.core.certificates import ContainmentCounterexample
 from repro.core.probe_tuples import iter_probe_tuples, most_general_probe_tuple
 from repro.engine import BagBatchEvaluator
-from repro.evaluation.bag_evaluation import bag_multiplicity
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.instances import BagInstance
 from repro.relational.terms import Term
@@ -68,16 +68,7 @@ def check_bag(
     bag: BagInstance,
 ) -> ContainmentCounterexample | None:
     """Evaluate both queries on *bag* at the answer *probe* and report a violation."""
-    left = bag_multiplicity(containee, bag, probe)
-    right = bag_multiplicity(containing, bag, probe)
-    if left > right:
-        return ContainmentCounterexample(
-            probe=tuple(probe),
-            bag=bag,
-            containee_multiplicity=left,
-            containing_multiplicity=right,
-        )
-    return None
+    return _ProbeChecker(containee, containing, tuple(probe), bag.support().facts).check(bag)
 
 
 def _bags_over(atoms: Sequence, max_multiplicity: int, include_zero: bool) -> Iterator[BagInstance]:
@@ -103,7 +94,7 @@ class _ProbeChecker:
         containee: ConjunctiveQuery,
         containing: ConjunctiveQuery,
         probe: tuple[Term, ...],
-        support_atoms: Sequence,
+        support_atoms: Collection,
     ) -> None:
         self.probe = probe
         self._left = BagBatchEvaluator(containee, support_atoms, answer=probe)

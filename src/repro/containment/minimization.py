@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine import has_homomorphism
+from repro.engine import get_default_backend
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
 from repro.relational.terms import Term, Variable
@@ -37,7 +37,7 @@ def _folds_without_position(
     if not target:
         return False
     fixed: dict[Variable, Term] = {variable: variable for variable in head}
-    return has_homomorphism(atoms, target, fixed)
+    return get_default_backend().exists(atoms, target, fixed)
 
 
 def redundant_atoms(query: ConjunctiveQuery) -> list[Atom]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import default_cache, has_homomorphism, query_fingerprint
+from repro.engine import default_cache, get_default_backend, query_fingerprint
 from repro.engine.batch import head_fixing
 from repro.evaluation.homomorphisms import containment_mappings
 from repro.queries.cq import ConjunctiveQuery
@@ -76,15 +76,15 @@ def is_set_contained(containee: ConjunctiveQuery, containing: ConjunctiveQuery) 
     of the same query pair (as the workload generators produce) share one
     decision.
     """
-    if containing.arity != containee.arity:
-        return False
     key = ("set-contained", query_fingerprint(containee), query_fingerprint(containing))
 
     def decide() -> bool:
         fixed = head_fixing(containing.head, containee.head)
         if fixed is None:
             return False
-        return has_homomorphism(containing.body_atoms(), containee.body_atoms(), fixed)
+        return get_default_backend().exists(
+            containing.body_atoms(), containee.body_atoms(), fixed
+        )
 
     return default_cache().result(key, decide)  # type: ignore[return-value]
 

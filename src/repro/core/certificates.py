@@ -8,6 +8,19 @@ certificate stores the multiplicities *predicted* by the Diophantine
 encoding and :meth:`ContainmentCounterexample.verify` recomputes both
 multiplicities from scratch with the bag-evaluation engine, so every
 negative answer of the library is independently checkable.
+
+The replay evaluates Equation 2 directly
+(:class:`~repro.engine.BagBatchEvaluator`, through
+:func:`~repro.evaluation.bag_evaluation.bag_multiplicity`).  It shares
+only two things with the encoding: the split of the containing body into
+factors once the probe fixes the head, and the homomorphism engine that
+enumerates each factor.  It reuses neither the encoding's position table
+nor its monomial–polynomial inequality: it matches the homomorphisms'
+images against the bag's facts and multiplies their multiplicities, so a
+wrong exponent vector or a wrong polynomial coefficient in the encoding
+shows up as a mismatch.  Because each factor is enumerated on its own, a
+star with ``k`` existential rays over ``r`` leaves replays ``k·r``
+homomorphisms instead of ``r^k``.
 """
 
 from __future__ import annotations

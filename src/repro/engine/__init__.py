@@ -20,10 +20,12 @@ package turns that question into a compiled subsystem:
 3. **Cache** (:mod:`repro.engine.cache`): interned targets, plans and
    scalar results are memoised in an :class:`EngineCache` with LRU bounds,
    hit/miss statistics and explicit invalidation.
-4. **Batch** (:mod:`repro.engine.batch`): :func:`count_many`,
-   :func:`containment_mappings_many` and :func:`evaluate_bag_many` serve
-   whole probe-tuple or candidate-bag sweeps (for bags, from one
-   homomorphism enumeration).
+4. **Query level** (:mod:`repro.engine.batch`):
+   :class:`ContainmentMappingBatcher` enumerates ``CM(q2, q1(t))`` per
+   probe tuple or per body factor, and :class:`BagBatchEvaluator` is the
+   one implementation of Equation 2, evaluating many bags from one
+   homomorphism enumeration.  Atom-level callers use the active backend's
+   ``iterate`` / ``count`` / ``exists`` (:func:`get_default_backend`).
 
 Two backends implement the common interface: ``naive`` (the original
 recursive backtracker, kept as the executable specification and the oracle
@@ -35,7 +37,6 @@ The CLI exposes the session's choice as ``--engine-backend`` and prints the
 session cache's statistics under ``--engine-stats``.
 """
 
-from repro.engine.api import count_homomorphisms, has_homomorphism, iterate_homomorphisms
 from repro.engine.backends import (
     BACKEND_NAMES,
     Backend,
@@ -47,13 +48,7 @@ from repro.engine.backends import (
     get_backend,
     get_default_backend,
 )
-from repro.engine.batch import (
-    BagBatchEvaluator,
-    ContainmentMappingBatcher,
-    containment_mappings_many,
-    count_many,
-    evaluate_bag_many,
-)
+from repro.engine.batch import BagBatchEvaluator, ContainmentMappingBatcher
 from repro.engine.cache import (
     CacheStats,
     EngineCache,
@@ -99,20 +94,14 @@ __all__ = [
     "atoms_fingerprint",
     "backend_names",
     "compile_interned_plan",
-    "containment_mappings_many",
-    "count_homomorphisms",
-    "count_many",
     "create_backend",
     "default_cache",
     "describe_snapshot",
-    "evaluate_bag_many",
     "get_backend",
     "get_default_backend",
-    "has_homomorphism",
     "interned_count",
     "interned_exists",
     "interned_iterate",
-    "iterate_homomorphisms",
     "merge_snapshots",
     "query_fingerprint",
     "snapshot_delta",

@@ -127,10 +127,10 @@ def _scalar_result_key(
 class NaiveBackend(Backend):
     """The recursive reference implementation (pre-engine semantics).
 
-    Kept byte-for-byte faithful to the original
-    ``repro.evaluation.homomorphisms.homomorphisms`` so that the interned
+    The original recursive backtracker, kept faithful so that the interned
     engine always has a trusted oracle: the target is re-indexed per call and
     the next atom is chosen greedily per node by re-counting candidates.
+    Select it with ``Session(backend="naive")`` or ``get_backend("naive")``.
     """
 
     name = "naive"

@@ -1,29 +1,28 @@
-"""Batch entry points: many probe tuples / bags / targets per call.
+"""Query-level engine entry points: containment mappings and Equation 2.
 
-The decision procedures and baselines of this library are embarrassingly
-repetitive: the all-probes strategy re-maps the same containing query into a
-freshly grounded containee once per probe tuple, and the brute-force
-refuters re-evaluate the same grounded containee on thousands of candidate
-bags that differ only in fact multiplicities.  The batch APIs give those
-sweeps one entry point each (compiled plans are shared through the
-backend's cache) and, for bags, amortise the homomorphism enumeration
-itself:
+The decision procedures and baselines of this library are repetitive: the
+all-probes strategy re-maps the same containing query into a freshly
+grounded containee once per probe tuple, and the brute-force refuters
+re-evaluate the same grounded containee on thousands of candidate bags that
+differ only in fact multiplicities.  Two classes serve those sweeps, and
+both split a body into *factors* (:func:`_body_factors`) once the head is
+fixed:
 
-* :func:`count_many` — one count per fixed-binding assignment;
-* :func:`containment_mappings_many` — ``CM(q2, q1(t))`` per grounded
-  containee, through one :class:`ContainmentMappingBatcher`;
-* :func:`evaluate_bag_many` / :class:`BagBatchEvaluator` — homomorphisms
-  only depend on the *support* of a bag, so they are enumerated once over
-  the union support and each bag merely re-weights the cached contribution
-  skeletons (Equation 2's product is recomputed per bag, the search is not).
+* :class:`ContainmentMappingBatcher` — ``CM(q2, q1(t))`` per grounded
+  containee, or per factor of ``q2``'s body;
+* :class:`BagBatchEvaluator` — Equation 2, the bag multiplicity
+  ``q^µ(c)``, and the only implementation of it.  Homomorphisms only
+  depend on the *support* of a bag, so they are enumerated once over a
+  support universe and each bag merely re-weights the cached skeletons
+  (the product is recomputed per bag, the search is not).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from math import prod
+from typing import Iterable, Sequence
 
 from repro.engine.backends import Backend, get_default_backend
-from repro.exceptions import ReproError
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
@@ -31,38 +30,10 @@ from repro.relational.substitutions import Substitution
 from repro.relational.terms import Term, Variable
 
 __all__ = [
-    "count_many",
-    "containment_mappings_many",
     "ContainmentMappingBatcher",
-    "evaluate_bag_many",
     "BagBatchEvaluator",
     "head_fixing",
 ]
-
-
-def count_many(
-    source_atoms: Iterable[Atom],
-    target_atoms: Iterable[Atom],
-    fixed_list: Sequence[Mapping[Variable, Term]],
-    backend: Backend | None = None,
-) -> tuple[int, ...]:
-    """Count homomorphisms for many fixed-binding assignments at once.
-
-    Every mapping in *fixed_list* must bind the same set of variables, so
-    one compiled plan serves the whole sweep; a typical caller fixes the
-    head variables of a query and sweeps the answer tuples.
-    """
-    fixed_list = list(fixed_list)
-    if not fixed_list:
-        return ()
-    key_set = frozenset(fixed_list[0])
-    for fixed in fixed_list[1:]:
-        if frozenset(fixed) != key_set:
-            raise ReproError("count_many requires every fixed mapping to bind the same variables")
-    resolved = backend if backend is not None else get_default_backend()
-    source = tuple(source_atoms)
-    target = tuple(target_atoms)
-    return tuple(resolved.count(source, target, fixed) for fixed in fixed_list)
 
 
 def head_fixing(head: Sequence[Term], target: Sequence[Term]) -> dict[Variable, Term] | None:
@@ -70,10 +41,13 @@ def head_fixing(head: Sequence[Term], target: Sequence[Term]) -> dict[Variable, 
 
     Maps each head term onto the corresponding target term: repeated head
     variables must agree, constant head terms must match exactly.  Returns
-    ``None`` when the heads cannot be unified (no mapping exists) — the
-    single implementation behind :func:`containment_mappings`,
-    ``is_set_contained`` and the batchers here.
+    ``None`` when the heads cannot be unified (no mapping exists), which
+    includes heads of different lengths — the single head-binding helper
+    behind containment mappings, query homomorphisms pinned to an answer,
+    bag and bag-set multiplicities and the classes here.
     """
+    if len(head) != len(target):
+        return None
     fixed: dict[Variable, Term] = {}
     for source_term, target_term in zip(head, target):
         if isinstance(source_term, Variable):
@@ -130,10 +104,9 @@ class ContainmentMappingBatcher:
     The containing query's body and its head variables are extracted once;
     each :meth:`mappings` call then fixes the head against the probe and
     enumerates through the backend, whose cache shares the compiled plan
-    across every probe aimed at the same grounded target.  Streaming
+    across every probe aimed at the same grounded target, so streaming
     callers (the all-probes decision strategy stops at the first refuting
-    probe) use this class directly; :func:`containment_mappings_many` is
-    the eager list-in/list-out wrapper.
+    probe) pay one plan compilation per target.
 
     :attr:`factors` splits the body into factors, and
     ``mappings(..., factor=k)`` enumerates the k-th factor's atoms alone
@@ -163,10 +136,7 @@ class ContainmentMappingBatcher:
 
         A factor's mappings bind the head and that factor's variables only.
         """
-        probe = tuple(probe)
-        if self.containing.arity != len(probe):
-            return ()
-        fixed = head_fixing(self.containing.head, probe)
+        fixed = head_fixing(self.containing.head, tuple(probe))
         if fixed is None:
             return ()
         backend = self._backend if self._backend is not None else get_default_backend()
@@ -174,35 +144,45 @@ class ContainmentMappingBatcher:
         return tuple(backend.iterate(source, grounded.body_atoms(), fixed))
 
 
-def containment_mappings_many(
-    containing: ConjunctiveQuery,
-    grounded_targets: Sequence[tuple[ConjunctiveQuery, Sequence[Term]]],
-    backend: Backend | None = None,
-) -> tuple[tuple[Substitution, ...], ...]:
-    """``CM(q2(x2), q1(t))`` for a batch of grounded containees.
+#: One homomorphism's Equation 2 factors: ``(h(β), m(β))`` per body atom ``β``.
+_Skeleton = tuple[tuple[Atom, int], ...]
 
-    *grounded_targets* is a sequence of ``(grounded containee, probe)``
-    pairs, typically one per probe tuple of a single containee (see
-    :class:`ContainmentMappingBatcher`).
-    """
-    batcher = ContainmentMappingBatcher(containing, backend=backend)
-    return tuple(batcher.mappings(grounded, probe) for grounded, probe in grounded_targets)
+
+def _weight(skeleton: _Skeleton, bag: BagInstance) -> int:
+    """``Π µ(h(β))^m(β)`` over one skeleton (``0`` as soon as a fact is absent)."""
+    weight = 1
+    for fact, exponent in skeleton:
+        multiplicity = bag[fact]
+        if multiplicity == 0:
+            return 0
+        weight *= multiplicity**exponent
+    return weight
 
 
 class BagBatchEvaluator:
-    """Evaluate one query on many bags sharing a support universe.
+    """Equation 2 for one query on many bags sharing a support universe.
 
-    Homomorphisms of ``q`` into a bag ``µ`` only depend on ``support(µ)``;
-    the contribution of each homomorphism (Equation 2) is a product of fact
-    multiplicities raised to body exponents.  The evaluator enumerates the
-    homomorphisms into *support_atoms* once, caches the per-homomorphism
-    ``(answer, ((fact, exponent), ...))`` skeletons, and then evaluates any
-    bag whose support is a subset of the universe in time proportional to
-    the number of skeletons — facts absent from a particular bag contribute
-    a factor ``0`` exactly as in the reference semantics.
+    Each homomorphism ``h`` of ``q`` into *support_atoms* contributes
+    ``Π_α µ(α)^{µ_{h(q)}(α)}`` over the distinct atoms of ``h(q)``, whose
+    multiplicities Equation 1 sums over the body atoms that collapse onto
+    them.  The same product is ``Π_β µ(h(β))^{m(β)}`` over the body atoms
+    ``β`` with their multiplicities ``m(β)``, so a homomorphism is cached as
+    the skeleton ``((h(β), m(β)) for β in body)`` and no image query is
+    built.  A bag whose support is a subset of the universe is then
+    evaluated in time proportional to the number of skeletons; facts
+    absent from it contribute a factor ``0``.
+
+    With a pinned *answer* the head is fixed, so the body splits into
+    factors that share no free variable (:func:`_body_factors`): each
+    factor is enumerated on its own and the multiplicity is the product of
+    the per-factor sums.  A star with ``k`` existential rays over ``r``
+    leaves costs ``k·r`` skeletons instead of ``r^k``.  Without an answer
+    the whole body is one factor.  An answer that does not fit the head
+    (wrong arity, or a repeated head variable asked to take two values)
+    has multiplicity ``0``.
     """
 
-    __slots__ = ("query", "support_atoms", "answer", "_skeletons")
+    __slots__ = ("query", "support_atoms", "answer", "_factors")
 
     def __init__(
         self,
@@ -214,73 +194,43 @@ class BagBatchEvaluator:
         self.query = query
         self.support_atoms = tuple(dict.fromkeys(support_atoms))
         self.answer = tuple(answer) if answer is not None else None
-
-        fixed: dict[Variable, Term] | None = {}
-        if self.answer is not None:
-            if len(self.answer) != query.arity:
-                fixed = None  # a wrong-arity tuple is never an answer: multiplicity 0
-            else:
-                from repro.evaluation.homomorphisms import answer_fixing
-
-                fixed = answer_fixing(query, self.answer)
-
-        skeletons: list[tuple[tuple[Term, ...], tuple[tuple[Atom, int], ...]]] = []
-        if fixed is not None:
-            resolved = backend if backend is not None else get_default_backend()
-            for homomorphism in resolved.iterate(query.body_atoms(), self.support_atoms, fixed):
-                answer_tuple = homomorphism.apply_tuple(query.head)
-                image = query.apply_substitution(homomorphism)
-                skeletons.append((answer_tuple, tuple(image.body.items())))
-        self._skeletons = tuple(skeletons)
-
-    @property
-    def num_homomorphisms(self) -> int:
-        """Number of cached homomorphism skeletons."""
-        return len(self._skeletons)
-
-    @staticmethod
-    def _contribution(items: tuple[tuple[Atom, int], ...], bag: BagInstance) -> int:
-        """One homomorphism's Equation 2 product ``Π µ(α)^exponent`` on *bag*."""
-        contribution = 1
-        for fact, exponent in items:
-            multiplicity = bag[fact]
-            if multiplicity == 0:
-                return 0
-            contribution *= multiplicity**exponent
-        return contribution
+        if self.answer is None:
+            fixed: dict[Variable, Term] | None = {}
+            factors: tuple[tuple[Atom, ...], ...] = (query.body_atoms(),)
+        else:
+            fixed = head_fixing(query.head, self.answer)
+            factors = _body_factors(query)
+        if fixed is None:
+            # One factor without skeletons: every multiplicity is 0.
+            self._factors: tuple[tuple[tuple[tuple[Term, ...], _Skeleton], ...], ...] = ((),)
+            return
+        resolved = backend if backend is not None else get_default_backend()
+        body = query.body
+        self._factors = tuple(
+            tuple(
+                (
+                    homomorphism.apply_tuple(query.head),
+                    tuple((homomorphism.apply_atom(atom), body[atom]) for atom in factor),
+                )
+                for homomorphism in resolved.iterate(factor, self.support_atoms, fixed)
+            )
+            for factor in factors
+        )
 
     def multiplicity(self, bag: BagInstance) -> int:
         """``q^µ(answer)`` for the pinned answer tuple (or the total over all)."""
-        return sum(self._contribution(items, bag) for _, items in self._skeletons)
+        return prod(
+            sum(_weight(skeleton, bag) for _, skeleton in factor) for factor in self._factors
+        )
 
     def evaluate(self, bag: BagInstance):
         """The full answer bag ``q^µ`` (an :class:`AnswerBag`)."""
         from repro.evaluation.bag_evaluation import AnswerBag
 
+        if self.answer is not None:
+            return AnswerBag({self.answer: self.multiplicity(bag)})
         counts: dict[tuple[Term, ...], int] = {}
-        for answer_tuple, items in self._skeletons:
-            contribution = self._contribution(items, bag)
-            if contribution:
-                counts[answer_tuple] = counts.get(answer_tuple, 0) + contribution
+        (factor,) = self._factors
+        for answer, skeleton in factor:
+            counts[answer] = counts.get(answer, 0) + _weight(skeleton, bag)
         return AnswerBag(counts)
-
-
-def evaluate_bag_many(
-    query: ConjunctiveQuery,
-    bags: Sequence[BagInstance],
-    backend: Backend | None = None,
-):
-    """``q^µ`` for every bag in *bags*, sharing one homomorphism enumeration.
-
-    The homomorphisms are enumerated once over the union of the bags'
-    supports; each bag then only re-weights the cached contribution
-    skeletons.  Returns one :class:`AnswerBag` per input bag, equal to
-    ``evaluate_bag(query, bag)``.
-    """
-    bags = list(bags)
-    universe: dict[Atom, None] = {}
-    for bag in bags:
-        for fact, _ in bag.items():
-            universe.setdefault(fact, None)
-    evaluator = BagBatchEvaluator(query, universe, backend=backend)
-    return tuple(evaluator.evaluate(bag) for bag in bags)

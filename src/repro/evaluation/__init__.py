@@ -5,21 +5,13 @@ from repro.evaluation.bag_evaluation import (
     bag_multiplicity,
     evaluate_bag,
     evaluate_bag_ucq,
-    homomorphism_contribution,
 )
 from repro.evaluation.bag_set_evaluation import (
     bag_set_multiplicity,
     evaluate_bag_set,
     evaluate_bag_set_ucq,
 )
-from repro.evaluation.homomorphisms import (
-    containment_mappings,
-    containment_mappings_to_ground,
-    count_homomorphisms,
-    has_homomorphism,
-    homomorphisms,
-    query_homomorphisms,
-)
+from repro.evaluation.homomorphisms import containment_mappings, query_homomorphisms
 from repro.evaluation.set_evaluation import answer_tuples, evaluate_set, evaluate_set_ucq, holds
 
 __all__ = [
@@ -28,17 +20,12 @@ __all__ = [
     "bag_multiplicity",
     "bag_set_multiplicity",
     "containment_mappings",
-    "containment_mappings_to_ground",
-    "count_homomorphisms",
     "evaluate_bag",
     "evaluate_bag_set",
     "evaluate_bag_set_ucq",
     "evaluate_bag_ucq",
     "evaluate_set",
     "evaluate_set_ucq",
-    "has_homomorphism",
     "holds",
-    "homomorphism_contribution",
-    "homomorphisms",
     "query_homomorphisms",
 ]

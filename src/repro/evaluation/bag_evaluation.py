@@ -8,7 +8,10 @@ multiplicity of an answer tuple ``c`` is::
 i.e. each homomorphism contributes the product, over the *distinct* atoms of
 the ground query ``h(q(x))``, of the instance multiplicity of the atom raised
 to the body multiplicity of the atom in ``h(q(x))`` — where collapsing atoms
-have had their multiplicities summed, per Equation 1.
+have had their multiplicities summed, per Equation 1.  The formula is
+implemented once, by :class:`repro.engine.BagBatchEvaluator`;
+:func:`bag_multiplicity` and :func:`evaluate_bag` build one over the bag's
+support.
 
 :class:`AnswerBag` wraps the resulting ``{answer tuple: multiplicity}``
 mapping with the sub-bag comparison used by the definition of bag
@@ -19,11 +22,10 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Sequence
 
-from repro.evaluation.homomorphisms import query_homomorphisms
+from repro.engine.batch import BagBatchEvaluator
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.instances import BagInstance
-from repro.relational.substitutions import Substitution
 from repro.relational.terms import Term, term_sort_key
 
 
@@ -33,7 +35,6 @@ def _answer_sort_key(answer: tuple[Term, ...]) -> tuple:
 
 __all__ = [
     "AnswerBag",
-    "homomorphism_contribution",
     "bag_multiplicity",
     "evaluate_bag",
     "evaluate_bag_ucq",
@@ -119,41 +120,16 @@ class AnswerBag:
         return f"AnswerBag({{{inner}}})"
 
 
-def homomorphism_contribution(
-    query: ConjunctiveQuery, bag: BagInstance, homomorphism: Substitution
-) -> int:
-    """The contribution of one homomorphism to Equation 2.
-
-    The homomorphism is applied to the query (Equation 1 merges collapsing
-    atoms), and the product ``Π µ(α)^{µ_{h(q)}(α)}`` over the distinct atoms
-    of the image is returned.
-    """
-    image = query.apply_substitution(homomorphism)
-    contribution = 1
-    for atom, exponent in image.body.items():
-        contribution *= bag[atom] ** exponent
-        if contribution == 0:
-            return 0
-    return contribution
-
-
 def bag_multiplicity(
     query: ConjunctiveQuery, bag: BagInstance, answer: Sequence[Term]
 ) -> int:
     """``q^µ(c)``: the bag multiplicity of a single answer tuple.
 
-    A tuple whose arity differs from the query's arity can never be an
-    answer, so its multiplicity is 0 (this situation arises when comparing
-    two queries of different arities during containment checking).
+    A tuple that does not fit the head (e.g. of the wrong arity, as when
+    two queries of different arities are compared) can never be an answer,
+    so its multiplicity is 0.
     """
-    answer = tuple(answer)
-    if len(answer) != query.arity:
-        return 0
-    instance = bag.support()
-    total = 0
-    for homomorphism in query_homomorphisms(query, instance, answer=answer):
-        total += homomorphism_contribution(query, bag, homomorphism)
-    return total
+    return BagBatchEvaluator(query, bag.support().facts, answer=answer).multiplicity(bag)
 
 
 def evaluate_bag(query: ConjunctiveQuery, bag: BagInstance) -> AnswerBag:
@@ -162,12 +138,7 @@ def evaluate_bag(query: ConjunctiveQuery, bag: BagInstance) -> AnswerBag:
     Only tuples with positive multiplicity are materialised, which matches
     the paper's convention of restricting ``q^µ`` to ``q(x)^I``.
     """
-    instance = bag.support()
-    counts: dict[tuple[Term, ...], int] = {}
-    for homomorphism in query_homomorphisms(query, instance):
-        answer = homomorphism.apply_tuple(query.head)
-        counts[answer] = counts.get(answer, 0) + homomorphism_contribution(query, bag, homomorphism)
-    return AnswerBag(counts)
+    return BagBatchEvaluator(query, bag.support().facts).evaluate(bag)
 
 
 def evaluate_bag_ucq(ucq: UnionOfConjunctiveQueries, bag: BagInstance) -> AnswerBag:

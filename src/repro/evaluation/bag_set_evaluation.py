@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine import count_homomorphisms
+from repro.engine import get_default_backend
+from repro.engine.batch import head_fixing
 from repro.evaluation.bag_evaluation import AnswerBag
-from repro.evaluation.homomorphisms import answer_fixing, query_homomorphisms
+from repro.evaluation.homomorphisms import query_homomorphisms
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.instances import SetInstance
@@ -33,11 +34,12 @@ def bag_set_multiplicity(
     """Number of homomorphisms of *query* into *instance* producing *answer*.
 
     Runs in the engine's ``count`` mode: no substitution objects are built.
+    An answer that does not fit the head (e.g. the wrong arity) counts 0.
     """
-    fixed = answer_fixing(query, tuple(answer))
+    fixed = head_fixing(query.head, tuple(answer))
     if fixed is None:
         return 0
-    return count_homomorphisms(query.body_atoms(), instance.facts, fixed)
+    return get_default_backend().count(query.body_atoms(), instance.facts, fixed)
 
 
 def evaluate_bag_set(query: ConjunctiveQuery, instance: SetInstance) -> AnswerBag:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.engine import has_homomorphism
+from repro.engine import get_default_backend
 from repro.evaluation.homomorphisms import query_homomorphisms
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -51,4 +51,4 @@ def holds(query: ConjunctiveQuery, instance: SetInstance) -> bool:
     Runs in the engine's ``exists`` mode: the search stops at the first
     homomorphism without materialising any substitution.
     """
-    return has_homomorphism(query.body_atoms(), instance.facts)
+    return get_default_backend().exists(query.body_atoms(), instance.facts)

@@ -5,8 +5,9 @@ a term, an atom, a tuple of terms, or an iterable of atoms replaces every
 occurrence of a variable in its domain with the corresponding image and
 leaves everything else untouched — exactly the ``σ(α)`` operation of the
 paper.  Homomorphisms between sets of atoms (and containment mappings
-between queries) are substitutions with extra conditions, implemented in
-:mod:`repro.evaluation.homomorphisms`.
+between queries) are substitutions with extra conditions; the engine's
+backends (:mod:`repro.engine.backends`) enumerate them, and
+:mod:`repro.evaluation.homomorphisms` adds the query-level head handling.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ from repro.core.certificates import (
     counterexample_from_witness,
     uniform_counterexample,
 )
+from repro.core.decision import decide_via_most_general_probe
 from repro.core.encoding import encode_most_general
 from repro.exceptions import CertificateError
+from repro.faults.runtime import deadline_scope
 from repro.queries.parser import parse_cq
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
 from repro.relational.terms import CanonicalConstant
 from repro.workloads.paper_examples import section2_q1, section2_q2
+from repro.workloads.scale import wide_star_pair
 
 
 def negative_encoding():
@@ -92,3 +95,18 @@ class TestVerification:
             containing_multiplicity=9,
         )
         assert honest.verify(containee, containing) is False
+
+
+class TestFactorisedReplay:
+    def test_a_wide_star_certificate_replays_per_factor(self):
+        # The containing star has 8 existential rays over 8 leaves: 8^8
+        # whole-body homomorphisms, but 8 factors of 8 each.  Replaying
+        # the product would not finish inside the budget.
+        containee, containing = wide_star_pair(8, 8, containee_boost=4)
+        result = decide_via_most_general_probe(
+            containee, containing, verify_counterexamples=False
+        )
+        certificate = result.counterexample
+        assert certificate is not None
+        with deadline_scope(1000):
+            assert certificate.verify(containee, containing)

@@ -1,18 +1,11 @@
-"""Unit tests for the batch entry points (shared-plan sweeps)."""
+"""Unit tests for the query-level engine classes (batcher and bag evaluator)."""
 
 import pytest
 
 from repro.core.probe_tuples import iter_probe_tuples
-from repro.engine import (
-    BagBatchEvaluator,
-    ContainmentMappingBatcher,
-    containment_mappings_many,
-    count_many,
-    evaluate_bag_many,
-)
-from repro.evaluation.bag_evaluation import bag_multiplicity, evaluate_bag
-from repro.evaluation.homomorphisms import containment_mappings_to_ground
-from repro.exceptions import ReproError
+from repro.engine import BagBatchEvaluator, ContainmentMappingBatcher, get_backend
+from repro.engine.batch import head_fixing
+from repro.evaluation.bag_evaluation import AnswerBag, bag_multiplicity, evaluate_bag
 from repro.queries.parser import parse_cq
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
@@ -24,49 +17,50 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
 
-class TestCountMany:
+class TestHeadFixing:
+    def test_repeated_head_variables_must_agree(self):
+        assert head_fixing((x, x), (a, a)) == {x: a}
+        assert head_fixing((x, x), (a, b)) is None
+
+    def test_heads_of_different_lengths_do_not_unify(self):
+        assert head_fixing((x, y), (a,)) is None
+        assert head_fixing((x, y), (a, b, c)) is None
+
+
+class TestRepeatedCounts:
     TARGET = [Atom("R", (a, b)), Atom("R", (a, c)), Atom("R", (b, c))]
 
-    def test_matches_individual_counts(self):
+    @pytest.mark.parametrize("backend", ["naive", "interned"])
+    def test_one_count_per_fixed_binding(self, backend):
         source = [Atom("R", (x, y))]
-        fixed_list = [{x: a}, {x: b}, {x: c}]
-        counts = count_many(source, self.TARGET, fixed_list)
-        assert counts == (2, 1, 0)
-
-    def test_empty_batch(self):
-        assert count_many([Atom("R", (x, y))], self.TARGET, []) == ()
-
-    def test_rejects_heterogeneous_fixed_sets(self):
-        with pytest.raises(ReproError):
-            count_many([Atom("R", (x, y))], self.TARGET, [{x: a}, {y: b}])
-
-    def test_naive_backend_path(self):
-        source = [Atom("R", (x, y))]
-        with Session(backend="naive").activate():
-            counts = count_many(source, self.TARGET, [{x: a}, {x: b}])
-        assert counts == (2, 1)
+        with Session(backend=backend).activate():
+            counts = [get_backend(backend).count(source, self.TARGET, {x: v}) for v in (a, b, c)]
+        assert counts == [2, 1, 0]
 
 
-class TestContainmentMappingsMany:
-    def test_matches_per_probe_enumeration(self):
+class TestContainmentMappingBatcher:
+    def test_matches_the_naive_enumeration_per_probe(self):
         containee = parse_cq("q1(x1, x2) <- R^2(x1, x2), R(c1, x2), R^3(x1, c2)")
         containing = parse_cq("q2(x1, x2) <- R^3(x1, x2), R^2(x1, y1), R^2(y2, y1)")
+        batcher = ContainmentMappingBatcher(containing)
+        naive = get_backend("naive")
         probes = list(iter_probe_tuples(containee))
-        grounded = [(containee.ground(probe), probe) for probe in probes]
-        batched = containment_mappings_many(containing, grounded)
-        assert len(batched) == len(probes)
-        for (grounded_query, probe), mappings in zip(grounded, batched):
-            expected = sorted(
-                repr(m) for m in containment_mappings_to_ground(containing, grounded_query, probe)
+        assert len(probes) > 1
+        for probe in probes:
+            grounded = containee.ground(probe)
+            fixed = head_fixing(containing.head, probe)
+            expected = (
+                set()
+                if fixed is None
+                else set(naive.iterate(containing.body_atoms(), grounded.body_atoms(), fixed))
             )
-            assert sorted(repr(m) for m in mappings) == expected
+            assert set(batcher.mappings(grounded, probe)) == expected
 
     def test_arity_mismatch_gives_empty_mappings(self):
         containee = parse_cq("q1(x) <- R(x, x)")
         containing = parse_cq("q2(x, y) <- R(x, y)")
         probe = next(iter_probe_tuples(containee))
-        (mappings,) = containment_mappings_many(containing, [(containee.ground(probe), probe)])
-        assert mappings == ()
+        assert ContainmentMappingBatcher(containing).mappings(containee.ground(probe), probe) == ()
 
 
 class TestFactors:
@@ -120,40 +114,39 @@ class TestBagBatchEvaluator:
             BagInstance({fact: 5 for fact in self.FACTS}),
         ]
 
-    def test_evaluate_matches_reference(self):
+    #: ``q^µ`` of each bag of :meth:`bags`, by hand: ``µ(R(x, b)) · µ(S(b))``.
+    EXPECTED = [
+        AnswerBag({(a,): 6, (c,): 3}),
+        AnswerBag({(a,): 1}),
+        AnswerBag({(a,): 25, (c,): 25}),
+    ]
+
+    def test_one_evaluator_serves_every_bag_over_the_universe(self):
         evaluator = BagBatchEvaluator(self.QUERY, self.FACTS)
-        for bag in self.bags():
-            assert evaluator.evaluate(bag) == evaluate_bag(self.QUERY, bag)
+        for bag, expected in zip(self.bags(), self.EXPECTED):
+            assert evaluator.evaluate(bag) == expected == evaluate_bag(self.QUERY, bag)
 
-    def test_multiplicity_matches_reference(self):
+    def test_multiplicity_matches_the_full_evaluation(self):
         evaluator = BagBatchEvaluator(self.QUERY, self.FACTS, answer=(a,))
-        for bag in self.bags():
-            assert evaluator.multiplicity(bag) == bag_multiplicity(self.QUERY, bag, (a,))
-
-    def test_arity_mismatch_means_zero(self):
-        evaluator = BagBatchEvaluator(self.QUERY, self.FACTS, answer=(a, b))
-        assert evaluator.num_homomorphisms == 0
-        assert evaluator.multiplicity(self.bags()[0]) == 0
+        for bag, expected in zip(self.bags(), self.EXPECTED):
+            assert evaluator.multiplicity(bag) == expected[(a,)]
+            assert evaluator.evaluate(bag) == AnswerBag({(a,): expected[(a,)]})
+            assert bag_multiplicity(self.QUERY, bag, (a,)) == expected[(a,)]
 
     def test_inconsistent_answer_means_zero(self):
         query = parse_cq("q(x, x) <- R(x, x)")
         evaluator = BagBatchEvaluator(query, [Atom("R", (a, a))], answer=(a, b))
         assert evaluator.multiplicity(BagInstance({Atom("R", (a, a)): 2})) == 0
 
-
-class TestEvaluateBagMany:
-    def test_matches_per_bag_evaluation(self):
-        query = parse_cq("q(x) <- R(x, y), S(y)")
-        r_ab, r_cb, s_b = Atom("R", (a, b)), Atom("R", (c, b)), Atom("S", (b,))
-        bags = [
-            BagInstance({r_ab: 2, s_b: 3}),
-            BagInstance({r_cb: 1, s_b: 1}),
-            BagInstance({r_ab: 1, r_cb: 4, s_b: 2}),
-        ]
-        batched = evaluate_bag_many(query, bags)
-        assert len(batched) == len(bags)
-        for bag, answers in zip(bags, batched):
-            assert answers == evaluate_bag(query, bag)
-
-    def test_empty_batch(self):
-        assert evaluate_bag_many(parse_cq("q(x) <- R(x, y)"), []) == ()
+    @pytest.mark.parametrize("backend", ["naive", "interned"])
+    def test_a_pinned_answer_multiplies_the_factor_sums(self, backend):
+        # Two existential rays over three leaves: 3 + 3 skeletons, 3 · 3
+        # homomorphisms.  Each ray sums to 1 + 2 + 3 = 6; R(a, a) joins the
+        # first factor and weighs 1^2.
+        query = parse_cq("q(x) <- R^2(x, x), R(x, y), R(x, z)")
+        leaves = [Atom("R", (a, a)), Atom("R", (a, b)), Atom("R", (a, c))]
+        bag = BagInstance(dict(zip(leaves, (1, 2, 3))))
+        with Session(backend=backend).activate():
+            evaluator = BagBatchEvaluator(query, leaves, answer=(a,))
+            whole = BagBatchEvaluator(query, leaves)
+        assert evaluator.multiplicity(bag) == 36 == whole.evaluate(bag)[(a,)]

@@ -5,16 +5,15 @@ These pin two behaviours the fuzz runner's stats aggregation relies on:
 * ``EngineCache.invalidate(target)`` must be *surgical* — memoised
   ``count``/``exists`` entries (and plans/indexes) for **other** targets
   must survive and keep hitting;
-* the batch APIs must account their cache traffic in the same counters the
-  one-shot APIs use, so ``snapshot()`` deltas mean the same thing
-  everywhere.
+* sweeps (repeated counts, one bag evaluator over many bags) must account
+  their cache traffic in the same counters the one-shot calls use, so
+  ``snapshot()`` deltas mean the same thing everywhere.
 """
 
 from repro.engine import (
+    BagBatchEvaluator,
     EngineCache,
     InternedBackend,
-    count_many,
-    evaluate_bag_many,
     merge_snapshots,
     snapshot_delta,
 )
@@ -126,20 +125,19 @@ class TestInvalidationCoversEveryLayer:
         assert cache.invalidate((Atom("R", (a, b)),)) == 0
 
 
-class TestStatsCountersUnderBatchApis:
-    def test_count_many_reuses_one_plan(self):
+class TestStatsCountersUnderSweeps:
+    def test_repeated_counts_reuse_one_plan(self):
         backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)), Atom("R", (a, c)))
-        fixed_list = [{x: a}, {x: b}, {x: c}]
-        counts = count_many(source, target, fixed_list, backend=backend)
-        assert counts == (2, 0, 0)
+        counts = [backend.count(source, target, {x: value}) for value in (a, b, c)]
+        assert counts == [2, 0, 0]
         # One plan compilation, shared across the whole sweep: the plan
         # layer serves the two repeats.
         assert backend.cache.plan_stats.misses == 1
         assert backend.cache.plan_stats.hits == 2
 
-    def test_evaluate_bag_many_enumerates_once(self):
+    def test_one_evaluator_enumerates_once_for_many_bags(self):
         backend = fresh_backend()
         query = parse_cq("q(x) <- R(x, y)")
         bags = [
@@ -148,7 +146,9 @@ class TestStatsCountersUnderBatchApis:
             BagInstance({Atom("R", (a, b)): 5}),
         ]
         before = backend.cache.snapshot()
-        answers = evaluate_bag_many(query, bags, backend=backend)
+        universe = [fact for bag in bags for fact, _ in bag.items()]
+        evaluator = BagBatchEvaluator(query, universe, backend=backend)
+        answers = [evaluator.evaluate(bag) for bag in bags]
         assert [answer[(a,)] for answer in answers] == [1, 2, 5]
         delta = snapshot_delta(backend.cache.snapshot(), before)
         plan_hits, plan_misses, _ = delta["plans"]

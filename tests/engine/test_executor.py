@@ -80,14 +80,13 @@ class TestEarlyExit:
         assert interned_count(plan, dictionary, stats=stats) == 50
         assert stats.candidates_tried == 50
 
-    def test_has_homomorphism_routes_through_exists_mode(self):
-        """Regression: ``has_homomorphism`` must not enumerate all solutions.
+    def test_exists_mode_stops_at_the_first_homomorphism(self):
+        """Regression: ``exists`` must not enumerate all solutions.
 
         The pre-engine implementation built full substitutions and took the
         first; with a join producing quadratically many homomorphisms the
         exists mode must touch a bounded prefix of the search only.
         """
-        from repro.evaluation.homomorphisms import count_homomorphisms, has_homomorphism
         from repro.session import Session
 
         hub = Constant("hub")
@@ -101,12 +100,11 @@ class TestEarlyExit:
         backend = session.backend
         assert isinstance(backend, InternedBackend)
         assert backend.stats is not None
-        with session.activate():
-            assert has_homomorphism(source, facts)
-            tried = backend.stats.candidates_tried
-            assert backend.stats.executions == 1
-            # 1600 homomorphisms exist; the early exit needs one per join level.
-            assert count_homomorphisms(source, facts) == 1600
+        assert backend.exists(source, facts)
+        tried = backend.stats.candidates_tried
+        assert backend.stats.executions == 1
+        # 1600 homomorphisms exist; the early exit needs one per join level.
+        assert backend.count(source, facts) == 1600
         assert 0 < tried <= len(source) + 1
 
     def test_failed_static_filter_ends_the_run_before_any_search(self):

@@ -18,6 +18,8 @@ RETIRED_NAMES = (
     "are_bag_set_equivalent",
     "are_set_equivalent",
     "compare",
+    "containment_mappings_many",
+    "count_many",
     "decide_bag_containment",
     "decide_bag_set_containment",
     "decide_set_containment",
