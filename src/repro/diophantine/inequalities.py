@@ -78,7 +78,7 @@ class MonomialPolynomialInequality:
             return False
         return self.polynomial.evaluate(values) < self.monomial.evaluate(values)
 
-    def gap(self, point: Sequence[int]) -> Fraction:
+    def gap(self, point: Sequence[int]) -> int | Fraction:
         """``M(point) − P(point)``: positive exactly on solutions."""
         return self.monomial.evaluate(point) - self.polynomial.evaluate(point)
 
@@ -154,7 +154,7 @@ class GeneralizedMPI:
         """``True`` when the GMPI has a single unknown (the case of Lemma 4.1)."""
         return self.dimension == 1
 
-    def degree_gap(self) -> Fraction:
+    def degree_gap(self) -> int | Fraction:
         """``deg(M) − deg(P)``; for a univariate GMPI it is positive iff solvable."""
         return self.monomial.degree() - self.polynomial.degree()
 

@@ -6,6 +6,15 @@ Monomial–polynomial inequalities (Definition 4.1) restrict the left-hand
 monomial to coefficient 1 and natural exponents; the *generalised* variant
 (GMPIs) allows non-negative real — here rational — exponents, which is what
 the fresh-unknown substitution ``u_j = u^{ε_j}`` of Theorem 4.1 produces.
+
+Coefficients and exponents are stored in one canonical exact form: a plain
+``int`` when the value is integral and a :class:`~fractions.Fraction`
+otherwise.  An MPI's coefficients, exponents and witnesses are natural
+numbers, so the bag-containment path evaluates, substitutes and searches on
+``int`` arithmetic alone; a ``Fraction`` appears only where a value is
+genuinely fractional (a GMPI exponent, a rational scale factor).  Since
+``3 == Fraction(3)`` and both hash alike, the canonical form changes no
+equality or hash.
 """
 
 from __future__ import annotations
@@ -19,12 +28,20 @@ from repro.exceptions import DiophantineError, DimensionMismatchError
 __all__ = ["Monomial"]
 
 
-def _check_exponents(exponents: Sequence[object]) -> tuple[Fraction, ...]:
+def _exact(value: object) -> int | Fraction:
+    """*value* in canonical exact form: an ``int`` when integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _check_exponents(exponents: Sequence[object]) -> tuple[int | Fraction, ...]:
     converted = []
     for exponent in exponents:
-        value = Fraction(exponent)
-        # Natural exponents (the encoding's) are sign-checked as plain ints.
-        if (exponent < 0) if type(exponent) is int else (value < 0):
+        value = exponent if type(exponent) is int else _exact(exponent)
+        if value < 0:
             raise DiophantineError(f"exponents must be non-negative, got {exponent}")
         converted.append(value)
     return tuple(converted)
@@ -34,16 +51,17 @@ def _check_exponents(exponents: Sequence[object]) -> tuple[Fraction, ...]:
 class Monomial:
     """An immutable monomial ``coefficient · u^exponents``.
 
-    ``exponents`` are stored as exact fractions; :meth:`is_integral` reports
-    whether they are all integers (i.e. whether the monomial is admissible
-    in a plain MPI as opposed to a GMPI).
+    The coefficient and each exponent are an ``int`` when integral and a
+    ``Fraction`` otherwise (see the module docstring); :meth:`is_integral`
+    reports whether every exponent is an integer (i.e. whether the monomial
+    is admissible in a plain MPI as opposed to a GMPI).
     """
 
-    coefficient: Fraction
-    exponents: tuple[Fraction, ...]
+    coefficient: int | Fraction
+    exponents: tuple[int | Fraction, ...]
 
     def __init__(self, coefficient: object, exponents: Sequence[object]) -> None:
-        value = Fraction(coefficient)
+        value = _exact(coefficient)
         if value < 0:
             raise DiophantineError(f"coefficients must be non-negative, got {coefficient}")
         object.__setattr__(self, "coefficient", value)
@@ -57,19 +75,19 @@ class Monomial:
         """Number of unknowns the monomial ranges over."""
         return len(self.exponents)
 
-    def degree(self) -> Fraction:
+    def degree(self) -> int | Fraction:
         """Total degree: the sum of the exponents."""
-        return sum(self.exponents, Fraction(0))
+        return sum(self.exponents)
 
     def is_integral(self) -> bool:
         """``True`` when every exponent is a (non-negative) integer."""
-        return all(exponent.denominator == 1 for exponent in self.exponents)
+        return all(type(exponent) is int for exponent in self.exponents)
 
     def integer_exponents(self) -> tuple[int, ...]:
         """The exponents as plain integers; raises unless :meth:`is_integral`."""
         if not self.is_integral():
             raise DiophantineError(f"monomial {self} has non-integer exponents")
-        return tuple(int(exponent) for exponent in self.exponents)
+        return self.exponents
 
     def support(self) -> frozenset[int]:
         """Indices of unknowns appearing with a positive exponent."""
@@ -78,8 +96,13 @@ class Monomial:
     # ------------------------------------------------------------------ #
     # Evaluation and algebra
     # ------------------------------------------------------------------ #
-    def evaluate(self, point: Sequence[object]) -> Fraction:
+    def evaluate(self, point: Sequence[object]) -> int | Fraction:
         """Value of the monomial at *point* (exact, point components rational).
+
+        An ``int`` or ``Fraction`` component is used as it is; any other
+        component is converted to a ``Fraction``.  The value is an ``int``
+        whenever the coefficient and the point are integral and the
+        exponents natural — always, on an MPI at a natural point.
 
         Non-integer exponents are only supported when the corresponding
         point component is 0 or 1 (the only cases needed by the library,
@@ -93,19 +116,20 @@ class Monomial:
             )
         result = self.coefficient
         for value, exponent in zip(point, self.exponents):
-            base = Fraction(value)
+            base = value if type(value) is int or type(value) is Fraction else _exact(value)
             if base < 0:
                 raise DiophantineError("monomials are only evaluated on non-negative points")
-            if exponent.denominator == 1:
-                result *= base ** int(exponent)
-            elif base in (0, 1):
-                result *= base if exponent != 0 else Fraction(1)
+            if type(exponent) is int:
+                result *= base**exponent
+            elif base == 0 or base == 1:
+                # A fractional exponent is never 0, so 0^e = 0 and 1^e = 1.
+                result *= base
             else:
                 raise DiophantineError(
                     f"cannot exactly evaluate {base}^{exponent}; use float_evaluate instead"
                 )
             if result == 0:
-                return Fraction(0)
+                return 0
         return result
 
     def float_evaluate(self, point: Sequence[float]) -> float:
@@ -121,7 +145,7 @@ class Monomial:
 
     def scale(self, factor: object) -> "Monomial":
         """The monomial with its coefficient multiplied by *factor*."""
-        return Monomial(self.coefficient * Fraction(factor), self.exponents)
+        return Monomial(self.coefficient * _exact(factor), self.exponents)
 
     def multiply(self, other: "Monomial") -> "Monomial":
         """Product of two monomials over the same unknowns."""
@@ -145,7 +169,8 @@ class Monomial:
                 f"parameter vector of size {len(epsilon)} for a monomial of dimension {self.dimension}"
             )
         exponent = sum(
-            (e * Fraction(value) for e, value in zip(self.exponents, epsilon)), Fraction(0)
+            e * (value if type(value) is int or type(value) is Fraction else _exact(value))
+            for e, value in zip(self.exponents, epsilon)
         )
         return Monomial(self.coefficient, (exponent,))
 

@@ -23,11 +23,11 @@ __all__ = ["Polynomial"]
 def _polled(monomials: tuple[Monomial, ...]) -> Iterable[Monomial]:
     """*monomials*, polling an ambient deadline every :data:`TICK_INTERVAL` of them.
 
-    Witness assembly spends its time in per-monomial ``Fraction`` work: on
-    a wide encoding (thousands of monomials) specialising the MPI for the
-    Lemma 4.1 search, checking the witness and building the counterexample
-    each take hundreds of milliseconds, while the search itself takes well
-    under one.
+    Witness assembly spends its time in per-monomial work: on a wide
+    encoding (thousands of monomials) specialising the MPI for the Lemma 4.1
+    search, checking the witness and building the counterexample each take
+    tens of milliseconds of ``int`` arithmetic, while the search itself
+    takes well under one.
     """
     tick = deadline_handle()
     if tick is None:
@@ -51,7 +51,7 @@ class Polynomial:
     __slots__ = ("_monomials", "_dimension")
 
     def __init__(self, monomials: Iterable[Monomial], dimension: int | None = None) -> None:
-        merged: dict[tuple[Fraction, ...], Monomial] = {}
+        merged: dict[tuple[int | Fraction, ...], Monomial] = {}
         inferred_dimension = dimension
         for monomial in monomials:
             if not isinstance(monomial, Monomial):
@@ -100,10 +100,10 @@ class Polynomial:
         """``True`` for the empty sum."""
         return not self._monomials
 
-    def degree(self) -> Fraction:
+    def degree(self) -> int | Fraction:
         """Maximal total degree over the monomials (0 for the zero polynomial)."""
         if not self._monomials:
-            return Fraction(0)
+            return 0
         return max(monomial.degree() for monomial in self._monomials)
 
     def is_integral(self) -> bool:
@@ -114,24 +114,27 @@ class Polynomial:
         """``True`` when some monomial has all exponents equal to zero."""
         return any(all(exponent == 0 for exponent in monomial.exponents) for monomial in self._monomials)
 
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         """Coefficients of the monomials, in the canonical order."""
         return tuple(monomial.coefficient for monomial in self._monomials)
 
-    def exponent_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+    def exponent_vectors(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """Exponent vectors of the monomials, in the canonical order."""
         return tuple(monomial.exponents for monomial in self._monomials)
 
     # ------------------------------------------------------------------ #
     # Evaluation and algebra
     # ------------------------------------------------------------------ #
-    def evaluate(self, point: Sequence[object]) -> Fraction:
-        """Exact value of the polynomial at *point*, polling any deadline."""
+    def evaluate(self, point: Sequence[object]) -> int | Fraction:
+        """Exact value of the polynomial at *point*, polling any deadline.
+
+        An ``int`` at a natural point, as :meth:`Monomial.evaluate` is.
+        """
         if len(point) != self._dimension:
             raise DimensionMismatchError(
                 f"point of size {len(point)} supplied to a polynomial of dimension {self._dimension}"
             )
-        return sum((monomial.evaluate(point) for monomial in _polled(self._monomials)), Fraction(0))
+        return sum(monomial.evaluate(point) for monomial in _polled(self._monomials))
 
     def float_evaluate(self, point: Sequence[float]) -> float:
         """Floating-point value of the polynomial at *point*."""

@@ -108,8 +108,13 @@ def smallest_univariate_solution(gmpi: GeneralizedMPI, search_limit: int = 10**9
 
     The existence argument of Lemma 4.1 only needs the asymptotic dominance
     of the monomial; here the actual minimum is found by doubling up to a
-    point that satisfies the inequality and then binary-searching down.
-    Raises :class:`DiophantineError` when the inequality is unsolvable.
+    point that satisfies the inequality (the last probe is *search_limit*
+    itself) and then binary-searching down.  Past ``u = 1`` the inequality,
+    once satisfied, stays satisfied (every polynomial degree is below the
+    monomial's), so the search finds the minimum.  Every probe is an ``int``
+    point, so with integer coefficients the search is ``int`` arithmetic.
+    Raises :class:`DiophantineError` when the inequality is unsolvable or
+    its minimum exceeds *search_limit*.
     """
     if not solve_univariate_gmpi(gmpi):
         raise DiophantineError(f"the univariate inequality {gmpi} has no Diophantine solution")
@@ -117,20 +122,19 @@ def smallest_univariate_solution(gmpi: GeneralizedMPI, search_limit: int = 10**9
         raise DiophantineError("exact search requires integer exponents")
 
     def satisfied(value: int) -> bool:
-        point = (Fraction(value),)
+        point = (value,)
         return gmpi.polynomial.evaluate(point) < gmpi.monomial.evaluate(point)
 
     if satisfied(1):
         return 1
-    upper = 2
-    while not satisfied(upper):
-        upper *= 2
-        if upper > search_limit:
+    low, high = 1, 2
+    while not satisfied(high):
+        if high >= search_limit:
             raise DiophantineError(
-                f"no solution of {gmpi} found below {search_limit}; "
+                f"no solution of {gmpi} found up to {search_limit}; "
                 "the inequality is solvable but its minimum solution is out of range"
             )
-    low, high = upper // 2, upper
+        low, high = high, min(2 * high, search_limit)
     while low + 1 < high:
         middle = (low + high) // 2
         if satisfied(middle):
@@ -211,15 +215,12 @@ def _expand_witness(
     return tuple(witness)
 
 
-def _constant_coefficient_sum(inequality: MonomialPolynomialInequality) -> Fraction:
+def _constant_coefficient_sum(inequality: MonomialPolynomialInequality) -> int | Fraction:
     """Sum of the coefficients of the polynomial's constant monomials."""
     return sum(
-        (
-            monomial.coefficient
-            for monomial in inequality.polynomial
-            if all(exponent == 0 for exponent in monomial.exponents)
-        ),
-        Fraction(0),
+        monomial.coefficient
+        for monomial in inequality.polynomial
+        if all(exponent == 0 for exponent in monomial.exponents)
     )
 
 

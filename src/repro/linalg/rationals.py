@@ -1,14 +1,17 @@
 """Small exact-arithmetic helpers used by the linear and Diophantine layers.
 
-Every answer is exact.  The bag-containment path is integer-native up to
-the linear system: exponent vectors are ``int`` tuples and Theorem 4.1's
+Every answer is exact.  The bag-containment path is integer-native except
+inside the linear solver: a monomial stores integral coefficients and
+exponents as ``int`` (:mod:`repro.diophantine.monomials`), Theorem 4.1's
 rows ``e − e_i`` are ``int`` rows, which
 :class:`~repro.linalg.systems.HomogeneousStrictSystem` keeps without
-building a :class:`fractions.Fraction`.  Fractions remain where values are
-genuinely rational: general GMPIs, the Fourier–Motzkin witness and its
-back-substitution.  These helpers convert between rational and integer
-vectors (clearing denominators with the lcm, as in the proof of
-Theorem 4.1) and normalise vectors by their gcd to keep numbers small.
+building a :class:`fractions.Fraction`, and the Lemma 4.1 search, the
+witness ``ξ_j = ξ⋆^{d_j}`` and its checks evaluate at ``int`` points.
+Fractions remain where values are genuinely rational: fractional GMPI
+exponents, the Fourier–Motzkin witness and its back-substitution.  These
+helpers convert the rational witness to the natural vector ``d`` (clearing
+denominators with the lcm, as in the proof of Theorem 4.1) and normalise
+vectors by their gcd to keep numbers small.
 """
 
 from __future__ import annotations

@@ -9,10 +9,27 @@ from repro.exceptions import DimensionMismatchError, DiophantineError
 
 
 class TestConstruction:
-    def test_exponents_become_fractions(self):
+    def test_exponents_compare_equal_to_fractions(self):
         monomial = Monomial(1, (2, 0, 3))
         assert monomial.exponents == (Fraction(2), Fraction(0), Fraction(3))
         assert monomial.coefficient == 1
+
+    def test_integral_values_are_stored_as_ints(self):
+        normalised = Monomial(Fraction(6, 2), (Fraction(2), 1))
+        plain = Monomial(3, (2, 1))
+        assert type(normalised.coefficient) is int
+        assert all(type(exponent) is int for exponent in normalised.exponents)
+        assert normalised == plain
+        assert hash(normalised) == hash(plain)
+        assert normalised.exponents == plain.exponents == (2, 1)
+
+    def test_fractional_gmpi_exponents_stay_fractions(self):
+        monomial = Monomial(Fraction(1, 2), (Fraction(3, 2), 2.0))
+        assert monomial.coefficient == Fraction(1, 2)
+        assert monomial.exponents == (Fraction(3, 2), 2)
+        assert type(monomial.exponents[0]) is Fraction
+        assert type(monomial.exponents[1]) is int
+        assert not monomial.is_integral()
 
     def test_negative_coefficient_is_rejected(self):
         with pytest.raises(DiophantineError):

@@ -1,5 +1,6 @@
 """Unit tests for the MPI decision procedure (Theorems 4.1 and 4.2)."""
 
+import hashlib
 import random
 
 import pytest
@@ -64,6 +65,26 @@ class TestUnivariateCriterion:
         # P = 0 (empty): the smallest natural solution of 0 < u^1 is 1.
         trivial = GeneralizedMPI(Polynomial.zero(1), Monomial(1, (1,)))
         assert smallest_univariate_solution(trivial) == 1
+
+    @pytest.mark.parametrize(
+        "constant, search_limit, expected",
+        [
+            # Doubling passes 10^9 at 2^30; the minimum 600000001 lies
+            # between the last power of two probed (2^29) and the limit.
+            (600_000_000, 10**9, 600_000_001),
+            (20, 20, None),
+            (20, 21, 21),
+            (20, 40, 21),
+        ],
+    )
+    def test_search_limit_is_inclusive(self, constant, search_limit, expected):
+        # constant < u: its minimum constant + 1 is found iff the limit reaches it.
+        gmpi = GeneralizedMPI(Polynomial.from_terms([(constant, (0,))]), Monomial(1, (1,)))
+        if expected is None:
+            with pytest.raises(DiophantineError, match="out of range"):
+                smallest_univariate_solution(gmpi, search_limit=search_limit)
+        else:
+            assert smallest_univariate_solution(gmpi, search_limit=search_limit) == expected
 
 
 class TestDecideMpi:
@@ -219,36 +240,62 @@ def _dim9_mpi(seed: int) -> MonomialPolynomialInequality:
     return MonomialPolynomialInequality(polynomial, monomial)
 
 
-#: ``(seed, solvable, method, linear_solution)`` on the dim-9 frontier.  The
-#: values were generated while Fourier–Motzkin still pruned implied rows, so
-#: they pin that elimination without the pruning decides the same way.
+#: ``(seed, solvable, method, linear_solution, witness_sha256)`` on the dim-9
+#: frontier.  The decisions were generated while Fourier–Motzkin still pruned
+#: implied rows, so they pin that elimination without the pruning decides the
+#: same way.  The digest is the sha256 of the witness's ``repr``, generated on
+#: ``Fraction`` arithmetic: it pins the Lemma 4.1 output byte for byte.
 _DIM9_FRONTIER = [
-    (10, True, "fourier-motzkin", (21, 1, 12, 1, 1, 1, 1, 1, 5)),
-    (11, True, "fourier-motzkin", (1, 1, 1, 1, 1, 1, 1, 1, 1)),
-    (12, True, "fourier-motzkin", (1, 3, 4, 1, 1, 1, 1, 1, 1)),
-    (13, True, "fourier-motzkin", (1, 1, 3, 1, 1, 1, 1, 1, 1)),
-    (14, True, "fourier-motzkin", (2, 7, 2, 2, 2, 2, 2, 2, 2)),
-    (15, False, "fourier-motzkin", None),
-    (16, False, "lp-fallback", None),
-    (17, True, "fourier-motzkin", (1, 1, 1, 1, 1, 1, 1, 1, 1)),
-    (18, True, "fourier-motzkin", (3, 3, 16, 12, 3, 3, 3, 3, 7)),
-    (19, True, "fourier-motzkin", (3, 1, 2, 1, 1, 1, 1, 1, 1)),
-    (20, True, "fourier-motzkin", (3, 3, 3, 3, 4, 3, 3, 3, 3)),
-    (21, True, "fourier-motzkin", (1, 1, 1, 1, 4, 1, 1, 1, 1)),
-    (22, True, "fourier-motzkin", (2, 2, 2, 7, 2, 2, 2, 2, 8)),
-    (23, True, "fourier-motzkin", (1, 1, 1, 3, 1, 1, 1, 4, 1)),
-    (24, True, "fourier-motzkin", (13, 9, 18, 3, 3, 3, 3, 3, 3)),
-    (25, True, "fourier-motzkin", (1, 1, 1, 1, 29, 14, 9, 16, 1)),
-    (26, True, "fourier-motzkin", (7, 3, 6, 3, 3, 3, 3, 3, 3)),
-    (27, True, "fourier-motzkin", (5, 3, 9, 3, 3, 3, 3, 3, 3)),
-    (28, True, "fourier-motzkin", (1, 10, 4, 8, 1, 1, 1, 1, 1)),
-    (29, True, "fourier-motzkin", (4, 3, 3, 6, 3, 3, 3, 3, 3)),
+    (10, True, "fourier-motzkin", (21, 1, 12, 1, 1, 1, 1, 1, 5),
+     "0903a855dcc888b9d7b0768b15e584ecd6d0a0e8fb793a3e588cf87011cc9f51"),
+    (11, True, "fourier-motzkin", (1, 1, 1, 1, 1, 1, 1, 1, 1),
+     "db4d4b11cd9a9c41fdee75d28b2d352629295cea93449cb0d4aba58e972cf0b8"),
+    (12, True, "fourier-motzkin", (1, 3, 4, 1, 1, 1, 1, 1, 1),
+     "8a15d87bee38ae8c589a93f9b8ff84735f1c0b14586b02dee6b1375edea1bf51"),
+    (13, True, "fourier-motzkin", (1, 1, 3, 1, 1, 1, 1, 1, 1),
+     "9b21cd4cbcbadf960a2f9f011633531dd4e3c284a8b95ddd2a6a659bef69c86d"),
+    (14, True, "fourier-motzkin", (2, 7, 2, 2, 2, 2, 2, 2, 2),
+     "e1e24433d33b398c75b6a29ef70daba10ccb33004a8ae328ae7e2bf8acdf5072"),
+    (15, False, "fourier-motzkin", None, None),
+    (16, False, "lp-fallback", None, None),
+    (17, True, "fourier-motzkin", (1, 1, 1, 1, 1, 1, 1, 1, 1),
+     "db4d4b11cd9a9c41fdee75d28b2d352629295cea93449cb0d4aba58e972cf0b8"),
+    (18, True, "fourier-motzkin", (3, 3, 16, 12, 3, 3, 3, 3, 7),
+     "7b27a7725530c57bdf6c21cbedbebabaa78eab20c8ffa5b7bd9cd989a77d670e"),
+    (19, True, "fourier-motzkin", (3, 1, 2, 1, 1, 1, 1, 1, 1),
+     "0bf693d467e4da09f274c54aae0c845b88d8a3e1ad14abc410a6ddeb25e38cb0"),
+    (20, True, "fourier-motzkin", (3, 3, 3, 3, 4, 3, 3, 3, 3),
+     "2aeb062911b17191bb36325315a4a146a9ff27ab68c34ac80c711fba83fb523c"),
+    (21, True, "fourier-motzkin", (1, 1, 1, 1, 4, 1, 1, 1, 1),
+     "55db9df84d80430a8b1e21198fe910d3445fe0201d837b0349b959b683ca16bb"),
+    (22, True, "fourier-motzkin", (2, 2, 2, 7, 2, 2, 2, 2, 8),
+     "8e876bb936e66ad6f2b008c9a8aaebab78d7bee6520cde6cfe0d76633fb84d59"),
+    (23, True, "fourier-motzkin", (1, 1, 1, 3, 1, 1, 1, 4, 1),
+     "c70d9e9af05bc7c5423f6d4cf8a0067fc69a0a281f8729ad681d97dd4a28d0e8"),
+    (24, True, "fourier-motzkin", (13, 9, 18, 3, 3, 3, 3, 3, 3),
+     "adb5c482a1c4ad7e0184b73b09386dfe16ce4e75cfa814c7a5e4f1ffefac7636"),
+    (25, True, "fourier-motzkin", (1, 1, 1, 1, 29, 14, 9, 16, 1),
+     "c7c60e75b28a1531e977128eb1b1f84404c4d67675eaf6b5cae2d6c63857bd50"),
+    (26, True, "fourier-motzkin", (7, 3, 6, 3, 3, 3, 3, 3, 3),
+     "c27d68a58f3237b3d9a01a4115a7e9a0eb6b08a5f54d5c0df89a82a406709d97"),
+    (27, True, "fourier-motzkin", (5, 3, 9, 3, 3, 3, 3, 3, 3),
+     "3587b6c464e747ccd87f65f4490f9a378fce9cb50dd6c5ae2941a768d16f0337"),
+    (28, True, "fourier-motzkin", (1, 10, 4, 8, 1, 1, 1, 1, 1),
+     "27edfdb1d817c6d8491b2935f2fc8b33566610f276cb98b4975cef19c65f5b1d"),
+    (29, True, "fourier-motzkin", (4, 3, 3, 6, 3, 3, 3, 3, 3),
+     "12c95ade6186f8101e2ab7703523c1db3d9e0a0927ddfcf0a10a9f7c7452e84d"),
 ]
 
 
 class TestFourierMotzkinFrontier:
-    @pytest.mark.parametrize("seed, solvable, method, linear_solution", _DIM9_FRONTIER)
-    def test_dim9_family_is_decided_as_pinned(self, seed, solvable, method, linear_solution):
+    @pytest.mark.parametrize(
+        "seed, solvable, method, linear_solution, witness_sha256",
+        _DIM9_FRONTIER,
+        ids=[f"seed{row[0]}" for row in _DIM9_FRONTIER],
+    )
+    def test_dim9_family_is_decided_as_pinned(
+        self, seed, solvable, method, linear_solution, witness_sha256
+    ):
         if method == "lp-fallback":
             pytest.importorskip("scipy")
         inequality = _dim9_mpi(seed)
@@ -260,3 +307,6 @@ class TestFourierMotzkinFrontier:
         )
         if solvable:
             assert inequality.is_solution(decision.witness)
+            assert hashlib.sha256(repr(decision.witness).encode()).hexdigest() == witness_sha256
+        else:
+            assert decision.witness is None

@@ -316,7 +316,10 @@ class TestWitnessDeadline:
         from repro.core.encoding import encode_most_general
         from repro.workloads.scale import wide_star_pair
 
-        return encode_most_general(*wide_star_pair(8, 8, containee_boost=4))
+        # 19,448 monomials over 8 unknowns.  At wide_star_pair(8, 8) (6,435
+        # monomials) the polynomial evaluation takes only ~12-16ms on int
+        # arithmetic, too close to the 5ms budget to be sure it outlasts it.
+        return encode_most_general(*wide_star_pair(8, 10, containee_boost=4))
 
     @staticmethod
     def _raises_promptly(call):
@@ -324,16 +327,16 @@ class TestWitnessDeadline:
         with pytest.raises(DeadlineExceeded):
             with deadline_scope(5):
                 call()
-        # Polled, the call raises within ~10ms; either loop unpolled takes
-        # ~0.35-0.45 s on its own.
+        # Polled, the call raises within ~10ms; unpolled, the calls below
+        # take ~110 ms and ~45 ms on their own (2.1 GHz Xeon).
         elapsed_ms = (time.perf_counter() - started) * 1000
         assert elapsed_ms < 100, f"raised only after {elapsed_ms:.0f}ms"
 
     def test_witness_assembly_polls_the_deadline(self, wide_encoding):
-        # 6,435 monomials at d = 1^8: the Lemma 4.1 search takes well under
+        # 19,448 monomials at d = 1^8: the Lemma 4.1 search takes well under
         # a millisecond, but specialising the MPI for it and checking the
-        # witness each spend ~0.4 s on Fraction arithmetic per monomial;
-        # unpolled, the call ran ~0.9 s past a 5ms budget.
+        # witness each walk every monomial, ~0.1 s together; unpolled, the
+        # call ran that long past a 5ms budget.
         from repro.diophantine.solver import witness_from_linear_solution
 
         self._raises_promptly(

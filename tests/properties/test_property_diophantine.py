@@ -5,7 +5,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.diophantine.solver import decide_mpi, decide_mpi_via_lp
+from repro.diophantine.inequalities import GeneralizedMPI
+from repro.diophantine.monomials import Monomial
+from repro.diophantine.polynomials import Polynomial
+from repro.diophantine.solver import decide_mpi, decide_mpi_via_lp, smallest_univariate_solution
 from repro.linalg.fourier_motzkin import solve_strict_system
 from repro.linalg.lp_scipy import lp_feasibility
 from repro.linalg.rationals import clear_denominators, normalize_integer_vector, scale_to_natural
@@ -116,3 +119,84 @@ class TestMpiDecision:
             assert not inequality.is_solution((0, 0, 0))
         if not inequality.polynomial.is_zero():
             assert not inequality.is_solution((1, 1, 1))
+
+
+def reference_value(coefficient, exponents, point) -> Fraction:
+    """A monomial's value computed on ``Fraction`` arithmetic throughout.
+
+    The oracle for the ``int``-native ``Monomial.evaluate``: every operand
+    is converted to a ``Fraction`` first.  Shares no code with the library.
+    """
+    value = Fraction(coefficient)
+    for base, exponent in zip(point, exponents):
+        value *= Fraction(base) ** int(exponent)
+    return value
+
+
+def reference_smallest_solution(terms, degree) -> int:
+    """The least ``u ≥ 1`` with ``Σ a·u^e < u^degree``, scanning upwards on ``Fraction``s."""
+    u = 1
+    while sum((reference_value(a, (e,), (u,)) for a, e in terms), Fraction(0)) >= Fraction(u) ** degree:
+        u += 1
+    return u
+
+
+_naturals = st.integers(min_value=0, max_value=6)
+#: A non-negative rational in each shape callers pass: ``int``, integral
+#: ``Fraction``, proper ``Fraction`` and an exactly representable ``float``.
+_rationals = st.one_of(
+    _naturals,
+    _naturals.map(Fraction),
+    st.fractions(min_value=0, max_value=6, max_denominator=4),
+    _naturals.map(lambda value: value / 2),
+)
+_exponents = st.one_of(st.integers(0, 4), st.integers(0, 4).map(Fraction))
+_points = st.tuples(_rationals, _rationals, _rationals)
+
+
+class TestIntegerArithmeticMatchesFractionReference:
+    """Canonical ``int``/``Fraction`` storage gives the ``Fraction`` answers."""
+
+    @given(_rationals, st.tuples(_exponents, _exponents, _exponents), _points)
+    @settings(max_examples=100, deadline=None)
+    def test_monomial_evaluation(self, coefficient, exponents, point):
+        value = Monomial(coefficient, exponents).evaluate(point)
+        assert value == reference_value(coefficient, exponents, point)
+        if all(type(component) is int for component in (coefficient, *point)):
+            assert type(value) is int
+
+    @given(st.lists(st.tuples(_rationals, st.tuples(_exponents, _exponents, _exponents)), max_size=4), _points)
+    @settings(max_examples=100, deadline=None)
+    def test_polynomial_evaluation(self, terms, point):
+        polynomial = Polynomial([Monomial(a, e) for a, e in terms], dimension=3)
+        expected = sum((reference_value(a, e, point) for a, e in terms), Fraction(0))
+        assert polynomial.evaluate(point) == expected
+
+    @given(mpis(dimension=3, max_monomials=4), st.tuples(*[st.integers(0, 4)] * 3), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_specialize_at_natural_parameters(self, inequality, d, u):
+        specialized = inequality.specialize(d)
+        # The substituted exponent is the dot product e·d, taken on Fractions.
+        assert specialized.polynomial == Polynomial(
+            [
+                Monomial(m.coefficient, (sum((Fraction(e) * k for e, k in zip(m.exponents, d)), Fraction(0)),))
+                for m in inequality.polynomial
+            ],
+            dimension=1,
+        )
+        # The specialisation at u is the MPI at xi = u^d.
+        xi = tuple(u**k for k in d)
+        assert specialized.polynomial.evaluate((u,)) == sum(
+            (reference_value(m.coefficient, m.exponents, xi) for m in inequality.polynomial), Fraction(0)
+        )
+        assert specialized.monomial.evaluate((u,)) == reference_value(1, inequality.monomial.exponents, xi)
+
+    @given(st.integers(1, 5), st.lists(st.tuples(_rationals, st.integers(0, 4)), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_smallest_univariate_solution(self, degree, terms):
+        # Every polynomial degree stays below the monomial's, so it is solvable.
+        terms = [(a, e % degree) for a, e in terms]
+        gmpi = GeneralizedMPI(
+            Polynomial([Monomial(a, (e,)) for a, e in terms], dimension=1), Monomial(1, (degree,))
+        )
+        assert smallest_univariate_solution(gmpi) == reference_smallest_solution(terms, degree)
