@@ -40,7 +40,7 @@ def _exact(value: object) -> int | Fraction:
 def _check_exponents(exponents: Sequence[object]) -> tuple[int | Fraction, ...]:
     converted = []
     for exponent in exponents:
-        value = exponent if type(exponent) is int else _exact(exponent)
+        value = _exact(exponent)
         if value < 0:
             raise DiophantineError(f"exponents must be non-negative, got {exponent}")
         converted.append(value)

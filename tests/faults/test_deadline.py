@@ -316,10 +316,12 @@ class TestWitnessDeadline:
         from repro.core.encoding import encode_most_general
         from repro.workloads.scale import wide_star_pair
 
-        # 19,448 monomials over 8 unknowns.  At wide_star_pair(8, 8) (6,435
-        # monomials) the polynomial evaluation takes only ~12-16ms on int
-        # arithmetic, too close to the 5ms budget to be sure it outlasts it.
-        return encode_most_general(*wide_star_pair(8, 10, containee_boost=4))
+        # 50,388 monomials over 8 unknowns.  On int arithmetic each unpolled
+        # walk below must still clearly outlast the 100ms bound, not only the
+        # 5ms budget: at wide_star_pair(8, 10) (19,448 monomials) specialising
+        # the MPI takes ~65-115ms, too close to the bound to catch a missing
+        # poll in ``Polynomial.substitute_power``.
+        return encode_most_general(*wide_star_pair(8, 12, containee_boost=4))
 
     @staticmethod
     def _raises_promptly(call):
@@ -328,15 +330,17 @@ class TestWitnessDeadline:
             with deadline_scope(5):
                 call()
         # Polled, the call raises within ~10ms; unpolled, the calls below
-        # take ~110 ms and ~45 ms on their own (2.1 GHz Xeon).
+        # take ~430ms and ~150ms on their own, and specialising alone ~290ms
+        # (2.1 GHz Xeon).
         elapsed_ms = (time.perf_counter() - started) * 1000
         assert elapsed_ms < 100, f"raised only after {elapsed_ms:.0f}ms"
 
     def test_witness_assembly_polls_the_deadline(self, wide_encoding):
-        # 19,448 monomials at d = 1^8: the Lemma 4.1 search takes well under
-        # a millisecond, but specialising the MPI for it and checking the
-        # witness each walk every monomial, ~0.1 s together; unpolled, the
-        # call ran that long past a 5ms budget.
+        # 50,388 monomials at d = 1^8: the Lemma 4.1 search takes well under
+        # a millisecond, but specialising the MPI for it (~0.3 s) and checking
+        # the witness (~0.15 s) each walk every monomial.  Specialising runs
+        # first, so without the poll in ``Polynomial.substitute_power`` the
+        # call overruns the 5ms budget by ~0.3 s before any check polls.
         from repro.diophantine.solver import witness_from_linear_solution
 
         self._raises_promptly(
