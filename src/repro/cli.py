@@ -83,9 +83,6 @@ from repro.queries.parser import parse_atom, parse_cq
 from repro.queries.printer import format_answer_bag, format_bag_instance, format_query
 from repro.relational.instances import BagInstance
 from repro.session import ContainmentRequest, EvaluationRequest, Limits, MpiRequest, Session
-from repro.verify.corpus import replay_corpus, save_corpus
-from repro.verify.oracles import OracleConfig
-from repro.verify.runner import CampaignConfig, campaign_corpus
 
 __all__ = ["main", "build_parser"]
 
@@ -478,6 +475,10 @@ def _run_compare(args: argparse.Namespace, session: Session) -> int:
 
 
 def _run_fuzz(args: argparse.Namespace, session: Session) -> int:
+    from repro.verify.corpus import replay_corpus, save_corpus
+    from repro.verify.oracles import OracleConfig
+    from repro.verify.runner import CampaignConfig, campaign_corpus
+
     strategies = tuple(name.strip() for name in args.strategies.split(",") if name.strip())
     backends = tuple(name.strip() for name in args.backends.split(",") if name.strip())
 

@@ -97,9 +97,11 @@ class MonomialPolynomialInequality:
         (an MPI's exponents are natural numbers), so the system takes its
         integer path and never builds a :class:`~fractions.Fraction`.
         """
-        monomial_exponents = self.monomial.integer_exponents()
+        # ``__post_init__`` has checked both sides integral, so the exponents
+        # are read directly rather than re-checked per monomial.
+        monomial_exponents = self.monomial.exponents
         rows = [
-            tuple(e - ei for e, ei in zip(monomial_exponents, poly_monomial.integer_exponents()))
+            tuple(e - ei for e, ei in zip(monomial_exponents, poly_monomial.exponents))
             for poly_monomial in self.polynomial
         ]
         return HomogeneousStrictSystem(rows, self.dimension)

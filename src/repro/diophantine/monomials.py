@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import DiophantineError, DimensionMismatchError
 
@@ -45,6 +45,13 @@ def _check_exponents(exponents: Sequence[object]) -> tuple[int | Fraction, ...]:
             raise DiophantineError(f"exponents must be non-negative, got {exponent}")
         converted.append(value)
     return tuple(converted)
+
+
+def check_point(components: Iterable[object]) -> None:
+    """Raise :class:`DiophantineError` if any of *components* is negative."""
+    for value in components:
+        if (value if type(value) is int or type(value) is Fraction else _exact(value)) < 0:
+            raise DiophantineError("monomials are only evaluated on non-negative points")
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,8 @@ class Monomial:
                     f"cannot exactly evaluate {base}^{exponent}; use float_evaluate instead"
                 )
             if result == 0:
+                # Off the hot path: reject a negative component the loop skips.
+                check_point(point)
                 return 0
         return result
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.exceptions import DimensionMismatchError, DiophantineError
-from repro.diophantine.monomials import Monomial
+from repro.diophantine.monomials import Monomial, check_point
 from repro.faults.runtime import TICK_INTERVAL, deadline_handle
 
 __all__ = ["Polynomial"]
@@ -134,6 +134,9 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"point of size {len(point)} supplied to a polynomial of dimension {self._dimension}"
             )
+        if not self._monomials:
+            check_point(point)
+            return 0
         return sum(monomial.evaluate(point) for monomial in _polled(self._monomials))
 
     def float_evaluate(self, point: Sequence[float]) -> float:

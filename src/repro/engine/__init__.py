@@ -37,72 +37,89 @@ The CLI exposes the session's choice as ``--engine-backend`` and prints the
 session cache's statistics under ``--engine-stats``.
 """
 
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    Backend,
-    InternedBackend,
-    NaiveBackend,
-    backend_names,
-    create_backend,
-    default_cache,
-    get_backend,
-    get_default_backend,
-)
-from repro.engine.batch import BagBatchEvaluator, ContainmentMappingBatcher
-from repro.engine.cache import (
-    CacheStats,
-    EngineCache,
-    describe_snapshot,
-    merge_snapshots,
-    snapshot_delta,
-)
-from repro.engine.fingerprints import (
-    UnpersistableKeyError,
-    atoms_fingerprint,
-    persistent_digest,
-    query_fingerprint,
-)
-from repro.engine.interned import (
-    ExecutionStats,
-    InternedPlan,
-    compile_interned_plan,
-    interned_count,
-    interned_exists,
-    interned_iterate,
-)
-from repro.engine.interning import InternedTarget, TermDictionary
-from repro.engine.persist import MISS, PersistentCache, PersistStats, SCHEMA_VERSION
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BACKEND_NAMES",
-    "Backend",
-    "BagBatchEvaluator",
-    "CacheStats",
-    "ContainmentMappingBatcher",
-    "EngineCache",
-    "ExecutionStats",
-    "InternedBackend",
-    "InternedPlan",
-    "InternedTarget",
-    "MISS",
-    "NaiveBackend",
-    "PersistStats",
-    "PersistentCache",
-    "SCHEMA_VERSION",
-    "TermDictionary",
-    "UnpersistableKeyError",
-    "atoms_fingerprint",
-    "backend_names",
-    "compile_interned_plan",
-    "create_backend",
-    "default_cache",
-    "describe_snapshot",
-    "get_backend",
-    "get_default_backend",
-    "interned_count",
-    "interned_exists",
-    "interned_iterate",
-    "merge_snapshots",
-    "query_fingerprint",
-    "snapshot_delta",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.engine.backends import (
+        BACKEND_NAMES,
+        Backend,
+        InternedBackend,
+        NaiveBackend,
+        backend_names,
+        create_backend,
+        default_cache,
+        get_backend,
+        get_default_backend,
+    )
+    from repro.engine.batch import BagBatchEvaluator, ContainmentMappingBatcher
+    from repro.engine.cache import (
+        CacheStats,
+        EngineCache,
+        describe_snapshot,
+        merge_snapshots,
+        snapshot_delta,
+    )
+    from repro.engine.fingerprints import (
+        UnpersistableKeyError,
+        atoms_fingerprint,
+        persistent_digest,
+        query_fingerprint,
+    )
+    from repro.engine.interned import (
+        ExecutionStats,
+        InternedPlan,
+        compile_interned_plan,
+        interned_count,
+        interned_exists,
+        interned_iterate,
+    )
+    from repro.engine.interning import InternedTarget, TermDictionary
+    from repro.engine.persist import MISS, PersistentCache, PersistStats, SCHEMA_VERSION
+
+#: Each exported name and the module that defines it (``repro._lazy``).
+_EXPORTS = MappingProxyType(
+    {
+        "BACKEND_NAMES": "repro.engine.backends",
+        "Backend": "repro.engine.backends",
+        "BagBatchEvaluator": "repro.engine.batch",
+        "CacheStats": "repro.engine.cache",
+        "ContainmentMappingBatcher": "repro.engine.batch",
+        "EngineCache": "repro.engine.cache",
+        "ExecutionStats": "repro.engine.interned",
+        "InternedBackend": "repro.engine.backends",
+        "InternedPlan": "repro.engine.interned",
+        "InternedTarget": "repro.engine.interning",
+        "MISS": "repro.engine.persist",
+        "NaiveBackend": "repro.engine.backends",
+        "PersistStats": "repro.engine.persist",
+        "PersistentCache": "repro.engine.persist",
+        "SCHEMA_VERSION": "repro.engine.persist",
+        "TermDictionary": "repro.engine.interning",
+        "UnpersistableKeyError": "repro.engine.fingerprints",
+        "atoms_fingerprint": "repro.engine.fingerprints",
+        "backend_names": "repro.engine.backends",
+        "compile_interned_plan": "repro.engine.interned",
+        "create_backend": "repro.engine.backends",
+        "default_cache": "repro.engine.backends",
+        "describe_snapshot": "repro.engine.cache",
+        "get_backend": "repro.engine.backends",
+        "get_default_backend": "repro.engine.backends",
+        "interned_count": "repro.engine.interned",
+        "interned_exists": "repro.engine.interned",
+        "interned_iterate": "repro.engine.interned",
+        "merge_snapshots": "repro.engine.cache",
+        "persistent_digest": "repro.engine.fingerprints",
+        "query_fingerprint": "repro.engine.fingerprints",
+        "snapshot_delta": "repro.engine.cache",
+    }
+)
+
+# Type checkers see the names through the `TYPE_CHECKING` imports above.
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+# `persistent_digest` is reachable here but stays out of the star import.
+__all__ = [name for name in _EXPORTS if name != "persistent_digest"]

@@ -63,6 +63,13 @@ class TestSolutions:
         with pytest.raises(DimensionMismatchError):
             section4_mpi().is_solution((1, 2))
 
+    def test_gap_rejects_a_negative_component_after_a_zero(self):
+        with pytest.raises(DiophantineError):
+            section4_mpi().gap((0, -4, 3))
+        empty = MonomialPolynomialInequality(Polynomial.zero(2), Monomial(1, (1, 1)))
+        with pytest.raises(DiophantineError):
+            empty.gap((0, -1))
+
 
 class TestLinearSystemReduction:
     def test_rows_are_the_exponent_differences(self):

@@ -81,6 +81,15 @@ class TestEvaluation:
         with pytest.raises(DiophantineError):
             Monomial(1, (1,)).evaluate((-1,))
 
+    def test_negative_component_after_a_zero_is_rejected(self):
+        # The zero short-cut still checks the components it skips.
+        with pytest.raises(DiophantineError):
+            Monomial(1, (1, 1)).evaluate((0, -1))
+        with pytest.raises(DiophantineError):
+            Monomial(1, (1, 1)).evaluate((-1, 0))
+        with pytest.raises(DiophantineError):
+            Monomial(0, (1, 1)).evaluate((1, -1))
+
     def test_fractional_exponent_on_general_base_is_rejected(self):
         with pytest.raises(DiophantineError):
             Monomial(1, (Fraction(1, 2),)).evaluate((4,))

@@ -77,6 +77,12 @@ class TestEvaluation:
     def test_zero_polynomial_evaluates_to_zero(self):
         assert Polynomial.zero(2).evaluate((7, 8)) == 0
 
+    def test_zero_polynomial_rejects_a_negative_point(self):
+        with pytest.raises(DiophantineError):
+            Polynomial.zero(2).evaluate((-5, -5))
+        with pytest.raises(DiophantineError):
+            Polynomial.zero(2).evaluate((0, -1))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             section4_polynomial().evaluate((1, 1))
