@@ -20,7 +20,11 @@ images against the bag's facts and multiplies their multiplicities, so a
 wrong exponent vector or a wrong polynomial coefficient in the encoding
 shows up as a mismatch.  Because each factor is enumerated on its own, a
 star with ``k`` existential rays over ``r`` leaves replays ``k·r``
-homomorphisms instead of ``r^k``.
+homomorphisms instead of ``r^k``.  The replay does not share the
+encoding's classes of renamed factors
+(:attr:`~repro.engine.batch.ContainmentMappingBatcher.classes`): it
+enumerates every factor, so a wrong class map, which would corrupt the
+encoding's polynomial, still shows up as a mismatch on a ⋢ verdict.
 """
 
 from __future__ import annotations

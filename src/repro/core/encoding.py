@@ -38,6 +38,12 @@ factor once, each factor's mappings fold into a ``vector -> count``
 table, and the tables convolve: vectors add, counts multiply.  A star
 with ``k`` existential rays over ``r`` leaves costs ``k·r`` mappings
 instead of ``r^k``, and the product is never materialised.
+
+Factors that differ only in the names of their existential variables
+(:attr:`~repro.engine.batch.ContainmentMappingBatcher.classes`) have the
+same table, so only the first of each class is enumerated and folded:
+the star's ``k`` renamed rays cost ``2·r`` mappings, one ray in the first
+factor (which never shares) and one for all the others.
 """
 
 from __future__ import annotations
@@ -132,17 +138,21 @@ def _image_polynomial(
     containing: ConjunctiveQuery,
     atoms: Sequence[Atom],
     factors: Sequence[tuple[Atom, ...]],
+    classes: Sequence[int],
     factor_mappings: Sequence[Sequence[Substitution]],
 ) -> Polynomial:
     """``P^{q2}_{q1(t)}``: one monomial per distinct image exponent vector.
 
-    *factor_mappings* holds each factor's containment mappings, or nothing
-    when some factor has none (the zero polynomial).  The position table
-    numbers the grounded terms and maps each grounded atom's term numbers
-    to its unknown index (one dict per relation); it is built once and
-    shared by every factor.  Each factor's mappings fold into a
-    ``vector -> count`` table (:func:`_fold`), and the tables convolve
-    into the polynomial (:func:`_convolve`).
+    *factor_mappings* holds, per factor, the containment mappings of its
+    class representative (``factors[classes[k]]``), or nothing when some
+    factor has none (the zero polynomial).  The position table numbers the
+    grounded terms and maps each grounded atom's term numbers to its
+    unknown index (one dict per relation); it is built once and shared by
+    every factor.  Each representative's mappings fold into a ``vector ->
+    count`` table (:func:`_fold`), which stands for every factor of its
+    class, and the tables convolve into the polynomial (:func:`_convolve`)
+    in factor order.  Factor 0's table starts at the variable-free atoms'
+    vector, so it represents no other factor.
     """
     dimension = len(atoms)
     if not factor_mappings:
@@ -173,9 +183,12 @@ def _image_polynomial(
 
     tick = deadline_handle()
     counts: dict[tuple[int, ...], int] = {}
+    tables: dict[int, dict[tuple[int, ...], int]] = {}
     for index, (part, mappings) in enumerate(zip(parts, factor_mappings)):
-        start = [0] * dimension if index else base
-        table = _fold(containing, part, term_ids, start, mappings, tick)
+        table = tables.get(classes[index])
+        if table is None:
+            start = [0] * dimension if index else base
+            table = tables[index] = _fold(containing, part, term_ids, start, mappings, tick)
         counts = _convolve(counts, table, tick) if index else table
     return Polynomial(
         [Monomial(count, vector) for vector, count in counts.items()], dimension=dimension
@@ -291,16 +304,20 @@ def _encode_at_probe(
     except UnificationError:
         unifiable = False
 
-    # Enumerate factor by factor; a factor without mappings empties the product.
+    # Enumerate one factor per class; a factor without mappings empties the product.
+    classes = batcher.classes
     factor_mappings: list[tuple[Substitution, ...]] = []
     if unifiable:
-        for index in range(len(batcher.factors)):
+        for index, representative in enumerate(classes):
+            if representative != index:
+                factor_mappings.append(factor_mappings[representative])
+                continue
             mappings = batcher.mappings(grounded, probe_tuple, index)
             if not mappings:
                 factor_mappings = []
                 break
             factor_mappings.append(mappings)
-    polynomial = _image_polynomial(containing, atoms, batcher.factors, factor_mappings)
+    polynomial = _image_polynomial(containing, atoms, batcher.factors, classes, factor_mappings)
     inequality = MonomialPolynomialInequality(polynomial, monomial)
 
     return MpiEncoding(
@@ -339,14 +356,16 @@ def encode_many(
     containing: ConjunctiveQuery,
     probes: Iterable[Sequence[Term]],
 ) -> Iterator[MpiEncoding]:
-    """Encode one MPI per probe tuple, sharing one compiled containing-side plan.
+    """Encode one MPI per probe tuple, sharing one containing-side batcher.
 
-    The containing query's join order is compiled once (through the engine's
-    :class:`~repro.engine.batch.ContainmentMappingBatcher`) and re-targeted at
-    each grounded containee, which is what makes the all-probes and
-    bounded-guess strategies scale past a handful of probe tuples.  Lazy: a
-    caller that stops at the first refuting probe never pays for the rest
-    (the projection-freeness check still fails eagerly, at the call site).
+    Every probe goes through one
+    :class:`~repro.engine.batch.ContainmentMappingBatcher`, which splits the
+    containing body into factors and maps each factor to its class of
+    renamed copies once, for all probes.  The engine's plans are keyed by
+    the grounded target, so each probe compiles its own, one per class
+    representative.  Lazy: a caller that stops at the first refuting probe
+    never pays for the rest (the projection-freeness check still fails
+    eagerly, at the call site).
     """
     containee.require_projection_free()
     batcher = ContainmentMappingBatcher(containing)

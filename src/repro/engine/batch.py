@@ -98,6 +98,49 @@ def _body_factors(query: ConjunctiveQuery) -> tuple[tuple[Atom, ...], ...]:
     return tuple(map(tuple, factors.values()))
 
 
+def _factor_classes(
+    query: ConjunctiveQuery, factors: Sequence[tuple[Atom, ...]]
+) -> tuple[int, ...]:
+    """For each factor, the first factor equal to it up to renaming its existential variables.
+
+    Two factors share a class when a bijective renaming ``ρ`` of existential
+    variables maps one onto the other atom by atom, in body order, with
+    equal relations and body multiplicities; head variables and constants
+    must match exactly.  ``ρ`` fixes the head, so for every probe the
+    later factor's mappings are the earlier one's composed with ``ρ⁻¹``,
+    and ``h∘ρ⁻¹(ρ(β)) = h(β)``: both factors send their atoms onto the
+    same images with the same multiplicities.  The key of a factor renames
+    each existential variable to the position of its first occurrence.
+
+    Factor 0 is always its own class and never stands in for a later
+    factor: it also holds the atoms without existential variables.  So
+    below three factors no factor can share, and nothing is computed.
+    """
+    if len(factors) < 3:
+        return tuple(range(len(factors)))
+    head = query.head_variables()
+    body = query.body
+    first: dict[tuple, int] = {}
+    classes = [0]
+    for index in range(1, len(factors)):
+        names: dict[Term, int] = {}
+        key = tuple(
+            (
+                atom.relation,
+                body[atom],
+                tuple(
+                    names.setdefault(term, len(names))
+                    if isinstance(term, Variable) and term not in head
+                    else term
+                    for term in atom.terms
+                ),
+            )
+            for atom in factors[index]
+        )
+        classes.append(first.setdefault(key, index))
+    return tuple(classes)
+
+
 class ContainmentMappingBatcher:
     """``CM(containing, grounded@probe)`` for a stream of grounded containees.
 
@@ -111,16 +154,20 @@ class ContainmentMappingBatcher:
     :attr:`factors` splits the body into factors, and
     ``mappings(..., factor=k)`` enumerates the k-th factor's atoms alone
     (an ordinary backend call with its own compiled plan), so a caller that
-    only needs per-factor sums never builds the product.
+    only needs per-factor sums never builds the product.  :attr:`classes`
+    maps each factor to the earlier factor it equals up to a renaming of
+    its existential variables, whose per-factor sums are the same; both
+    depend on the containing query only, so they hold for every probe.
     """
 
-    __slots__ = ("containing", "_source", "_backend", "_factors")
+    __slots__ = ("containing", "_source", "_backend", "_factors", "_classes")
 
     def __init__(self, containing: ConjunctiveQuery, backend: Backend | None = None) -> None:
         self.containing = containing
         self._source = containing.body_atoms()
         self._backend = backend
         self._factors: tuple[tuple[Atom, ...], ...] | None = None
+        self._classes: tuple[int, ...] | None = None
 
     @property
     def factors(self) -> tuple[tuple[Atom, ...], ...]:
@@ -128,6 +175,13 @@ class ContainmentMappingBatcher:
         if self._factors is None:
             self._factors = _body_factors(self.containing)
         return self._factors
+
+    @property
+    def classes(self) -> tuple[int, ...]:
+        """Each factor's class representative (computed on first use; see :func:`_factor_classes`)."""
+        if self._classes is None:
+            self._classes = _factor_classes(self.containing, self.factors)
+        return self._classes
 
     def mappings(
         self, grounded: ConjunctiveQuery, probe: Sequence[Term], factor: int | None = None

@@ -22,8 +22,10 @@ To keep the classic double-exponential blow-up at bay the implementation
 * works on **gcd-reduced integer rows** throughout: every row is normalised
   to a primitive integer vector once, and all elimination arithmetic is
   pure machine-integer multiply/add — no :class:`~fractions.Fraction`
-  normalisation inside the hot combination loops (rationals only reappear
-  in the back-substitution that assembles the witness);
+  normalisation anywhere: the back-substitution carries the witness as an
+  integer vector over one common denominator, compares bounds by
+  cross-multiplying, and builds the returned :class:`~fractions.Fraction`
+  witness only at the end;
 * de-duplicates rows (two rows that are positive multiples of each other
   encode the same half-space); an opposite pair ``a``, ``−a`` combines into
   the zero row, which reads ``0 > 0`` and settles infeasibility at the next
@@ -124,26 +126,29 @@ def _solve(
     active: list[int],
     dimension: int,
     tick: Callable[[], None] | None,
-) -> FeasibilityResult:
+) -> tuple[list[int], int] | None:
     """Recursive Fourier–Motzkin over the *active* columns, with back-substitution.
 
     Rows are primitive integer vectors throughout; the combination loop is
     pure integer arithmetic and each recursion level re-normalises and
     de-duplicates before branching.  *tick* is the deadline handle, called
     every :data:`TICK_INTERVAL` combined rows.
-    Returns a witness defined on **all** columns; inactive columns get 0.
+    Returns ``None`` when infeasible, else the witness as an integer vector
+    ``w`` over a common denominator ``s > 0`` (the point ``w / s``, reduced
+    so that ``gcd(w, s) = 1``), defined on **all** columns; inactive
+    columns get 0.
     """
     prepared, contradiction = _prepare(rows)
     if contradiction:
-        return FeasibilityResult(False)
+        return None
 
     if not active:
         # No unknowns left to eliminate; any remaining non-zero row would have
         # been a contradiction only if all its active coefficients were zero,
         # which _prepare already detected, so the system is feasible.
         if prepared:
-            return FeasibilityResult(False)
-        return FeasibilityResult(True, tuple(Fraction(0) for _ in range(dimension)))
+            return None
+        return [0] * dimension, 1
 
     column = _pick_variable(prepared, active)
     remaining = [other for other in active if other != column]
@@ -177,37 +182,55 @@ def _solve(
     # Rows in `reduced` still have a zero coefficient on `column`, so they are
     # genuine constraints over the remaining columns only.
     inner = _solve(reduced, remaining, dimension, tick)
-    if not inner.feasible:
-        return FeasibilityResult(False)
+    if inner is None:
+        return None
+    witness, scale = inner
 
-    assert inner.witness is not None
-    witness = list(inner.witness)
+    # Each bound on the column is the fraction n / (d·scale) with d > 0:
+    # a row r reads r[column]·x > -Σ r[j]·w[j] / scale over the other
+    # columns.  Bounds compare by cross-multiplying n/d.
+    def bound(row: _Row) -> tuple[int, int]:
+        rest = 0
+        for j, coefficient in enumerate(row):
+            if coefficient and j != column:
+                rest += coefficient * witness[j]
+        head = row[column]
+        return (-rest, head) if head > 0 else (rest, -head)
 
-    def bound(row: _Row) -> Fraction:
-        rest = sum(
-            (row[j] * witness[j] for j in range(dimension) if j != column and row[j]),
-            Fraction(0),
-        )
-        return -rest / row[column]
+    low = high = None
+    for row in lowers:
+        n, d = bound(row)
+        if low is None or n * low[1] > low[0] * d:
+            low = (n, d)
+    for row in uppers:
+        n, d = bound(row)
+        if high is None or n * high[1] < high[0] * d:
+            high = (n, d)
 
-    lower_bounds = [bound(row) for row in lowers]
-    upper_bounds = [bound(row) for row in uppers]
-
-    if lower_bounds and upper_bounds:
-        low = max(lower_bounds)
-        high = min(upper_bounds)
-        if not low < high:  # pragma: no cover - guaranteed by the combined rows
+    # The new value is value / (multiplier·scale); the other columns scale by multiplier.
+    if low is not None and high is not None:
+        if not low[0] * high[1] < high[0] * low[1]:  # pragma: no cover - by construction
             raise LinearSystemError("internal error: empty interval during back-substitution")
-        value = (low + high) / 2
-    elif lower_bounds:
-        value = max(lower_bounds) + 1
-    elif upper_bounds:
-        value = min(upper_bounds) - 1
+        multiplier = 2 * low[1] * high[1]
+        value = low[0] * high[1] + high[0] * low[1]
+    elif low is not None:
+        multiplier = low[1]
+        value = low[0] + low[1] * scale
+    elif high is not None:
+        multiplier = high[1]
+        value = high[0] - high[1] * scale
     else:
-        value = Fraction(0)
+        multiplier, value = 1, 0
 
+    if multiplier != 1:
+        witness = [component * multiplier for component in witness]
+        scale *= multiplier
     witness[column] = value
-    return FeasibilityResult(True, tuple(witness))
+    divisor = gcd(scale, *witness)
+    if divisor != 1:
+        witness = [component // divisor for component in witness]
+        scale //= divisor
+    return witness, scale
 
 
 def solve_strict_system(
@@ -224,13 +247,17 @@ def solve_strict_system(
     working = system.with_positivity() if require_positive else system
     # The system's integer rows are already primitive (gcd-normalised at
     # construction), so the whole elimination runs on machine integers.
-    result = _solve(
+    solved = _solve(
         list(working.integer_rows()),
         list(range(working.dimension)),
         working.dimension,
         deadline_handle(),
     )
-    if result.feasible and result.witness is not None and len(working) > 0:
-        if not working.is_solution(result.witness):  # pragma: no cover - sanity check
-            raise LinearSystemError("internal error: Fourier-Motzkin witness does not verify")
-    return result
+    if solved is None:
+        return FeasibilityResult(False)
+    witness, scale = solved
+    # A positive common denominator keeps every row's sign, so the integer
+    # vector verifies exactly when the rational witness does.
+    if len(working) > 0 and not working.is_solution(witness):  # pragma: no cover - sanity check
+        raise LinearSystemError("internal error: Fourier-Motzkin witness does not verify")
+    return FeasibilityResult(True, tuple(Fraction(component, scale) for component in witness))

@@ -61,3 +61,21 @@ def test_strategies_produce_equally_valid_certificates(pair_index):
             assert result.counterexample is not None
             assert result.counterexample.verify(containee, containing)
     assert len(set(verdicts.values())) == 1, f"strategies disagree: {verdicts}"
+
+
+def test_a_wrong_factor_class_map_fails_the_replay(monkeypatch):
+    # The replay enumerates every factor itself, so an encoding that shares
+    # a table between two factors that are not renamed copies predicts a
+    # containing multiplicity the replay does not reproduce.
+    from repro.engine import batch
+    from repro.exceptions import CertificateError
+    from repro.queries.parser import parse_cq
+    from repro.session import Session
+
+    containee = parse_cq("q1(x) <- R^3(x, a), R^3(x, b), S(a, a)")
+    containing = parse_cq("q2(x) <- R(x, z1), R(x, z2), S(z2, z2), R(x, z3)")
+    assert batch.ContainmentMappingBatcher(containing).classes == (0, 1, 2)
+    assert Session(memoize=False).decide(containee, containing).certificate.verify(containee, containing)
+    monkeypatch.setattr(batch, "_factor_classes", lambda query, factors: (0, 1, 1))
+    with pytest.raises(CertificateError, match="do not match a direct evaluation"):
+        Session(memoize=False).decide(containee, containing)

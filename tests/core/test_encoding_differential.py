@@ -250,7 +250,84 @@ def multi_factor_queries(draw) -> ConjunctiveQuery:
     return ConjunctiveQuery(head, body, name="p")
 
 
+_B = Constant("b")
+
+
+@st.composite
+def repeated_factor_queries(draw) -> tuple[ConjunctiveQuery, Variable | None]:
+    """Containing queries that repeat one factor under renamed existential variables.
+
+    A template of one or two atoms, each holding ``z`` next to a head
+    variable, ``a``, ``z`` or ``w``, is copied three to five times with
+    ``z`` and ``w`` renamed apart, so every copy is one factor.  One more
+    copy may differ from the template in its first atom's multiplicity,
+    relation or constant; it must not share.  The query orders its body,
+    so whichever copy comes first is factor 0, and the unchanged copies
+    after it must all share the class of the first of them.  The head atom joins factor 0
+    unless the template already holds every head variable, and a
+    variable-free ``S(a, a)`` may join it too, which starts factor 0's
+    table at a non-zero vector.  Returns the query and the odd copy's
+    renamed ``z`` (``None`` without one).
+    """
+    head = draw(st.sampled_from([(_X, _Y), (_X, _X)]))
+    head_variables = sorted(set(head), key=str)
+    z, w = Variable("z"), Variable("w")
+    template = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        other = draw(st.sampled_from([*head_variables, _A, z, w]))
+        terms = tuple(draw(st.permutations([z, other])))
+        template.append((draw(st.sampled_from("RS")), terms, draw(st.integers(1, 3))))
+    copies = draw(st.integers(min_value=3, max_value=5))
+    odd = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=copies)))
+    change = draw(st.sampled_from(["multiplicity", "relation", "constant"]))
+
+    body: dict[Atom, int] = {}
+    covered = {term for _, terms, _ in template for term in terms} >= set(head_variables)
+    if not covered or draw(st.booleans()):
+        body[Atom("R", head)] = 1
+    if draw(st.booleans()):
+        body[Atom("S", (_A, _A))] = 2
+    for copy in range(copies + (odd is not None)):
+        renaming = {z: Variable(f"z{copy}"), w: Variable(f"w{copy}")}
+        for position, (relation, terms, multiplicity) in enumerate(template):
+            terms = tuple(renaming.get(term, term) for term in terms)
+            if copy == odd and position == 0:
+                if change == "multiplicity":
+                    multiplicity += 1
+                elif change == "relation":
+                    relation = "S" if relation == "R" else "R"
+                else:
+                    terms = (terms[0], _B) if terms[1] != renaming[z] else (_B, terms[1])
+            atom = Atom(relation, terms)
+            body[atom] = body.get(atom, 0) + multiplicity
+    return ConjunctiveQuery(head, body, name="p"), Variable(f"z{odd}") if odd else None
+
+
+def _expected_classes(factors, odd):
+    """Factor 0 and the odd copy stand alone; the other copies share the first of them."""
+    plain = [
+        index for index, factor in enumerate(factors)
+        if index and all(odd not in atom.terms for atom in factor)
+    ]
+    return tuple(plain[0] if index in plain else index for index in range(len(factors)))
+
+
 class TestGenerated:
+    @pytest.mark.parametrize("backend", ["naive", "interned"])
+    @given(dense_containees(), repeated_factor_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_factors_agree_with_image_queries(self, backend, containee, case):
+        containing, odd = case
+        batcher = ContainmentMappingBatcher(containing)
+        assert batcher.classes == _expected_classes(batcher.factors, odd)
+        with Session(backend=backend).activate():
+            for probe in (most_general_probe_tuple(containee), *_CONSTANT_PROBES):
+                try:
+                    containee.ground(probe)
+                except UnificationError:
+                    continue
+                _assert_agrees(containee, containing, probe)
+
     @pytest.mark.parametrize("backend", ["naive", "interned"])
     @given(dense_containees(), multi_factor_queries())
     @settings(max_examples=60, deadline=None)

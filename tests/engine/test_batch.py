@@ -12,6 +12,7 @@ from repro.relational.instances import BagInstance
 from repro.relational.substitutions import Substitution
 from repro.relational.terms import Constant, Variable
 from repro.session import Session
+from repro.workloads.scale import wide_star_pair
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -101,6 +102,62 @@ class TestFactors:
             for right in parts[2]
         }
         assert products == set(full)
+
+
+class TestFactorClasses:
+    def test_the_renamed_rays_of_a_wide_star_share_one_class(self):
+        _, containing = wide_star_pair(3, 5, 2, 2)
+        assert ContainmentMappingBatcher(containing).classes == (0, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("backend", ["naive", "interned"])
+    def test_one_encoding_enumerates_one_factor_per_class(self, backend):
+        from repro.core.encoding import _encode_at_probe
+        from repro.core.probe_tuples import most_general_probe_tuple
+
+        containee, containing = wide_star_pair(3, 5, 2, 2)
+        enumerated = []
+
+        class Recording(ContainmentMappingBatcher):
+            def mappings(self, grounded, probe, factor=None):
+                enumerated.append(factor)
+                return super().mappings(grounded, probe, factor)
+
+        probe = most_general_probe_tuple(containee)
+        with Session(backend=backend, memoize=False).activate():
+            mpi = _encode_at_probe(containee, containing, probe, Recording(containing))
+        assert enumerated == [0, 1]
+        assert mpi.num_mappings == 3**5
+
+    def test_one_encoding_compiles_one_plan_per_class(self):
+        from repro.core.encoding import encode_most_general
+
+        session = Session(memoize=False)
+        with session.activate():
+            encode_most_general(*wide_star_pair(3, 5, 2, 2))
+        assert session.cache.plan_stats.misses == 2
+
+    @pytest.mark.parametrize(
+        "body, classes",
+        [
+            # Renamed multi-atom factors share; the head variable stays put.
+            ("R(x, z1), S(z1, a), R(x, z2), S(z2, a), R(x, z3), S(z3, a)", (0, 1, 1)),
+            # A multiplicity, a relation or a constant tells factors apart.
+            ("R(x, z1), R(x, z2), R^2(x, z3), R(x, z4)", (0, 1, 2, 1)),
+            ("R(x, z1), R(x, z2), S(x, z3), R(x, z4)", (0, 1, 1, 3)),
+            ("R(x, z1), R(x, z2), S(z2, a), R(x, z3), S(z3, b)", (0, 1, 2)),
+            # So do a head variable in place of an existential one and a
+            # repeated existential variable in place of two.
+            ("R(x, z1), R(x, z2), R(z2, x), R(x, z3), R(z3, z4)", (0, 1, 2)),
+            ("R(x, z1), R(z2, z2), R(z3, z3), R(z4, z5)", (0, 1, 1, 3)),
+            # Factor 0 holds the variable-free atom and represents no copy.
+            ("S(a, a), R(x, z1), R(x, z2), R(x, z3)", (0, 1, 1)),
+            # Below three factors nothing can share.
+            ("R(x, z1), R(x, z2)", (0, 1)),
+        ],
+    )
+    def test_classes_compare_up_to_renaming_existential_variables(self, body, classes):
+        containing = parse_cq(f"q(x) <- {body}")
+        assert ContainmentMappingBatcher(containing).classes == classes
 
 
 class TestBagBatchEvaluator:

@@ -1,12 +1,14 @@
 """The import surface: ``import repro`` pays only for what a caller uses.
 
-The ``repro``, ``repro.session``, ``repro.core`` and ``repro.engine``
-package inits re-export their names lazily (PEP 562, ``repro._lazy``).
+The ``repro``, ``repro.session``, ``repro.core``, ``repro.engine`` and
+``repro.queries`` package inits re-export their names lazily (PEP 562,
+``repro._lazy``).
 These tests pin two things, each in a fresh interpreter so the test
 process's own imports do not mask them:
 
 * building a session and deciding one pair never loads the fuzzer, the
-  workload generators, the refuters, lint or corpus I/O;
+  workload generators, the refuters, lint or corpus I/O, and building a
+  session loads no query builder, parser or printer;
 * every exported name resolves to the object its declared module defines,
   in whatever order the names are first read — in particular a name that
   is also a submodule (``repro.core.probe_tuples``) stays the function.
@@ -25,10 +27,13 @@ import pytest
 
 SRC_PATH = str(Path(__file__).parents[1] / "src")
 
-LAZY_PACKAGES = ("repro", "repro.session", "repro.core", "repro.engine")
+LAZY_PACKAGES = ("repro", "repro.session", "repro.core", "repro.engine", "repro.queries")
 
 #: Subsystems a decision never needs.
 OFF_PATH = ("repro.verify", "repro.workloads", "repro.baselines", "repro.analysis.lint", "repro.io")
+
+#: Query-language modules a session never needs (a decision parses its queries).
+OFF_SESSION = ("repro.queries.builder", "repro.queries.parser", "repro.queries.printer")
 
 
 def _run(script: str) -> str:
@@ -68,7 +73,7 @@ _DECIDE = """
 import repro
 
 session = repro.Session(memoize=False)
-loaded = [sorted(name for name in sys.modules if name.startswith({off_path!r}))]
+loaded = [sorted(name for name in sys.modules if name.startswith({off_path!r} + {off_session!r}))]
 session.decide(
     repro.parse_cq("q1(x, y) <- R^2(x, y)"),
     repro.parse_cq("q2(x, y) <- R(x, y), R(x, z)"),
@@ -79,7 +84,7 @@ print(json.dumps(loaded))
 
 
 def test_a_decision_loads_no_off_path_subsystem():
-    script = "import json\n" + _DECIDE.format(off_path=OFF_PATH)
+    script = "import json\n" + _DECIDE.format(off_path=OFF_PATH, off_session=OFF_SESSION)
     after_session, after_decide = json.loads(_run(script))
     assert after_session == []
     assert after_decide == []
