@@ -24,7 +24,10 @@ Image queries ``h(q2)`` are never materialised: only their exponent vectors
 enter the polynomial.  A position table, built once per (containing,
 grounded containee) pair, maps each containing-body atom's image under
 ``h`` straight to its unknown index, and identical vectors are counted as
-integer tuples before any :class:`Monomial` is built.
+integer tuples.  The resulting ``vector -> count`` table becomes the
+polynomial as it is (:meth:`~repro.diophantine.polynomials.Polynomial.from_table`):
+no :class:`Monomial` is built for it, and Theorem 4.1's rows ``e − e_i``
+are read straight off its vectors.
 
 The polynomial is computed in factorised form.  Once the probe fixes the
 head, the containing body splits into *factors*: atoms connected through
@@ -190,9 +193,7 @@ def _image_polynomial(
             start = [0] * dimension if index else base
             table = tables[index] = _fold(containing, part, term_ids, start, mappings, tick)
         counts = _convolve(counts, table, tick) if index else table
-    return Polynomial(
-        [Monomial(count, vector) for vector, count in counts.items()], dimension=dimension
-    )
+    return Polynomial.from_table(counts, dimension)
 
 
 def _fold(

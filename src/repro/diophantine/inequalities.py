@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from repro.diophantine.monomials import Monomial
@@ -95,14 +96,15 @@ class MonomialPolynomialInequality:
         empty and trivially feasible, matching the fact that ``0 < M`` is
         solved by the all-ones vector.  The rows are plain ``int`` tuples
         (an MPI's exponents are natural numbers), so the system takes its
-        integer path and never builds a :class:`~fractions.Fraction`.
+        integer path and never builds a :class:`~fractions.Fraction`; no
+        :class:`Monomial` is built either.
         """
-        # ``__post_init__`` has checked both sides integral, so the exponents
-        # are read directly rather than re-checked per monomial.
+        # ``__post_init__`` has checked both sides integral, so the exponent
+        # vectors are read straight off the polynomial's table.
         monomial_exponents = self.monomial.exponents
         rows = [
-            tuple(e - ei for e, ei in zip(monomial_exponents, poly_monomial.exponents))
-            for poly_monomial in self.polynomial
+            tuple(map(sub, monomial_exponents, exponents))
+            for exponents in self.polynomial.exponent_vectors()
         ]
         return HomogeneousStrictSystem(rows, self.dimension)
 

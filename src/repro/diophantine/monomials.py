@@ -54,6 +54,36 @@ def check_point(components: Iterable[object]) -> None:
             raise DiophantineError("monomials are only evaluated on non-negative points")
 
 
+def term_value(
+    coefficient: int | Fraction, exponents: Sequence[int | Fraction], point: Sequence[object]
+) -> int | Fraction:
+    """``coefficient · point^exponents`` for canonical *coefficient* and *exponents*.
+
+    The body of :meth:`Monomial.evaluate`, shared with
+    :meth:`~repro.diophantine.polynomials.Polynomial.evaluate`, which walks
+    its table without building monomials; the caller checks the dimension.
+    """
+    result = coefficient
+    for value, exponent in zip(point, exponents):
+        base = value if type(value) is int or type(value) is Fraction else _exact(value)
+        if base < 0:
+            raise DiophantineError("monomials are only evaluated on non-negative points")
+        if type(exponent) is int:
+            result *= base**exponent
+        elif base == 0 or base == 1:
+            # A fractional exponent is never 0, so 0^e = 0 and 1^e = 1.
+            result *= base
+        else:
+            raise DiophantineError(
+                f"cannot exactly evaluate {base}^{exponent}; use float_evaluate instead"
+            )
+        if result == 0:
+            # Off the hot path: reject a negative component the loop skips.
+            check_point(point)
+            return 0
+    return result
+
+
 @dataclass(frozen=True)
 class Monomial:
     """An immutable monomial ``coefficient · u^exponents``.
@@ -121,25 +151,7 @@ class Monomial:
             raise DimensionMismatchError(
                 f"point of size {len(point)} supplied to a monomial of dimension {self.dimension}"
             )
-        result = self.coefficient
-        for value, exponent in zip(point, self.exponents):
-            base = value if type(value) is int or type(value) is Fraction else _exact(value)
-            if base < 0:
-                raise DiophantineError("monomials are only evaluated on non-negative points")
-            if type(exponent) is int:
-                result *= base**exponent
-            elif base == 0 or base == 1:
-                # A fractional exponent is never 0, so 0^e = 0 and 1^e = 1.
-                result *= base
-            else:
-                raise DiophantineError(
-                    f"cannot exactly evaluate {base}^{exponent}; use float_evaluate instead"
-                )
-            if result == 0:
-                # Off the hot path: reject a negative component the loop skips.
-                check_point(point)
-                return 0
-        return result
+        return term_value(self.coefficient, self.exponents, point)
 
     def float_evaluate(self, point: Sequence[float]) -> float:
         """Floating-point value of the monomial at *point* (for plots/benches)."""

@@ -27,7 +27,7 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
 from repro.relational.substitutions import Substitution
-from repro.relational.terms import Term, Variable
+from repro.relational.terms import Term, Variable, term_sort_key
 
 __all__ = [
     "ContainmentMappingBatcher",
@@ -104,13 +104,21 @@ def _factor_classes(
     """For each factor, the first factor equal to it up to renaming its existential variables.
 
     Two factors share a class when a bijective renaming ``ρ`` of existential
-    variables maps one onto the other atom by atom, in body order, with
-    equal relations and body multiplicities; head variables and constants
-    must match exactly.  ``ρ`` fixes the head, so for every probe the
-    later factor's mappings are the earlier one's composed with ``ρ⁻¹``,
-    and ``h∘ρ⁻¹(ρ(β)) = h(β)``: both factors send their atoms onto the
-    same images with the same multiplicities.  The key of a factor renames
-    each existential variable to the position of its first occurrence.
+    variables maps one onto the other atom by atom, with equal relations and
+    body multiplicities; head variables and constants must match exactly.
+    ``ρ`` fixes the head, so for every probe the later factor's mappings
+    are the earlier one's composed with ``ρ⁻¹``, and ``h∘ρ⁻¹(ρ(β)) = h(β)``:
+    both factors send their atoms onto the same images with the same
+    multiplicities.
+
+    The key of a factor lists its atoms in the order of their *shape*
+    (relation, multiplicity, and terms with every existential variable
+    blanked out), which no existential name affects, and then renames each
+    existential variable to the position of its first occurrence.  Body
+    order would not do: it follows variable names, so renamed copies could
+    list their atoms differently.  Equal keys pair the factors' atoms
+    position by position under one bijective renaming, so they still imply
+    isomorphism; atoms of equal shape keep their body order.
 
     Factor 0 is always its own class and never stands in for a later
     factor: it also holds the atoms without existential variables.  So
@@ -120,6 +128,16 @@ def _factor_classes(
         return tuple(range(len(factors)))
     head = query.head_variables()
     body = query.body
+
+    def existential(term: Term) -> bool:
+        return isinstance(term, Variable) and term not in head
+
+    def shape(atom: Atom) -> tuple:
+        blanked = tuple(
+            (-1, "", "") if existential(term) else term_sort_key(term) for term in atom.terms
+        )
+        return atom.relation, body[atom], blanked
+
     first: dict[tuple, int] = {}
     classes = [0]
     for index in range(1, len(factors)):
@@ -129,13 +147,11 @@ def _factor_classes(
                 atom.relation,
                 body[atom],
                 tuple(
-                    names.setdefault(term, len(names))
-                    if isinstance(term, Variable) and term not in head
-                    else term
+                    names.setdefault(term, len(names)) if existential(term) else term
                     for term in atom.terms
                 ),
             )
-            for atom in factors[index]
+            for atom in sorted(factors[index], key=shape)
         )
         classes.append(first.setdefault(key, index))
     return tuple(classes)

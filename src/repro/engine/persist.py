@@ -96,7 +96,7 @@ MISS = _Miss()
 #: representation) or to the set of persisted value types; old rows then
 #: miss instead of loading the wrong shape.  The rule is documented in
 #: README "Warm starts".
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass

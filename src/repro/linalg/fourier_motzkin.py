@@ -19,8 +19,9 @@ therefore also produces an explicit rational witness.
 
 To keep the classic double-exponential blow-up at bay the implementation
 
-* works on **gcd-reduced integer rows** throughout: every row is normalised
-  to a primitive integer vector once, and all elimination arithmetic is
+* works on **gcd-reduced integer rows** throughout: the system's rows are
+  primitive already (normalised once, when the system was built), each
+  combined row is normalised once, and all elimination arithmetic is
   pure machine-integer multiply/add — no :class:`~fractions.Fraction`
   normalisation anywhere: the back-substitution carries the witness as an
   integer vector over one common denominator, compares bounds by
@@ -77,9 +78,7 @@ _Row = tuple[int, ...]
 
 def _normalize(row: Sequence[int]) -> _Row | None:
     """Reduce an integer row to a primitive vector; ``None`` for the zero row."""
-    divisor = 0
-    for value in row:
-        divisor = gcd(divisor, value)
+    divisor = gcd(*row)
     if divisor == 0:
         return None
     if divisor == 1:
@@ -122,26 +121,25 @@ def _pick_variable(rows: list[_Row], active: list[int]) -> int:
 
 
 def _solve(
-    rows: list[_Row],
+    prepared: list[_Row],
     active: list[int],
     dimension: int,
     tick: Callable[[], None] | None,
 ) -> tuple[list[int], int] | None:
     """Recursive Fourier–Motzkin over the *active* columns, with back-substitution.
 
-    Rows are primitive integer vectors throughout; the combination loop is
-    pure integer arithmetic and each recursion level re-normalises and
-    de-duplicates before branching.  *tick* is the deadline handle, called
-    every :data:`TICK_INTERVAL` combined rows.
+    *prepared* holds distinct, primitive, non-zero integer rows.  The top
+    level trusts the system's rows, which its constructor normalised
+    (:func:`solve_strict_system` only drops duplicates and looks for a zero
+    row); each level normalises and de-duplicates the rows it combines
+    (:func:`_prepare`) before recursing.  The combination loop is pure
+    integer arithmetic.  *tick* is the deadline handle, called every
+    :data:`TICK_INTERVAL` combined rows.
     Returns ``None`` when infeasible, else the witness as an integer vector
     ``w`` over a common denominator ``s > 0`` (the point ``w / s``, reduced
     so that ``gcd(w, s) = 1``), defined on **all** columns; inactive
     columns get 0.
     """
-    prepared, contradiction = _prepare(rows)
-    if contradiction:
-        return None
-
     if not active:
         # No unknowns left to eliminate; any remaining non-zero row would have
         # been a contradiction only if all its active coefficients were zero,
@@ -181,6 +179,9 @@ def _solve(
 
     # Rows in `reduced` still have a zero coefficient on `column`, so they are
     # genuine constraints over the remaining columns only.
+    reduced, contradiction = _prepare(reduced)
+    if contradiction:
+        return None
     inner = _solve(reduced, remaining, dimension, tick)
     if inner is None:
         return None
@@ -245,14 +246,14 @@ def solve_strict_system(
     deadline (:func:`repro.faults.runtime.deadline_scope`) expires mid-elimination.
     """
     working = system.with_positivity() if require_positive else system
+    dimension = working.dimension
     # The system's integer rows are already primitive (gcd-normalised at
-    # construction), so the whole elimination runs on machine integers.
-    solved = _solve(
-        list(working.integer_rows()),
-        list(range(working.dimension)),
-        working.dimension,
-        deadline_handle(),
-    )
+    # construction), so the top level only drops duplicates and reads a
+    # zero row as ``0 > 0``; the whole elimination runs on machine integers.
+    rows = dict.fromkeys(working.integer_rows())
+    if (0,) * dimension in rows:
+        return FeasibilityResult(False)
+    solved = _solve(list(rows), list(range(dimension)), dimension, deadline_handle())
     if solved is None:
         return FeasibilityResult(False)
     witness, scale = solved

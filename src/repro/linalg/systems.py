@@ -16,11 +16,18 @@ over the rationals:
 solvers in :mod:`repro.linalg.fourier_motzkin` and
 :mod:`repro.linalg.lp_scipy` decide feasibility either of the rows alone or
 of the rows plus positivity, as requested.
+
+Rows are normalised once, when a system is built: each integer row is
+divided by the gcd of its entries.  Adding the positivity rows
+(:meth:`HomogeneousStrictSystem.with_positivity`) does not normalise again,
+and the top level of the Fourier–Motzkin elimination trusts the rows it is
+given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -40,13 +47,17 @@ class HomogeneousStrictSystem:
     converted to fractions at construction.  Both kinds compare
     and hash alike, because an ``int`` equals and hashes like the equal
     :class:`Fraction`.
+
+    The constructor is the one place that normalises rows:
+    :meth:`with_positivity` appends unit rows to rows that are already
+    primitive, and Fourier–Motzkin takes :meth:`integer_rows` as they are.
     """
 
     __slots__ = ("_rows", "_dimension", "_integer_rows")
 
     def __init__(self, rows: Iterable[Sequence[object]], dimension: int | None = None) -> None:
         entries: list[tuple[object, ...]] = [tuple(row) for row in rows]
-        integral = all(type(value) is int for row in entries for value in row)
+        integral = {int}.issuperset(map(type, chain.from_iterable(entries)))
         if not integral:
             entries = [as_fraction_vector(row) for row in entries]
         if dimension is None:
@@ -65,22 +76,21 @@ class HomogeneousStrictSystem:
         # Fractions, or the caller's ints when every entry is one.
         self._rows: tuple[tuple[object, ...], ...] = tuple(entries)
         self._dimension = dimension
-        # gcd-normalised at construction: every integer row is primitive, so
-        # the integer fast path of is_solution multiplies the smallest
-        # possible coefficients no matter how non-reduced the input was.
+        # gcd-normalised here, and only here: every integer row is primitive,
+        # so the integer fast path of is_solution multiplies the smallest
+        # possible coefficients no matter how non-reduced the input was, and
+        # the solvers take the rows as they are.
         scaled: list[tuple[int, ...]] = []
         for row in self._rows:
             if integral:
-                integers = list(row)
+                integers = row
             else:
                 multiplier = lcm(*(value.denominator for value in row)) if row else 1
-                integers = [int(value * multiplier) for value in row]
-            divisor = 0
-            for value in integers:
-                divisor = gcd(divisor, value)
+                integers = tuple(int(value * multiplier) for value in row)
+            divisor = gcd(*integers)
             if divisor > 1:
-                integers = [value // divisor for value in integers]
-            scaled.append(tuple(integers))
+                integers = tuple(value // divisor for value in integers)
+            scaled.append(integers)
         self._integer_rows: tuple[tuple[int, ...], ...] = tuple(scaled)
 
     # ------------------------------------------------------------------ #
@@ -117,13 +127,21 @@ class HomogeneousStrictSystem:
     # Derived systems
     # ------------------------------------------------------------------ #
     def with_positivity(self) -> "HomogeneousStrictSystem":
-        """The system augmented with the rows ``ε_j > 0`` for every unknown."""
-        identity_rows = []
-        for j in range(self._dimension):
-            row = [0] * self._dimension
-            row[j] = 1
-            identity_rows.append(tuple(row))
-        return HomogeneousStrictSystem(list(self._rows) + identity_rows, self._dimension)
+        """The system augmented with the rows ``ε_j > 0`` for every unknown.
+
+        The unit rows are appended to both row tuples as they are: the
+        existing integer rows are already primitive and so is every unit
+        row, so nothing is normalised again.
+        """
+        dimension = self._dimension
+        units = tuple(
+            tuple(int(column == j) for column in range(dimension)) for j in range(dimension)
+        )
+        extended = HomogeneousStrictSystem.__new__(HomogeneousStrictSystem)
+        extended._rows = self._rows + units
+        extended._dimension = dimension
+        extended._integer_rows = self._integer_rows + units
+        return extended
 
     def restricted_to(self, row_indices: Iterable[int]) -> "HomogeneousStrictSystem":
         """The sub-system containing only the selected rows."""

@@ -194,6 +194,16 @@ class TestFactorisedHandCases:
         encoding = self._agrees(backend, containee, containing, factors=2)
         assert encoding.polynomial.is_zero() and encoding.num_mappings == 0
 
+    def test_copies_listed_in_different_body_orders_share_and_agree(self, backend):
+        containee = parse_cq("q1(x) <- R(x, a), R(a, b), R^2(x, b), R(b, b)")
+        containing = parse_cq(
+            "q2(x) <- R(x, y1), R(x, z1), R(z1, v1), R(x, u2), R(u2, w2), "
+            "R(x, z3), R(z3, v3), R(x, u4), R(u4, w4)"
+        )
+        assert ContainmentMappingBatcher(containing).classes == (0, 1, 2, 1, 1)
+        encoding = self._agrees(backend, containee, containing, factors=5)
+        assert encoding.num_mappings == 2**5
+
     def test_head_only_and_constant_only_atoms_join_the_first_factor(self, backend):
         containee = parse_cq("q1(x) <- R(x, a), R(x, b), S(a, x), S(a, a)")
         containing = parse_cq("q2(x) <- S(a, x), R(x, y), S^2(a, a), R(x, z), S(a, x)")

@@ -153,6 +153,14 @@ class TestFactorClasses:
             ("S(a, a), R(x, z1), R(x, z2), R(x, z3)", (0, 1, 1)),
             # Below three factors nothing can share.
             ("R(x, z1), R(x, z2)", (0, 1)),
+            # Renamed copies whose atoms sort differently in body order
+            # (``R(u2, w2)`` before ``R(x, u2)``, but ``R(x, z1)`` before
+            # ``R(z1, v1)``) still share.
+            (
+                "R(x, y1), R(x, z1), R(z1, v1), R(x, u2), R(u2, w2), "
+                "R(x, z3), R(z3, v3), R(x, u4), R(u4, w4)",
+                (0, 1, 2, 1, 1),
+            ),
         ],
     )
     def test_classes_compare_up_to_renaming_existential_variables(self, body, classes):

@@ -352,6 +352,20 @@ class TestWitnessDeadline:
         # construction all evaluate the polynomial at the witness.
         self._raises_promptly(lambda: wide_encoding.polynomial.evaluate((3,) * 8))
 
+    @pytest.mark.parametrize("derive", ["monomials", "render"])
+    def test_deriving_the_monomials_polls_the_deadline(self, wide_encoding, derive):
+        # The encoding's polynomial is its ``vector -> count`` table; the
+        # first ``.monomials`` or ``render()`` builds one Monomial per entry.
+        # A pickle round trip keeps the table alone, so each case derives
+        # the 50,388 monomials afresh.
+        import pickle
+
+        polynomial = pickle.loads(pickle.dumps(wide_encoding.polynomial))
+        if derive == "monomials":
+            self._raises_promptly(lambda: polynomial.monomials)
+        else:
+            self._raises_promptly(polynomial.render)
+
 
 class TestDeadlineNeutrality:
     """Satellite: under-deadline requests are byte-identical modulo timing."""
