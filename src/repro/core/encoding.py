@@ -24,10 +24,12 @@ Image queries ``h(q2)`` are never materialised: only their exponent vectors
 enter the polynomial.  A position table, built once per (containing,
 grounded containee) pair, maps each containing-body atom's image under
 ``h`` straight to its unknown index, and identical vectors are counted as
-integer tuples.  The resulting ``vector -> count`` table becomes the
-polynomial as it is (:meth:`~repro.diophantine.polynomials.Polynomial.from_table`):
-no :class:`Monomial` is built for it, and Theorem 4.1's rows ``e − e_i``
-are read straight off its vectors.
+*packed* integers: one ``int`` per vector, one fixed-width slot per
+unknown (:func:`_slot_units`).  The resulting ``vector -> count`` table is
+unpacked once and becomes the polynomial as it is
+(:meth:`~repro.diophantine.polynomials.Polynomial.from_table`): no
+:class:`Monomial` is built for it, and Theorem 4.1's rows ``e − e_i`` are
+read straight off its vectors.
 
 The polynomial is computed in factorised form.  Once the probe fixes the
 head, the containing body splits into *factors*: atoms connected through
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.probe_tuples import most_general_probe_tuple
@@ -151,11 +153,12 @@ def _image_polynomial(
     factor has none (the zero polynomial).  The position table numbers the
     grounded terms and maps each grounded atom's term numbers to its
     unknown index (one dict per relation); it is built once and shared by
-    every factor.  Each representative's mappings fold into a ``vector ->
-    count`` table (:func:`_fold`), which stands for every factor of its
-    class, and the tables convolve into the polynomial (:func:`_convolve`)
-    in factor order.  Factor 0's table starts at the variable-free atoms'
-    vector, so it represents no other factor.
+    every factor.  Each representative's mappings fold into a packed
+    ``vector -> count`` table (:func:`_fold`), which stands for every factor
+    of its class, and the tables convolve into the polynomial
+    (:func:`_convolve`) in factor order; the final table is unpacked once.
+    Factor 0's table starts at the variable-free atoms' vector, so it
+    represents no other factor.
     """
     dimension = len(atoms)
     if not factor_mappings:
@@ -169,8 +172,9 @@ def _image_polynomial(
         positions.setdefault(atom.relation, {})[_key([term_ids[t] for t in atom.terms])] = index
 
     body = containing.body
+    width, unit = _slot_units(sum(body.values()), dimension)
     # Atoms without variables are their own image under every mapping.
-    base = [0] * dimension
+    base = 0
     moving = []
     for atom, multiplicity in body.items():
         at_relation = positions.get(atom.relation, {})
@@ -180,36 +184,71 @@ def _image_polynomial(
         position = at_relation.get(_key([term_ids.get(term) for term in atom.terms]))
         if position is None:
             raise _outside_body(containing, atom, factor_mappings[0][0])
-        base[position] += multiplicity
+        base += unit[position] * multiplicity
     entry_of = {entry[0]: entry for entry in moving}
     parts = [[entry_of[atom] for atom in factor if atom in entry_of] for factor in factors]
 
     tick = deadline_handle()
-    counts: dict[tuple[int, ...], int] = {}
-    tables: dict[int, dict[tuple[int, ...], int]] = {}
+    counts: dict[int, int] = {}
+    tables: dict[int, dict[int, int]] = {}
     for index, (part, mappings) in enumerate(zip(parts, factor_mappings)):
         table = tables.get(classes[index])
         if table is None:
-            start = [0] * dimension if index else base
-            table = tables[index] = _fold(containing, part, term_ids, start, mappings, tick)
+            start = base if index == 0 else 0
+            table = tables[index] = _fold(containing, part, term_ids, unit, start, mappings, tick)
         counts = _convolve(counts, table, tick) if index else table
-    return Polynomial.from_table(counts, dimension)
+    return Polynomial.from_table(_unpack(counts, width, dimension), dimension)
+
+
+def _slot_units(total: int, dimension: int) -> tuple[int, list[int]]:
+    """The slot width in bytes, and each unknown's unit, for packed vectors.
+
+    A packed vector holds entry ``i`` in bytes ``[w·i, w·(i + 1))`` of one
+    ``int``, so adding ``unit[i] = 1 << 8·w·i`` adds one to entry ``i``,
+    and adding two packed vectors adds them entry by entry as long as no
+    entry outgrows its slot.  *total* is the containing body's total
+    multiplicity ``M``, and ``w`` is the number of whole bytes that hold
+    it.  Every entry, of a factor's vector or of a convolved sum, is at
+    most ``M``: the factors partition the body, and an entry sums the
+    multiplicities of the body atoms whose image is that unknown.  So no
+    slot ever carries into the next.
+    """
+    width = max(1, (total.bit_length() + 7) // 8)
+    return width, [1 << (8 * width * position) for position in range(dimension)]
+
+
+def _unpack(table: dict[int, int], width: int, dimension: int) -> dict[tuple[int, ...], int]:
+    """A packed ``vector -> count`` table as exponent tuples (see :func:`_slot_units`)."""
+    size = width * dimension
+    if width == 1:
+        return {tuple(vector.to_bytes(size, "little")): count for vector, count in table.items()}
+    unpacked = {}
+    for vector, count in table.items():
+        packed = vector.to_bytes(size, "little")
+        exponents = tuple(
+            int.from_bytes(packed[start : start + width], "little")
+            for start in range(0, size, width)
+        )
+        unpacked[exponents] = count
+    return unpacked
 
 
 def _fold(
     containing: ConjunctiveQuery,
     moving: Sequence[tuple[Atom, dict[object, int], int]],
     term_ids: dict[Term, int],
-    base: list[int],
+    unit: Sequence[int],
+    base: int,
     mappings: Sequence[Substitution],
     tick: Callable[[], None] | None,
-) -> dict[tuple[int, ...], int]:
-    """One factor's ``vector -> count`` table, starting every vector at *base*.
+) -> dict[int, int]:
+    """One factor's packed ``vector -> count`` table, starting every vector at *base*.
 
     A mapping ``h`` numbers the images of its bindings once; each moving
     atom ``(atom, at_relation, multiplicity)`` then reads its terms'
-    numbers through an ``itemgetter`` and adds its multiplicity at the
-    index of its image, so atoms that collapse onto one image sum their
+    numbers through an ``itemgetter`` and adds its multiplicity to the slot
+    of its image (``unit[position] * multiplicity``, see
+    :func:`_slot_units`), so atoms that collapse onto one image sum their
     multiplicities (Equation 1).  Mappings with equal vectors merge into
     one entry whose count is their number.
     """
@@ -230,7 +269,7 @@ def _fold(
         )
         return table, tuple(term_ids.get(term) for term in fixed)
 
-    counts: dict[tuple[int, ...], int] = {}
+    counts: dict[int, int] = {}
     # The engine emits every mapping's bindings in one order, so the layout
     # is built once and re-checked with an identity-fast tuple comparison.
     domain: tuple[Variable, ...] | None = None
@@ -248,24 +287,23 @@ def _fold(
             domain = keys
             table, fixed_ids = layout(domain)
         ids = tuple(map(term_ids.get, bindings.values())) + fixed_ids
-        exponents = base.copy()
+        vector = base
         for key_of, at_relation, multiplicity, atom in table:
             position = at_relation.get(key_of(ids))
             if position is None:
                 raise _outside_body(containing, atom, mapping)
-            exponents[position] += multiplicity
-        vector = tuple(exponents)
+            vector += unit[position] * multiplicity
         counts[vector] = counts.get(vector, 0) + 1
     return counts
 
 
 def _convolve(
-    left: dict[tuple[int, ...], int],
-    right: dict[tuple[int, ...], int],
+    left: dict[int, int],
+    right: dict[int, int],
     tick: Callable[[], None] | None,
-) -> dict[tuple[int, ...], int]:
-    """The product of two factor tables: vectors add, counts multiply."""
-    product: dict[tuple[int, ...], int] = {}
+) -> dict[int, int]:
+    """The product of two packed factor tables: vectors add, counts multiply."""
+    product: dict[int, int] = {}
     countdown = TICK_INTERVAL if tick is not None else 0
     for left_vector, left_count in left.items():
         for right_vector, right_count in right.items():
@@ -275,7 +313,7 @@ def _convolve(
                     assert tick is not None
                     tick()
                     countdown = TICK_INTERVAL
-            vector = tuple(map(add, left_vector, right_vector))
+            vector = left_vector + right_vector
             product[vector] = product.get(vector, 0) + left_count * right_count
     return product
 
@@ -362,11 +400,11 @@ def encode_many(
     Every probe goes through one
     :class:`~repro.engine.batch.ContainmentMappingBatcher`, which splits the
     containing body into factors and maps each factor to its class of
-    renamed copies once, for all probes.  The engine's plans are keyed by
-    the grounded target, so each probe compiles its own, one per class
-    representative.  Lazy: a caller that stops at the first refuting probe
-    never pays for the rest (the projection-freeness check still fails
-    eagerly, at the call site).
+    renamed copies once, for all probes.  The engine binds each class
+    representative's plan template to every probe's grounded target, and
+    compiles a template only for a shape it has not seen.  Lazy: a caller
+    that stops at the first refuting probe never pays for the rest (the
+    projection-freeness check still fails eagerly, at the call site).
     """
     containee.require_projection_free()
     batcher = ContainmentMappingBatcher(containing)

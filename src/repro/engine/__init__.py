@@ -10,16 +10,17 @@ package turns that question into a compiled subsystem:
 1. **Intern** (:mod:`repro.engine.interning`): terms become dense integer
    ids and a target becomes columnar per-relation buckets with packed-key
    signature indexes built on first use.
-2. **Plan and execute** (:mod:`repro.engine.interned`): a ``(source,
-   target, fixed)`` triple is compiled once into an :class:`InternedPlan` —
-   a join order picked greedily by the selectivity of the target's built
-   signature indexes —
-   and an iterative, trail-based executor runs it in one of three modes,
-   ``iterate``, ``count`` or ``exists``, so decision callers never pay for
-   enumeration.
-3. **Cache** (:mod:`repro.engine.cache`): interned targets, plans and
-   scalar results are memoised in an :class:`EngineCache` with LRU bounds,
-   hit/miss statistics and explicit invalidation.
+2. **Plan and execute** (:mod:`repro.engine.interned`): a target-free plan
+   template — a greedy fail-first join order over the target's bucket
+   sizes — is compiled once per query shape, keyed on a canonical form of
+   the source that ignores variable names, and bound to each target as an
+   :class:`InternedPlan`; an iterative, trail-based executor runs it in one
+   of three modes, ``iterate``, ``count`` or ``exists``, so decision
+   callers never pay for enumeration.
+3. **Cache** (:mod:`repro.engine.cache`): interned targets (each with the
+   plans bound to it), plan templates and scalar results are memoised in
+   an :class:`EngineCache` with LRU bounds, hit/miss statistics and
+   explicit invalidation.
 4. **Query level** (:mod:`repro.engine.batch`):
    :class:`ContainmentMappingBatcher` enumerates ``CM(q2, q1(t))`` per
    probe tuple or per body factor, and :class:`BagBatchEvaluator` is the

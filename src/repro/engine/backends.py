@@ -43,7 +43,9 @@ from repro.engine.fingerprints import atoms_fingerprint
 from repro.engine.interned import (
     ExecutionStats,
     InternedPlan,
-    compile_interned_plan,
+    bind_template,
+    canonical_source,
+    compile_template,
     interned_count,
     interned_exists,
     interned_iterate,
@@ -213,14 +215,15 @@ class InternedBackend(Backend):
     :class:`~repro.engine.interning.TermDictionary`, targets are stored as
     columnar per-relation buckets of tuple-of-int rows, signature indexes
     key on packed integer keys, and plan steps address a flat slot-binding
-    list instead of a variable dictionary.  Join orders are chosen by the
-    selectivity of the target's built signature indexes (see
-    :func:`~repro.engine.interned.compile_interned_plan`).
+    list instead of a variable dictionary.  A plan is a target-free
+    template, compiled once per query shape, bound to each target (see
+    :meth:`plan`).
 
     Compiled artefacts live in the shared :class:`EngineCache` — interned
-    targets in the index layer, interned plans in the plan layer, scalar
-    results in the result layer — tagged with the dictionary's serial so an
-    entry can never outlive the id space it was compiled against.
+    targets in the index layer, tagged with the dictionary's serial so an
+    entry can never outlive the id space it was compiled against, with
+    their bound plans memoised on them; templates in the plan layer, which
+    hold no term id; scalar results in the result layer.
     """
 
     name = "interned"
@@ -247,29 +250,35 @@ class InternedBackend(Backend):
         target_atoms: Iterable[Atom],
         fixed: Mapping[Variable, Term] | Iterable[Variable] | None = None,
     ) -> InternedPlan:
-        """The (cached) cost-ordered integer plan for a ``(source, target, fixed)`` triple.
+        """The (cached) integer plan for a ``(source, target, fixed)`` triple.
 
-        Plans live in the shared cache's fingerprint-keyed plan layer, so
-        logically equal triples share one compiled plan.  Under
-        ``debug_verify_plans`` every plan is checked against *source_atoms*
-        before it runs.
+        A plan bound to the target earlier, for the same source atoms and
+        fixed set, is reused from the target's memo.  Otherwise the source's
+        canonical form keys a template in the cache's plan layer, compiled
+        only if no source of the same shape was planned before, and the
+        template is bound to the target.  Either reuse counts as a plan-layer
+        hit.  Under ``debug_verify_plans`` every plan is checked against
+        *source_atoms* before it runs.
         """
         fixed_variables = frozenset(fixed or ())
         source = tuple(source_atoms)
-        target = tuple(target_atoms)
-        key = (
-            atoms_fingerprint(source),
-            atoms_fingerprint(target),
-            fixed_variables,
-            "interned",
-            self.dictionary.serial,
-        )
-        plan: InternedPlan = self.cache.plan_entry(  # type: ignore[assignment]
-            key,
-            lambda: compile_interned_plan(
-                self.dictionary, self.target(target), source, fixed_variables
-            ),
-        )
+        interned = self.target(target_atoms)
+        key = (atoms_fingerprint(source), fixed_variables)
+        plan = interned.plans.get(key)
+        if plan is None:
+            canonical = canonical_source(interned, source, fixed_variables)
+            template = self.cache.plan_entry(
+                canonical.key, lambda: compile_template(canonical.key)
+            )
+            plan = interned.plans[key] = bind_template(
+                template,  # type: ignore[arg-type]
+                self.dictionary,
+                interned,
+                canonical,
+                fixed_variables,
+            )
+        else:
+            self.cache.count_plan_hit()
         if _verify_hooks.verification_enabled():
             _verify_hooks.check_plan(
                 plan,

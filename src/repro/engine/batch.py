@@ -162,10 +162,11 @@ class ContainmentMappingBatcher:
 
     The containing query's body and its head variables are extracted once;
     each :meth:`mappings` call then fixes the head against the probe and
-    enumerates through the backend, whose cache shares the compiled plan
-    across every probe aimed at the same grounded target, so streaming
-    callers (the all-probes decision strategy stops at the first refuting
-    probe) pay one plan compilation per target.
+    enumerates through the backend, whose cache compiles one plan template
+    per shape of the containing body (or of a factor) and binds it to each
+    grounded target, so streaming callers (the all-probes decision strategy
+    stops at the first refuting probe) pay one cheap bind per probe and
+    factor class.
 
     :attr:`factors` splits the body into factors, and
     ``mappings(..., factor=k)`` enumerates the k-th factor's atoms alone

@@ -9,16 +9,21 @@ the same body.  :class:`EngineCache` memoises three layers:
 
 * **indexes**: interned target images, keyed by the instance fingerprint —
   shared by every query probing the same instance;
-* **plans**: compiled plans, keyed by ``(source, target, fixed-variable-set)``
-  fingerprints — shared by every execution of the same logical search, no
-  matter which values the fixed variables take;
+* **plans**: target-free plan templates, keyed by a canonical form of the
+  source that ignores variable names (see
+  :func:`repro.engine.interned.canonical_source`) — shared by every search
+  of the same shape, renamed requests included.  A plan bound to one
+  target is memoised on that target's index entry instead, and a hit
+  there counts as a plan-layer hit too, so plan hits mean "nothing was
+  compiled";
 * **scalar results** (``count`` / ``exists``), keyed by the full execution
   key including the fixed values — these are pure functions of immutable
   value objects, so memoising them is always sound.
 
 All three layers keep LRU order and expose hit/miss/eviction statistics;
 :meth:`EngineCache.invalidate` drops entries touching a given target (or
-everything), which is the hook instance-mutating callers use.
+everything), which is the hook instance-mutating callers use.  Templates
+name no target, so a targeted invalidation leaves them in place.
 
 A cache can additionally be backed by a persistent tier
 (:meth:`EngineCache.attach_persistent`): an in-memory result-layer miss
@@ -178,10 +183,10 @@ class EngineCache:
     def attach_persistent(self, persistent: PersistentCache | None) -> None:
         """Back (or stop backing) this cache with a persistent tier.
 
-        Only the result layer consults the store: interned targets and
-        plans are keyed by a process-local term-dictionary serial, so they
-        are cheap per-process rebuilds that never persist.  Passing
-        ``None`` detaches.
+        Only the result layer consults the store: interned targets (and
+        the plans bound to them) are keyed by a process-local
+        term-dictionary serial, and plan templates are cheap per-process
+        rebuilds, so neither persists.  Passing ``None`` detaches.
         """
         self._persistent = persistent
         self._results.persistent = persistent
@@ -221,12 +226,12 @@ class EngineCache:
         return self._indexes.get_or_build(key, build)
 
     def plan_entry(self, key: Hashable, build: Callable[[], object]) -> object:
-        """Memoise a compiled plan in the plan layer.
-
-        Tuple keys must put the target fingerprint second, so
-        :meth:`invalidate` covers them.
-        """
+        """Memoise a plan template in the plan layer, under its canonical key."""
         return self._plans.get_or_build(key, build)
+
+    def count_plan_hit(self) -> None:
+        """Count a plan served without the plan layer (a plan bound earlier)."""
+        self._plans.stats.hits += 1
 
     # ------------------------------------------------------------------ #
     # Invalidation / introspection
@@ -249,12 +254,6 @@ class EngineCache:
         dropped = self._indexes.drop(
             lambda key: key == target_key
             or (isinstance(key, tuple) and len(key) > 0 and key[0] == target_key)
-        )
-        # Plan keys put the target fingerprint second; the isinstance/length
-        # guard keeps exotic plan_entry keys from crashing the sweep (they
-        # simply stay).
-        dropped += self._plans.drop(
-            lambda key: isinstance(key, tuple) and len(key) > 1 and key[1] == target_key
         )
         dropped += self._results.drop(
             lambda key: isinstance(key, tuple) and len(key) > 1 and key[1] == target_key

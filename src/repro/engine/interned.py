@@ -1,4 +1,4 @@
-"""The interned backend: integer-only plans, cost-ordered, over columnar data.
+"""The interned backend: integer-only plans, compiled once per query shape.
 
 This is the production engine backend (``naive`` is the reference).  It
 answers the same three questions — ``iterate`` / ``count`` / ``exists`` —
@@ -8,14 +8,17 @@ inside the inner loop:
 * the target is interned once into an :class:`~repro.engine.interning.InternedTarget`
   (columnar ``(relation, arity)`` buckets of tuple-of-int rows, packed-key
   signature group indexes);
-* every plan step is compiled down to integer column positions: constants
-  become term ids, variables become dense *slot* numbers into a flat binding
-  list, and candidate lookup keys are packed integers;
-* join steps are **cost-ordered** by the selectivity of the target's
-  built signature indexes (rows per distinct key: the average number of
-  candidates a probe returns), falling back to a static fail-first estimate
-  for signatures whose index is not built yet.  The order is a function of
-  the target's state alone.
+* a plan is compiled in two parts.  A target-free :class:`PlanTemplate`
+  fixes the join order and the op streams of one *canonical key*
+  (:func:`canonical_source`): the source up to a renaming of its
+  variables, which positions are fixed or constant, and the target's
+  bucket sizes.  Binding the template to a target (:func:`bind_template`)
+  looks up one signature index per step and interns the step's constants;
+* join steps are ordered greedily fail-first by the static estimate
+  ``bucket / 4^determined``, so renamed requests share one template;
+* every plan step addresses integer column positions: constants become
+  term ids, variables become dense *slot* numbers into a flat binding
+  list, and candidate lookup keys are packed integers.
 
 The executor is an iterative loop with an explicit binding trail and an
 early-exit ``exists`` mode, solution-for-solution interchangeable with the
@@ -31,7 +34,7 @@ of enumerating everything and taking the first element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from repro.engine.interning import ID_BITS, InternedTarget, TermDictionary
 from repro.faults.runtime import TICK_INTERVAL, tick_handle
@@ -41,16 +44,19 @@ from repro.relational.substitutions import Substitution
 from repro.relational.terms import Term, Variable
 
 __all__ = [
+    "CanonicalSource",
     "ExecutionStats",
     "InternedPlan",
     "InternedStep",
-    "atom_signature",
+    "PlanTemplate",
+    "TemplateStep",
+    "bind_template",
+    "canonical_source",
     "compile_interned_plan",
-    "compile_step",
+    "compile_template",
     "interned_count",
     "interned_exists",
     "interned_iterate",
-    "step_cost",
 ]
 
 @dataclass
@@ -188,62 +194,217 @@ def _signature_of(step: InternedStep) -> list[tuple[int, int]]:
     return list(zip(bound_positions, step.key_ops))
 
 
-def atom_signature(atom: Atom, bound: set[Variable]) -> tuple[int, ...]:
-    """The bound-position signature of *atom* under the current bound set."""
-    return tuple(
-        position
-        for position, term in enumerate(atom.terms)
-        if not isinstance(term, Variable) or term in bound
+#: The kind of one source position in a canonical key.
+FREE, FIXED, CONSTANT = 0, 1, 2
+
+
+class TemplateStep(NamedTuple):
+    """One step of a :class:`PlanTemplate`, in canonical numbering.
+
+    ``atom`` indexes the canonical atom order, ``signature`` lists the
+    positions the step probes on, ``key_ops`` holds a slot number for a
+    bound variable and ``-1 - position`` for a constant (interned at bind
+    time, so ``constants`` says whether the step has any), and ``new_ops``
+    the ``(position, slot)`` pairs that bind fresh slots.
+    """
+
+    atom: int
+    signature: tuple[int, ...]
+    key_ops: tuple[int, ...]
+    constants: bool
+    new_ops: tuple[tuple[int, int], ...]
+
+
+class PlanTemplate(NamedTuple):
+    """A target-free plan: the join order and op streams of one canonical key.
+
+    It holds no term ids and no atoms, so every source whose canonical key
+    equals the template's binds it, whatever its variable names and
+    constant values (:func:`bind_template`).  ``sources`` counts the
+    source variables, which take the first slots; ``fixed_slots`` lists
+    the slots of the fixed variables in order.
+    """
+
+    static_steps: tuple[TemplateStep, ...]
+    steps: tuple[TemplateStep, ...]
+    sources: int
+    fixed_slots: tuple[int, ...]
+
+
+class CanonicalSource(NamedTuple):
+    """A source in canonical form: the plan-template key and what binds it.
+
+    ``key`` is one ``(relation, bucket size, variable numbers, kinds)``
+    entry per deduplicated source atom, in canonical order, and the number
+    of fixed variables that occur in no source atom; constants number
+    ``-1``.  ``atoms`` is the canonical atom order, and ``variables`` the
+    slot layout: source variables by first occurrence in that order, then
+    the other fixed variables by name.
+    """
+
+    key: tuple
+    atoms: tuple[Atom, ...]
+    variables: tuple[Variable, ...]
+
+
+def canonical_source(
+    target: InternedTarget, source_atoms: Iterable[Atom], fixed_variables: frozenset[Variable]
+) -> CanonicalSource:
+    """The name-free canonical form of *source_atoms* against *target*.
+
+    The deduplicated atoms are sorted by a shape that uses no name —
+    relation, then each position's kind (:data:`FREE` or :data:`FIXED`
+    variable, or :data:`CONSTANT`); equal shapes keep their source order —
+    and variables are numbered by first occurrence in that order.  Equal
+    keys therefore pair the atoms of two sources position by position under
+    one bijective renaming of their variables, with the same relations,
+    the same fixed variables and constants in the same places, and the
+    same target bucket sizes: everything a plan's join order depends on.
+    """
+    shapes = {
+        atom: (
+            atom.relation,
+            tuple(
+                [
+                    (FIXED if term in fixed_variables else FREE)
+                    if isinstance(term, Variable)
+                    else CONSTANT
+                    for term in atom.terms
+                ]
+            ),
+        )
+        for atom in source_atoms
+    }
+    atoms = tuple(sorted(shapes, key=shapes.__getitem__))
+    numbers: dict[Variable, int] = {}
+    key = []
+    for atom in atoms:
+        relation, kinds = shapes[atom]
+        terms = atom.terms
+        key.append(
+            (
+                relation,
+                len(target.rows(relation, len(terms))),
+                tuple(
+                    [
+                        -1 if kind == CONSTANT else numbers.setdefault(term, len(numbers))
+                        for term, kind in zip(terms, kinds)
+                    ]
+                ),
+                kinds,
+            )
+        )
+    others = sorted([v for v in fixed_variables if v not in numbers], key=lambda v: v.name)
+    return CanonicalSource((tuple(key), len(others)), atoms, (*numbers, *others))
+
+
+def compile_template(key: tuple) -> PlanTemplate:
+    """Compile the join order and op streams of one canonical key.
+
+    The order is greedy fail-first: the next step is the atom with the
+    fewest expected candidates per probe, ``bucket / 4^determined``, where
+    ``determined`` counts its constants and bound variables; ties prefer
+    more determined positions, then canonical order.  The order is a
+    function of the key alone, so a template never depends on what the
+    cache or the target has built before.
+
+    Filter steps (no fresh slots) whose keys read only constants and fixed
+    slots hold independently of every search choice; they become the
+    template's static steps, which the executor probes once, up front.
+    """
+    atoms, others = key
+    fixed = {
+        number
+        for _, _, numbers, kinds in atoms
+        for number, kind in zip(numbers, kinds)
+        if kind == FIXED
+    }
+    sources = 1 + max((number for _, _, numbers, _ in atoms for number in numbers), default=-1)
+    bound = set(fixed)
+
+    def determined(index: int) -> tuple[int, ...]:
+        return tuple(
+            position
+            for position, number in enumerate(atoms[index][2])
+            if number < 0 or number in bound
+        )
+
+    def cost(index: int) -> tuple[float, int]:
+        signature = determined(index)
+        return atoms[index][1] / 4.0 ** len(signature), -len(signature)
+
+    # ``min`` keeps the first of equal costs, so ties follow canonical order.
+    remaining = list(range(len(atoms)))
+    steps: list[TemplateStep] = []
+    while remaining:
+        index = remaining.pop(min(range(len(remaining)), key=lambda i: cost(remaining[i])))
+        key_ops: list[int] = []
+        new_ops: list[tuple[int, int]] = []
+        for position, number in enumerate(atoms[index][2]):
+            if number < 0:
+                key_ops.append(-1 - position)
+            elif number in bound:
+                key_ops.append(number)
+            else:
+                new_ops.append((position, number))
+        steps.append(
+            TemplateStep(
+                index, determined(index), tuple(key_ops), -1 in atoms[index][2], tuple(new_ops)
+            )
+        )
+        bound.update(number for number in atoms[index][2] if number >= 0)
+
+    static = tuple(
+        step
+        for step in steps
+        if not step.new_ops and all(op < 0 or op in fixed for op in step.key_ops)
+    )
+    return PlanTemplate(
+        static,
+        tuple(step for step in steps if step not in static),
+        sources,
+        (*sorted(fixed), *range(sources, sources + others)),
     )
 
 
-def step_cost(
-    target: InternedTarget,
-    atom: Atom,
-    bound: set[Variable],
-) -> tuple[float, int]:
-    """Greedy scheduling cost of matching *atom* next.
-
-    The primary component is the candidates-per-probe estimate of the
-    atom's bound-position signature (see
-    :meth:`~repro.engine.interning.InternedTarget.cost_estimate`); ties
-    prefer more determined positions.  A plan's order is therefore a
-    deterministic function of the target's built-index state, never of how
-    often earlier executions probed it.
-    """
-    determined = atom_signature(atom, bound)
-    cost = target.cost_estimate(atom.relation, atom.arity, determined)
-    return (cost, -len(determined))
-
-
-def compile_step(
+def bind_template(
+    template: PlanTemplate,
     dictionary: TermDictionary,
     target: InternedTarget,
-    slot_of: Mapping[Variable, int],
-    atom: Atom,
-    bound: set[Variable],
-) -> InternedStep:
-    """Compile one atom into an :class:`InternedStep` under *bound*."""
-    key_ops: list[int] = []
-    new_ops: list[tuple[int, int]] = []
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Variable):
-            if term in bound:
-                key_ops.append(slot_of[term])
-            else:
-                new_ops.append((position, slot_of[term]))
-        else:
-            # Constant ids ride in the same op stream, encoded below the
-            # slot range as ``-1 - id`` so the executor needs one branch.
-            key_ops.append(-1 - dictionary.intern(term))
-    determined = atom_signature(atom, bound)
-    if determined:
-        group = target.group_index(atom.relation, atom.arity, determined)
-        bucket: tuple[tuple[int, ...], ...] = ()
-    else:
-        group = None
-        bucket = target.rows(atom.relation, atom.arity)
-    return InternedStep(atom, group, bucket, tuple(key_ops), tuple(new_ops))
+    source: CanonicalSource,
+    fixed_variables: frozenset[Variable],
+) -> InternedPlan:
+    """Bind *template* to *target* for the source it was keyed from.
+
+    One ``group_index`` lookup per step, the step's constants interned
+    into the key ops, and the slots taken from the canonical numbering.
+    """
+    intern = dictionary.intern
+    atoms = source.atoms
+
+    def bind(step: TemplateStep) -> InternedStep:
+        atom = atoms[step.atom]
+        key_ops = step.key_ops
+        if step.constants:
+            terms = atom.terms
+            key_ops = tuple([op if op >= 0 else -1 - intern(terms[-1 - op]) for op in key_ops])
+        if step.signature:
+            group = target.group_index(atom.relation, len(atom.terms), step.signature)
+            return InternedStep(atom, group, (), key_ops, step.new_ops)
+        rows = target.rows(atom.relation, len(atom.terms))
+        return InternedStep(atom, None, rows, key_ops, step.new_ops)
+
+    variables = source.variables
+    return InternedPlan(
+        steps=tuple([bind(step) for step in template.steps]),
+        static_steps=tuple([bind(step) for step in template.static_steps]),
+        slot_variables=variables,
+        slot_of={variable: slot for slot, variable in enumerate(variables)},
+        self_ids=tuple([intern(variable) for variable in variables]),
+        fixed_variables=fixed_variables,
+        source_variables=frozenset(variables[: template.sources]),
+        fixed_slots=tuple([(variables[slot], slot) for slot in template.fixed_slots]),
+    )
 
 
 def compile_interned_plan(
@@ -252,65 +413,15 @@ def compile_interned_plan(
     source_atoms: Iterable[Atom],
     fixed_variables: frozenset[Variable],
 ) -> InternedPlan:
-    """Compile a cost-ordered integer plan against an interned target.
+    """Compile an integer plan against an interned target, with no cache.
 
-    The join order is greedy fail-first (:func:`step_cost`), and the per-atom
-    cost is the selectivity of the atom's bound-position signature whenever
-    the target has already built that signature index: ``len(bucket) /
-    groups`` is exactly the average number of candidates a probe returns.
-    Signatures whose index is not built yet fall back to the static
-    ``bucket / 4^determined`` guess.  Ties prefer more determined positions,
-    then the original atom order — deterministic for a fixed target state.
+    The canonical form (:func:`canonical_source`) keys a template
+    (:func:`compile_template`), which is bound to *target*
+    (:func:`bind_template`).  :meth:`~repro.engine.backends.InternedBackend.plan`
+    runs the same three steps with the template and the bound plan cached.
     """
-    source = tuple(dict.fromkeys(source_atoms))
-    source_variables: set[Variable] = set()
-    for atom in source:
-        source_variables.update(atom.variables())
-
-    slot_variables = tuple(sorted(source_variables | fixed_variables, key=lambda v: v.name))
-    slot_of = {variable: slot for slot, variable in enumerate(slot_variables)}
-    self_ids = tuple(dictionary.intern(variable) for variable in slot_variables)
-
-    # Greedy fail-first: schedule the cheapest atom under the running bound
-    # set (``min`` keeps the first of equal costs, so ties follow the source
-    # order and compilation is deterministic).
-    bound: set[Variable] = set(fixed_variables)
-    steps: list[InternedStep] = []
-    remaining = list(source)
-    while remaining:
-        atom = remaining.pop(
-            min(range(len(remaining)), key=lambda i: step_cost(target, remaining[i], bound))
-        )
-        steps.append(compile_step(dictionary, target, slot_of, atom, bound))
-        bound.update(atom.variables())
-
-    # Hoist the pure preconditions: filter steps (no fresh slots) whose keys
-    # read only constants and pre-fixed slots hold independently of every
-    # search choice, so they run once, up front, in a flat scan.
-    fixed_slot_numbers = {slot_of[variable] for variable in fixed_variables}
-    static_steps = tuple(
-        step
-        for step in steps
-        if not step.new_ops
-        and all(op < 0 or op in fixed_slot_numbers for op in step.key_ops)
-    )
-    static_set = {id(step) for step in static_steps}
-    dynamic_steps = tuple(step for step in steps if id(step) not in static_set)
-
-    return InternedPlan(
-        steps=dynamic_steps,
-        static_steps=static_steps,
-        slot_variables=slot_variables,
-        slot_of=slot_of,
-        self_ids=self_ids,
-        fixed_variables=fixed_variables,
-        source_variables=frozenset(source_variables),
-        fixed_slots=tuple(
-            (variable, slot)
-            for slot, variable in enumerate(slot_variables)
-            if variable in fixed_variables
-        ),
-    )
+    source = canonical_source(target, source_atoms, fixed_variables)
+    return bind_template(compile_template(source.key), dictionary, target, source, fixed_variables)
 
 
 def _solutions(plan: InternedPlan, binding: list[int], run: _Run) -> Iterator[list[int]]:

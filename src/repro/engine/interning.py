@@ -23,19 +23,20 @@ representation underneath:
     The interned image of one deduplicated target atom set, with lazily
     built signature group indexes keyed on *packed* integer keys (the ids at
     the signature positions packed into one machine integer, see
-    :func:`pack_ids`) and per-signature statistics — bucket size over group
-    count is the observed selectivity estimate that the interned planner's
-    cost ordering consumes in place of the static fail-first guess.
+    :func:`pack_ids`), and the memo of the plans bound to it.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.relational.atoms import Atom
 from repro.relational.terms import Term
+
+if TYPE_CHECKING:
+    from repro.engine.interned import InternedPlan
 
 __all__ = [
     "ID_BITS",
@@ -158,14 +159,14 @@ class InternedTarget:
 
     Signature group indexes map a packed key to the tuple of matching rows
     and are built lazily from the columns, once per ``(relation, arity,
-    signature)``.  Building one records the group count, which yields the
-    *observed selectivity* ``len(bucket) / groups`` — the average candidate
-    count a probe of that signature returns — that
-    :func:`repro.engine.interned.compile_interned_plan` orders join steps
-    by.
+    signature)``.  :attr:`plans` memoises the plans bound to this target,
+    keyed by ``(source fingerprint, fixed variables)``
+    (:meth:`repro.engine.backends.InternedBackend.plan`), so they live and
+    die with the target's entry in the engine cache's index layer.  Join
+    orders read only the buckets' sizes, never which indexes are built.
     """
 
-    __slots__ = ("_dictionary", "_relations", "_groups", "_atoms")
+    __slots__ = ("_dictionary", "_relations", "_groups", "_atoms", "plans")
 
     def __init__(self, dictionary: TermDictionary, target_atoms: Iterable[Atom]) -> None:
         self._dictionary = dictionary
@@ -181,6 +182,7 @@ class InternedTarget:
         self._groups: dict[
             tuple[str, int, tuple[int, ...]], dict[int, tuple[tuple[int, ...], ...]]
         ] = {}
+        self.plans: dict[tuple, InternedPlan] = {}
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -191,7 +193,7 @@ class InternedTarget:
         return len(self._atoms)
 
     def relation_sizes(self) -> dict[tuple[str, int], int]:
-        """Bucket sizes, the static half of the planner's cost estimate."""
+        """The size of every ``(relation, arity)`` bucket."""
         return {key: len(relation) for key, relation in self._relations.items()}
 
     def rows(self, relation: str, arity: int) -> tuple[tuple[int, ...], ...]:
@@ -218,43 +220,3 @@ class InternedTarget:
             index = {packed: tuple(rows) for packed, rows in grouped.items()}
             self._groups[key] = index
         return index
-
-    def selectivity(
-        self, relation: str, arity: int, signature: tuple[int, ...]
-    ) -> float | None:
-        """Observed average candidates per probe for a *built* signature index.
-
-        ``None`` when the signature index has not been built yet — the
-        planner then falls back to its static estimate.  An empty bucket
-        observes selectivity 0 (every probe of it returns nothing).
-        """
-        index = self._groups.get((relation, arity, signature))
-        if index is None:
-            return None
-        bucket = self._relations.get((relation, arity))
-        if bucket is None or not index:
-            return 0.0
-        return len(bucket) / len(index)
-
-    def cost_estimate(
-        self,
-        relation: str,
-        arity: int,
-        signature: tuple[int, ...],
-    ) -> float:
-        """The best available candidates-per-probe estimate for one signature.
-
-        Two tiers, most-informed first: the built signature index's
-        structural average (``bucket / groups``), then the static fail-first
-        guess (``bucket / 4^determined``).
-        """
-        structural = self.selectivity(relation, arity, signature)
-        if structural is not None:
-            return structural
-        bucket = self._relations.get((relation, arity))
-        size = len(bucket) if bucket is not None else 0
-        return size / (4.0 ** len(signature))
-
-    def built_signatures(self) -> Iterator[tuple[str, int, tuple[int, ...]]]:
-        """The ``(relation, arity, signature)`` triples with built indexes."""
-        return iter(self._groups)

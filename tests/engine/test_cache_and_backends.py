@@ -79,12 +79,17 @@ class TestEngineCache:
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
         other = (Atom("R", (b, a)),)
-        layer_plan(backend, source, target)
+        first = layer_plan(backend, source, target)
         layer_plan(backend, source, other)
         dropped = backend.cache.invalidate(target)
-        assert dropped == 2  # the plan and its interned target
+        assert dropped == 1  # the interned target, and the plans bound to it
+        hits, misses = backend.cache.plan_stats.hits, backend.cache.plan_stats.misses
         layer_plan(backend, source, other)
-        assert backend.cache.plan_stats.hits == 1  # the untouched target still hits
+        assert backend.cache.plan_stats.hits == hits + 1  # the untouched target still hits
+        # The invalidated target's bound plan went with it: planning again
+        # binds a new plan, from the template, without compiling.
+        assert layer_plan(backend, source, target) is not first
+        assert backend.cache.plan_stats.misses == misses
 
     def test_invalidate_everything(self):
         backend = fresh_backend()
@@ -95,7 +100,8 @@ class TestEngineCache:
 
     def test_lru_eviction(self):
         backend = fresh_backend(max_plans=2)
-        targets = [(Atom("R", (Constant(f"c{i}"), b)),) for i in range(3)]
+        # Bucket sizes 1, 2 and 3 key three plan templates.
+        targets = [tuple(Atom("R", (Constant(f"c{j}"), b)) for j in range(i + 1)) for i in range(3)]
         for target in targets:
             layer_plan(backend, (Atom("R", (x, y)),), target)
         assert backend.cache.plan_stats.evictions == 1

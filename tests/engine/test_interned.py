@@ -79,11 +79,7 @@ class TestInternedTarget:
         target = InternedTarget(dictionary, [Atom("R", (a, b)), Atom("R", (a, c)), Atom("S", (b,))])
         assert target.relation_sizes() == {("R", 2): 2, ("S", 1): 1}
         assert len(target.rows("R", 2)) == 2
-        # Selectivity is unknown until the signature index is built...
-        assert target.selectivity("R", 2, (0,)) is None
         index = target.group_index("R", 2, (0,))
-        # ...after which it reports average candidates per probe: 2 rows, 1 group.
-        assert target.selectivity("R", 2, (0,)) == 2.0
         assert index[dictionary.intern(a)] == (
             (dictionary.intern(a), dictionary.intern(b)),
             (dictionary.intern(a), dictionary.intern(c)),
@@ -114,7 +110,7 @@ class TestPlanShapes:
         assert backend.count(source, target, {x: a, y: b}) == 2
         assert "static filters" in plan.describe()
 
-    def test_observed_selectivity_orders_cheaper_signatures_first(self):
+    def test_static_cost_schedules_the_smaller_bucket_first(self):
         backend = fresh_backend()
         # A target where R-probes on position 0 return many candidates but
         # S-probes return exactly one.
@@ -122,8 +118,8 @@ class TestPlanShapes:
         source = (Atom("R", (x, y)), Atom("S", (x, z)))
         backend.count(source, target, {x: a})  # builds both signature indexes
         plan = backend.plan((Atom("R", (x, y)), Atom("S", (x, y))), target, {x: a})
-        # With observed selectivity (R: 8 per probe, S: 1 per probe) the S
-        # atom must be scheduled before the R atom.
+        # With one position determined, S costs 1/4 and R costs 8/4 per
+        # probe, so the S atom must be scheduled before the R atom.
         first = (plan.static_steps + plan.steps)[0]
         assert first.atom.relation == "S"
 
@@ -173,7 +169,7 @@ class TestBackendBehaviour:
         assert backend.count(source, target) == 1
         backend.count((Atom("S", (x, y)),), other)
         dropped = backend.cache.invalidate(target)
-        assert dropped >= 3  # the target's index, plan and result entries
+        assert dropped == 2  # the target's index entry (with its bound plans) and result memo
         # The unrelated target's result memo survives and still hits.
         hits_before = backend.cache.result_stats.hits
         assert backend.count((Atom("S", (x, y)),), other) == 1
