@@ -11,10 +11,9 @@ Two halves live here:
 
 :mod:`repro.analysis.lint`
     A repo-wide AST lint framework with repro-specific rules (determinism
-    hazards, mutable defaults, global state, bare excepts) and the
-    flow-sensitive determinism-taint analyzer (:mod:`repro.analysis.taint`),
-    exposed as ``repro lint`` on the command line, which also runs the
-    persist-schema lock check (:mod:`repro.analysis.schema_lock`).
+    hazards, mutable defaults, global state, bare excepts), exposed as
+    ``repro lint`` on the command line, which also runs the persist-schema
+    lock check (:mod:`repro.analysis.schema_lock`).
 
 The soundness names are re-exported lazily: the verifier imports the
 engine, and the engine imports :mod:`repro.analysis.hooks`, so an eager

@@ -68,7 +68,7 @@ class LintContext:
     """Everything a rule check sees: one parsed module plus its source.
 
     The module is parsed exactly once per file and this context is shared
-    across every rule and dataflow analyzer that runs on it.  Rules that
+    across every rule that runs on it.  Rules that
     only care about a few node types should use :meth:`nodes` instead of
     ``ast.walk`` — the first call walks the tree once and buckets every
     node by type, so N rules cost one traversal instead of N.
@@ -139,11 +139,7 @@ class LintStats:
 
 
 def default_rules() -> tuple[LintRule, ...]:
-    """The built-in per-file rules (imported lazily to keep this module generic).
-
-    Both the syntactic rules and the flow-sensitive determinism-taint
-    analyzer.
-    """
+    """The built-in per-file rules (imported lazily to keep this module generic)."""
     from repro.analysis.rules import RULES
 
     return RULES

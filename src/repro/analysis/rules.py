@@ -1,9 +1,7 @@
-"""The repro-specific lint rules and dataflow analyzers.
+"""The repro-specific lint rules.
 
-:data:`RULES` holds the syntactic checks (per-node AST matches) and the
-flow-sensitive determinism-taint analyzer built on
-:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`.  They run under
-the same driver, share one parsed AST per file (via
+:data:`RULES` holds the syntactic checks (per-node AST matches).  They run
+under one driver, share one parsed AST per file (via
 :meth:`LintContext.nodes`), and use the same justified-suppression syntax.
 :data:`PERSIST_SCHEMA` names the persist-schema lock check, which
 ``repro lint`` runs once per invocation beside them.  The catalogue in
@@ -166,15 +164,6 @@ def _check_bare_except(context: LintContext) -> Iterator[tuple[int, str]]:
             )
 
 
-# --------------------------------------------------------------------------- #
-# Flow-sensitive analyzer rule (CFG + dataflow, see taint.py)
-# --------------------------------------------------------------------------- #
-def _check_determinism_taint(context: LintContext) -> Iterator[tuple[int, str]]:
-    from repro.analysis.taint import analyze_module
-
-    yield from analyze_module(context.tree)
-
-
 RULES: tuple[LintRule, ...] = (
     LintRule(
         name="set-order-iteration",
@@ -187,9 +176,9 @@ RULES: tuple[LintRule, ...] = (
             "serialisation modules that nondeterminism leaks straight into "
             "persisted digests and JSON artefacts, breaking warm starts and "
             "bit-identical replay.  Wrap the iterable in sorted() with a stable "
-            "key.  This is the syntactic ancestor of the flow-sensitive "
-            "determinism-taint analyzer, kept for the three scoped modules "
-            "where *any* raw set iteration is suspect."
+            "key.  The rule is syntactic: it flags iteration over an "
+            "expression that builds a set, in the three scoped modules where "
+            "*any* raw set iteration is suspect."
         ),
     ),
     LintRule(
@@ -225,27 +214,6 @@ RULES: tuple[LintRule, ...] = (
             "A bare 'except:' also catches SystemExit and KeyboardInterrupt "
             "and hides engine failures as silent fallbacks.  Catch the "
             "narrowest exception type the recovery actually handles."
-        ),
-    ),
-    LintRule(
-        name="determinism-taint",
-        summary="no nondeterministic value may flow into verdicts, certificates, "
-        "serialised artefacts, or persistent digests",
-        check=_check_determinism_taint,
-        explanation=(
-            "A forward may-taint analysis over each function's CFG.  Sources: "
-            "iteration over unsorted sets/dicts (captured order), id(), "
-            "identity hash(), os.environ reads, time/clock calls.  "
-            "Sanitizers: sorted(), canonical-key ordering, the interning "
-            "layer's dense-id paths.  Sinks: Outcome construction, "
-            "certificate constructors, json.dump(s)/corpus serialisation, and "
-            "persistent_digest() inputs.  Flow-sensitivity is the point: "
-            "sorted(list(s)) is clean, and a raw set passed directly to "
-            "persistent_digest() is clean too (the digest canonicalises "
-            "containers itself) — only *captured* iteration order and "
-            "value-level nondeterminism (identity, environment, time) are "
-            "reported, which is what kills the false positives the syntactic "
-            "set-order-iteration rule had to suppress."
         ),
     ),
 )

@@ -46,8 +46,8 @@ Sub-commands
     Run the repro-specific static checks (``repro.analysis.lint``) over
     source trees: the syntactic rules (determinism hazards in the
     fingerprint/serialisation paths, mutable defaults, process-global
-    state, bare excepts), the flow-sensitive determinism-taint analyzer,
-    and the persist-schema lock check (``repro.analysis.schema_lock``).
+    state, bare excepts) and the persist-schema lock check
+    (``repro.analysis.schema_lock``).
     ``--check`` is the quiet CI mode (a timing line goes to stderr);
     suppressions require a justification.  ``--rule NAME`` selects rules,
     ``--explain NAME`` prints a rule's full rationale, and
@@ -240,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="run the repro-specific lint rules, the determinism-taint analyzer "
-        "and the persist-schema lock check",
+        help="run the repro-specific lint rules and the persist-schema lock check",
     )
     lint.add_argument(
         "paths",

@@ -366,7 +366,7 @@ class Session:
                     value=None,
                     verdict=None,
                     certificate=None,
-                    elapsed=elapsed,  # lint: disable=determinism-taint -- elapsed is timing metadata by design; it is excluded from digests, verdicts, and certificates
+                    elapsed=elapsed,
                     cache=cache,
                     degraded="deadline",
                 )
@@ -378,7 +378,7 @@ class Session:
             value=value,
             verdict=verdict,
             certificate=certificate,
-            elapsed=elapsed,  # lint: disable=determinism-taint -- elapsed is timing metadata by design; it is excluded from digests, verdicts, and certificates
+            elapsed=elapsed,
             cache=cache,
         )
 

@@ -149,10 +149,9 @@ class TestSetOrderIteration:
         """
         assert codes(run(source, self.PATH)) == ["set-order-iteration"] * 2
 
-    def test_guards_the_digest_canonicaliser_that_taint_treats_as_clean(self):
-        # determinism-taint treats persistent_digest as a sanitizer and sees
-        # no sink inside the canonical encoder, so a raw set iteration in
-        # the encoder's body is this rule's alone to catch.
+    def test_flags_set_iteration_inside_the_digest_canonicaliser(self):
+        # A raw set iteration inside the canonical encoder would make
+        # persistent_digest depend on the hash seed.
         source = """
         import hashlib
 
@@ -284,7 +283,6 @@ class TestRepoIsClean:
             "mutable-default",
             "global-mutable-state",
             "bare-except",
-            "determinism-taint",
         }
 
     def test_every_rule_has_an_audit_row_and_a_catalog_section(self):

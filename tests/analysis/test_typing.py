@@ -17,9 +17,6 @@ STRICT_MODULES = (
     "repro.engine.persist",
     "repro.parallel",
     "repro.session.requests",
-    "repro.analysis.cfg",
-    "repro.analysis.dataflow",
-    "repro.analysis.taint",
     "repro.analysis.schema_lock",
 )
 
