@@ -79,54 +79,6 @@ def _check_set_order_iteration(context: LintContext) -> Iterator[tuple[int, str]
 
 
 # --------------------------------------------------------------------------- #
-# mutable-default
-# --------------------------------------------------------------------------- #
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = (
-            target.id
-            if isinstance(target, ast.Name)
-            else target.attr if isinstance(target, ast.Attribute) else ""
-        )
-        if name == "dataclass":
-            return True
-    return False
-
-
-def _check_mutable_default(context: LintContext) -> Iterator[tuple[int, str]]:
-    for node in context.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        defaults = list(node.args.defaults) + [
-            default for default in node.args.kw_defaults if default is not None
-        ]
-        for default in defaults:
-            if _is_mutable_value(default):
-                yield (
-                    default.lineno,
-                    f"mutable default argument in {node.name}(); defaults are "
-                    "evaluated once and shared across calls — use None and "
-                    "allocate inside the body",
-                )
-    for node in context.nodes(ast.ClassDef):
-        assert isinstance(node, ast.ClassDef)
-        if not _is_dataclass_decorated(node):
-            continue
-        for statement in node.body:
-            value = (
-                statement.value
-                if isinstance(statement, (ast.Assign, ast.AnnAssign))
-                else None
-            )
-            if value is not None and _is_mutable_value(value):
-                yield (
-                    statement.lineno,
-                    "mutable dataclass field default is shared across instances; "
-                    "use field(default_factory=...)",
-                )
-
-
-# --------------------------------------------------------------------------- #
 # global-mutable-state
 # --------------------------------------------------------------------------- #
 def _check_global_mutable_state(context: LintContext) -> Iterator[tuple[int, str]]:
@@ -179,17 +131,6 @@ RULES: tuple[LintRule, ...] = (
             "key.  The rule is syntactic: it flags iteration over an "
             "expression that builds a set, in the three scoped modules where "
             "*any* raw set iteration is suspect."
-        ),
-    ),
-    LintRule(
-        name="mutable-default",
-        summary="no mutable default arguments or dataclass field defaults",
-        check=_check_mutable_default,
-        explanation=(
-            "Default values are evaluated once at definition time; a mutable "
-            "default is silently shared across every call (or every dataclass "
-            "instance), so state leaks between unrelated computations.  Use "
-            "None plus an in-body allocation, or field(default_factory=...)."
         ),
     ),
     LintRule(

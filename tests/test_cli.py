@@ -389,7 +389,6 @@ class TestLint:
         names = [line.split()[0] for line in captured.out.splitlines()]
         assert names == [
             "set-order-iteration",
-            "mutable-default",
             "global-mutable-state",
             "bare-except",
             "persist-schema",
@@ -412,7 +411,8 @@ class TestLint:
         assert "[set-order-iteration]" not in captured.out
 
     def test_removed_fork_rules_are_unknown(self, capsys):
-        for name in ("fork-unpicklable", "fork-shared-state", "determinism-taint"):
+        removed = ("fork-unpicklable", "fork-shared-state", "determinism-taint", "mutable-default")
+        for name in removed:
             code = main(["lint", "--rule", name, "src/repro"])
             captured = capsys.readouterr()
             assert code == 2
@@ -442,7 +442,7 @@ class TestLintAnalyzerAndSchemaLock:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == ""
-        assert "with 4 rules" in captured.err
+        assert "with 3 rules" in captured.err
 
     def test_explain_prints_the_rationale(self, capsys):
         code = main(["lint", "--explain", "set-order-iteration"])
@@ -455,7 +455,6 @@ class TestLintAnalyzerAndSchemaLock:
         "name",
         [
             "set-order-iteration",
-            "mutable-default",
             "global-mutable-state",
             "bare-except",
             "persist-schema",
