@@ -11,7 +11,7 @@ Two halves live here:
 
 :mod:`repro.analysis.lint`
     A repo-wide AST lint framework with repro-specific rules (determinism
-    hazards, global state, bare excepts), exposed as
+    hazards, global state), exposed as
     ``repro lint`` on the command line, which also runs the persist-schema
     lock check (:mod:`repro.analysis.schema_lock`).
 

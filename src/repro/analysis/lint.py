@@ -3,8 +3,7 @@
 The rules (:mod:`repro.analysis.rules`) target the hazards that matter to
 *this* codebase: nondeterministic iteration inside the fingerprint and
 serialisation paths (which would silently break ``persistent_digest`` warm
-starts and bit-identical parallel replay), process-global mutable state,
-and bare ``except`` clauses.
+starts and bit-identical parallel replay) and process-global mutable state.
 
 The framework is deliberately tiny: a rule is a named check over one
 parsed module, findings are ``path:line`` records, and suppressions are

@@ -102,20 +102,6 @@ def _check_global_mutable_state(context: LintContext) -> Iterator[tuple[int, str
             )
 
 
-# --------------------------------------------------------------------------- #
-# bare-except
-# --------------------------------------------------------------------------- #
-def _check_bare_except(context: LintContext) -> Iterator[tuple[int, str]]:
-    for node in context.nodes(ast.ExceptHandler):
-        assert isinstance(node, ast.ExceptHandler)
-        if node.type is None:
-            yield (
-                node.lineno,
-                "bare 'except:' swallows SystemExit/KeyboardInterrupt and hides "
-                "engine failures; catch a specific exception type",
-            )
-
-
 RULES: tuple[LintRule, ...] = (
     LintRule(
         name="set-order-iteration",
@@ -145,16 +131,6 @@ RULES: tuple[LintRule, ...] = (
             "(MappingProxyType); the few deliberate exceptions, such as the "
             "session-less shared backend instances, carry a justified "
             "suppression."
-        ),
-    ),
-    LintRule(
-        name="bare-except",
-        summary="no bare except clauses",
-        check=_check_bare_except,
-        explanation=(
-            "A bare 'except:' also catches SystemExit and KeyboardInterrupt "
-            "and hides engine failures as silent fallbacks.  Catch the "
-            "narrowest exception type the recovery actually handles."
         ),
     ),
 )

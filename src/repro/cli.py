@@ -45,8 +45,8 @@ Sub-commands
 ``lint``
     Run the repro-specific static checks (``repro.analysis.lint``) over
     source trees: the syntactic rules (determinism hazards in the
-    fingerprint/serialisation paths, process-global state, bare excepts)
-    and the persist-schema lock check
+    fingerprint/serialisation paths, process-global state) and the
+    persist-schema lock check
     (``repro.analysis.schema_lock``).
     ``--check`` is the quiet CI mode (a timing line goes to stderr);
     suppressions require a justification.  ``--rule NAME`` selects rules,

@@ -199,43 +199,12 @@ class TestGlobalMutableState:
         assert run("CACHE: dict\n") == []
 
 
-class TestBareExcept:
-    def test_bare_except_is_flagged(self):
-        source = "def f():\n    try:\n        return 1\n    except:\n        return 2\n"
-        assert "bare-except" in codes(run(source))
-
-    def test_each_bare_handler_is_reported_at_its_line(self):
-        source = """
-        try:
-            import fast
-        except:
-            fast = None
-
-        class C:
-            def f(self):
-                try:
-                    return 1
-                except ValueError:
-                    return 2
-                except:
-                    return 3
-        """
-        findings = run(source)
-        assert codes(findings) == ["bare-except"] * 2
-        assert [finding.line for finding in findings] == [4, 13]
-
-    def test_typed_except_is_clean(self):
-        source = "def f():\n    try:\n        return 1\n    except ValueError:\n        return 2\n"
-        assert run(source) == []
-
-
 class TestRepoIsClean:
     def test_default_rules_are_registered(self):
         names = {rule.name for rule in default_rules()}
         assert names == {
             "set-order-iteration",
             "global-mutable-state",
-            "bare-except",
         }
 
     def test_every_rule_has_an_audit_row_and_a_catalog_section(self):

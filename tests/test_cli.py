@@ -368,8 +368,8 @@ class TestLint:
 
     def test_rule_filter_and_listing(self, capsys, tmp_path):
         bad = tmp_path / "module.py"
-        bad.write_text("CACHE = {}\ndef f(a=[]):\n    pass\n")
-        assert main(["lint", "--rule", "bare-except", str(bad)]) == 0
+        bad.write_text("CACHE = {}\n")
+        assert main(["lint", "--rule", "set-order-iteration", str(bad)]) == 0
         capsys.readouterr()
         code = main(["lint", "--list-rules"])
         captured = capsys.readouterr()
@@ -382,7 +382,7 @@ class TestLint:
         assert code == 2
         assert "error:" in captured.err
 
-    def test_list_rules_shows_the_six_rules(self, capsys):
+    def test_list_rules_shows_the_three_rules(self, capsys):
         code = main(["lint", "--list-rules"])
         captured = capsys.readouterr()
         assert code == 0
@@ -390,7 +390,6 @@ class TestLint:
         assert names == [
             "set-order-iteration",
             "global-mutable-state",
-            "bare-except",
             "persist-schema",
         ]
 
@@ -411,7 +410,13 @@ class TestLint:
         assert "[set-order-iteration]" not in captured.out
 
     def test_removed_fork_rules_are_unknown(self, capsys):
-        removed = ("fork-unpicklable", "fork-shared-state", "determinism-taint", "mutable-default")
+        removed = (
+            "fork-unpicklable",
+            "fork-shared-state",
+            "determinism-taint",
+            "mutable-default",
+            "bare-except",
+        )
         for name in removed:
             code = main(["lint", "--rule", name, "src/repro"])
             captured = capsys.readouterr()
@@ -442,7 +447,7 @@ class TestLintAnalyzerAndSchemaLock:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == ""
-        assert "with 3 rules" in captured.err
+        assert "with 2 rules" in captured.err
 
     def test_explain_prints_the_rationale(self, capsys):
         code = main(["lint", "--explain", "set-order-iteration"])
@@ -456,7 +461,6 @@ class TestLintAnalyzerAndSchemaLock:
         [
             "set-order-iteration",
             "global-mutable-state",
-            "bare-except",
             "persist-schema",
         ],
     )
@@ -491,7 +495,9 @@ class TestLintAnalyzerAndSchemaLock:
         code = main(["lint", "--rule", "persist-schema", "--schema-lock", absent, str(clean)])
         assert code == 1
         assert "persist-schema:" in capsys.readouterr().out
-        code = main(["lint", "--rule", "bare-except", "--schema-lock", absent, str(clean)])
+        code = main(
+            ["lint", "--rule", "global-mutable-state", "--schema-lock", absent, str(clean)]
+        )
         assert code == 0
         assert "persist-schema" not in capsys.readouterr().out
 
