@@ -15,7 +15,8 @@ explicit and *justified* —
 
 A suppression without the ``-- justification`` tail is itself reported (as
 a ``bad-suppression`` finding), so silencing a rule always leaves a
-reviewable reason in the source.  Run it as ``repro lint [--check]
+reviewable reason in the source.  So is a suppression that names no known
+rule, so deleting a rule cannot leave its suppressions behind.  Run it as ``repro lint [--check]
 [--rule NAME] [PATHS]``; with no paths it lints the installed ``repro``
 package tree.
 """
@@ -23,11 +24,13 @@ package tree.
 from __future__ import annotations
 
 import ast
+import io
 import re
 import time
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "LintContext",
@@ -44,7 +47,7 @@ __all__ = [
 
 #: ``# lint: disable=rule-a,rule-b -- why this is fine``
 _SUPPRESSION = re.compile(
-    r"#\s*lint:\s*disable=(?P<rules>[A-Za-z0-9_,-]+)(?P<tail>.*)$"
+    r"^#\s*lint:\s*disable=(?P<rules>[A-Za-z0-9_,-]+)(?P<tail>.*)$"
 )
 _JUSTIFICATION = re.compile(r"^\s*--\s*\S")
 
@@ -151,14 +154,38 @@ def default_paths() -> list[Path]:
     return [Path(repro.__file__).parent]
 
 
+def _known_rule_names(rules: Sequence[LintRule]) -> frozenset[str]:
+    """Names a suppression may cite: the built-in rules plus the ones given."""
+    from repro.analysis.rules import PERSIST_SCHEMA
+
+    return frozenset(rule.name for rule in (*default_rules(), PERSIST_SCHEMA, *rules))
+
+
+def _comments(source: str) -> Iterator[tuple[int, str]]:
+    """``(line, text)`` of each comment token, so a string never suppresses.
+
+    Only sources that mention ``lint:`` are tokenized; a source that stops
+    tokenizing yields the comments before the fault (it is reported as a
+    ``syntax-error`` anyway).
+    """
+    if "lint:" not in source:
+        return
+    try:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.COMMENT:
+                yield token.start[0], token.string
+    except (tokenize.TokenError, SyntaxError):
+        return
+
+
 def _parse_suppressions(
-    lines: Sequence[str], path: str
+    source: str, path: str, known: frozenset[str]
 ) -> tuple[dict[int, frozenset[str]], list[LintFinding]]:
-    """Line → suppressed rule names, plus findings for unjustified ones."""
+    """Line → suppressed rule names, plus findings for unjustified or unknown ones."""
     suppressed: dict[int, frozenset[str]] = {}
     meta: list[LintFinding] = []
-    for number, line in enumerate(lines, start=1):
-        match = _SUPPRESSION.search(line)
+    for number, comment in _comments(source):
+        match = _SUPPRESSION.match(comment)
         if match is None:
             continue
         names = frozenset(
@@ -175,6 +202,17 @@ def _parse_suppressions(
                 )
             )
             continue
+        unknown = names - known
+        if unknown:
+            meta.append(
+                LintFinding(
+                    "bad-suppression",
+                    path,
+                    number,
+                    f"suppression names unknown rule(s) {', '.join(sorted(unknown))}; "
+                    "remove the stale name",
+                )
+            )
         suppressed[number] = suppressed.get(number, frozenset()) | names
     return suppressed, meta
 
@@ -190,17 +228,17 @@ def lint_source(
     """
     if rules is None:
         rules = default_rules()
-    findings, _, _ = _lint_source_timed(source, path, rules)
+    findings, _, _ = _lint_source_timed(source, path, rules, _known_rule_names(rules))
     return findings
 
 
 def _lint_source_timed(
-    source: str, path: str, rules: Sequence[LintRule]
+    source: str, path: str, rules: Sequence[LintRule], known: frozenset[str]
 ) -> tuple[list[LintFinding], float, float]:
     """Lint one module, returning ``(findings, parse_seconds, check_seconds)``."""
     parse_start = time.perf_counter()
     lines = tuple(source.splitlines())
-    suppressed, findings = _parse_suppressions(lines, path)
+    suppressed, findings = _parse_suppressions(source, path, known)
     try:
         tree = ast.parse(source)
     except SyntaxError as error:
@@ -258,13 +296,14 @@ def lint_paths_timed(
     """Like :func:`lint_paths`, but also reports where the time went."""
     if rules is None:
         rules = default_rules()
+    known = _known_rule_names(rules)
     targets = iter_source_files(paths if paths else default_paths())
     findings: list[LintFinding] = []
     parse_seconds = 0.0
     check_seconds = 0.0
     for target in targets:
         file_findings, parsed, checked = _lint_source_timed(
-            target.read_text(encoding="utf-8"), _display_path(target), rules
+            target.read_text(encoding="utf-8"), _display_path(target), rules, known
         )
         findings.extend(file_findings)
         parse_seconds += parsed

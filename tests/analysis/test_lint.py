@@ -84,9 +84,34 @@ class TestSuppressions:
 
     def test_multiple_rules_in_one_comment(self):
         source = (
-            "STATE = {}  # lint: disable=global-mutable-state,other-rule -- shared fixture\n"
+            "STATE = {}  # lint: disable=global-mutable-state,set-order-iteration"
+            " -- shared fixture\n"
         )
         assert run(source) == []
+
+    @pytest.mark.parametrize("name", ["determinism-taint", "bare-except", "no-such-rule"])
+    def test_suppression_naming_an_unknown_rule_is_reported(self, name):
+        source = f"STATE = {{}}  # lint: disable=global-mutable-state,{name} -- stale\n"
+        findings = run(source)
+        assert codes(findings) == ["bad-suppression"]
+        assert findings[0].line == 1
+        assert f"unknown rule(s) {name}" in findings[0].message
+
+    def test_suppression_text_inside_a_string_is_not_a_suppression(self):
+        source = 'CACHE = {}; HELP = "# lint: disable=global-mutable-state -- no"\n'
+        assert codes(run(source)) == ["global-mutable-state"]
+        assert run('HELP = "# lint: disable=no-such-rule -- an example"\n') == []
+
+    def test_suppression_may_name_the_schema_lock_and_caller_rules(self):
+        probe = LintRule(name="probe", summary="", check=lambda ctx: [(1, "hit")])
+        source = "x = 1  # lint: disable=probe,persist-schema -- fixture\n"
+        assert lint_source(source, "src/repro/some/module.py", [probe]) == []
+
+    def test_suppression_may_name_a_rule_outside_the_selection(self):
+        # repro lint --rule NAME passes a subset; the others stay known.
+        (selected,) = [rule for rule in default_rules() if rule.name == "set-order-iteration"]
+        source = "STATE = {}  # lint: disable=global-mutable-state -- test-only registry\n"
+        assert run(source, rules=[selected]) == []
 
 
 class TestSetOrderIteration:
