@@ -11,9 +11,9 @@ Two halves live here:
 
 :mod:`repro.analysis.lint`
     A repo-wide AST lint framework with repro-specific rules (determinism
-    hazards, global state), exposed as
-    ``repro lint`` on the command line, which also runs the persist-schema
-    lock check (:mod:`repro.analysis.schema_lock`).
+    hazards, global state), exposed as ``repro lint`` on the command line,
+    which also runs the persist-schema lock check
+    (:mod:`repro.analysis.schema_lock`).
 
 The soundness names are re-exported lazily: the verifier imports the
 engine, and the engine imports :mod:`repro.analysis.hooks`, so an eager

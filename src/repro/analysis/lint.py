@@ -16,9 +16,9 @@ explicit and *justified* —
 A suppression without the ``-- justification`` tail is itself reported (as
 a ``bad-suppression`` finding), so silencing a rule always leaves a
 reviewable reason in the source.  So is a suppression that names no known
-rule, so deleting a rule cannot leave its suppressions behind.  Run it as ``repro lint [--check]
-[--rule NAME] [PATHS]``; with no paths it lints the installed ``repro``
-package tree.
+rule, so deleting a rule cannot leave its suppressions behind.  Run it as
+``repro lint [--check] [--rule NAME] [PATHS]``; with no paths it lints the
+installed ``repro`` package tree.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ class LintContext:
     """Everything a rule check sees: one parsed module plus its source.
 
     The module is parsed exactly once per file and this context is shared
-    across every rule that runs on it.  Rules that
-    only care about a few node types should use :meth:`nodes` instead of
-    ``ast.walk`` — the first call walks the tree once and buckets every
-    node by type, so N rules cost one traversal instead of N.
+    across every rule that runs on it.  Rules that only care about a few
+    node types should use :meth:`nodes` instead of ``ast.walk`` — the first
+    call walks the tree once and buckets every node by type, so N rules
+    cost one traversal instead of N.
     """
 
     path: str

@@ -1,8 +1,8 @@
 """The repro-specific lint rules.
 
-:data:`RULES` holds the syntactic checks (per-node AST matches).  They run
-under one driver, share one parsed AST per file (via
-:meth:`LintContext.nodes`), and use the same justified-suppression syntax.
+:data:`RULES` holds the syntactic checks (per-node AST matches).  They
+share one parsed AST per file (via :meth:`LintContext.nodes`) and use the
+same justified-suppression syntax.
 :data:`PERSIST_SCHEMA` names the persist-schema lock check, which
 ``repro lint`` runs once per invocation beside them.  The catalogue in
 ``docs/static-analysis.md`` documents every rule's rationale and

@@ -46,10 +46,9 @@ Sub-commands
     Run the repro-specific static checks (``repro.analysis.lint``) over
     source trees: the syntactic rules (determinism hazards in the
     fingerprint/serialisation paths, process-global state) and the
-    persist-schema lock check
-    (``repro.analysis.schema_lock``).
+    persist-schema lock check (``repro.analysis.schema_lock``).
     ``--check`` is the quiet CI mode (a timing line goes to stderr);
-    suppressions require a justification.  ``--rule NAME`` selects rules,
+    suppressions require a justification and an existing rule name.  ``--rule NAME`` selects rules,
     ``--explain NAME`` prints a rule's full rationale, and
     ``--write-schema-lock`` regenerates ``persist-schema.lock`` after a
     deliberate ``SCHEMA_VERSION`` bump.

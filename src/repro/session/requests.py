@@ -134,9 +134,7 @@ class Outcome:
         witness).
     elapsed:
         Wall-clock seconds spent inside the session on this call.  It is
-        timing metadata only: no digest, verdict or certificate reads it,
-        so it is the one field that may differ between two runs of the
-        same request.
+        timing metadata only: no digest, verdict or certificate reads it.
     cache:
         The session cache's ``(hits, misses, evictions)`` delta per layer
         for this call — what the call itself did to the cache.
