@@ -394,7 +394,7 @@ class TestLint:
         ]
 
     def test_rule_filter_selects_one_rule(self, capsys, tmp_path):
-        # A scoped path, so both surviving per-file rules fire on this file.
+        # A path in set-order-iteration's scope, so both per-file rules fire.
         bad = tmp_path / "engine" / "fingerprints.py"
         bad.parent.mkdir()
         bad.write_text("CACHE = {}\nfor key in set(CACHE):\n    pass\n")
