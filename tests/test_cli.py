@@ -439,6 +439,52 @@ class TestLint:
         assert code == 0
         assert captured.out == ""
         assert "one parse per file" in captured.err
+    def test_unjustified_suppression_exits_one(self, capsys, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text("CACHE = {}  # lint: disable=global-mutable-state\n")
+        code = main(["lint", "--rule", "global-mutable-state", str(module)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[bad-suppression]" in captured.out
+        assert "[global-mutable-state]" in captured.out
+
+    def test_suppression_of_a_deleted_rule_exits_one(self, capsys, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text("elapsed = 0.0  # lint: disable=determinism-taint -- timing only\n")
+        code = main(["lint", "--rule", "global-mutable-state", str(module)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[bad-suppression]" in captured.out
+        assert "unknown rule(s) determinism-taint" in captured.out
+
+    def test_unparseable_file_exits_one(self, capsys, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text("def broken(:\n")
+        code = main(["lint", "--rule", "global-mutable-state", str(module)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[syntax-error]" in captured.out
+
+    def test_rule_flag_is_repeatable(self, capsys, tmp_path):
+        bad = tmp_path / "engine" / "fingerprints.py"
+        bad.parent.mkdir()
+        bad.write_text("CACHE = {}\nfor key in set(CACHE):\n    pass\n")
+        code = main(
+            ["lint", "--rule", "set-order-iteration", "--rule", "global-mutable-state", str(bad)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[set-order-iteration]" in captured.out
+        assert "[global-mutable-state]" in captured.out
+        assert "with 2 rules" in captured.out
+
+    def test_list_rules_shows_the_scope_of_scoped_rules(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert "[engine/fingerprints.py, engine/persist.py, io/json_codec.py]" in (
+            lines["set-order-iteration"]
+        )
+        assert "[" not in lines["global-mutable-state"]
 
 
 class TestLintAnalyzerAndSchemaLock:
