@@ -18,7 +18,8 @@ exactly once per probe tuple through the engine's
 :class:`~repro.engine.batch.BagBatchEvaluator` — the one implementation of
 Equation 2, which also serves :func:`check_bag` and certificate replay;
 each bag then only re-weights the cached skeletons instead of re-running
-the search.
+the search.  The containee is projection-free, so the probe fixes all of
+its variables and its side takes no engine call at all.
 """
 
 from __future__ import annotations
@@ -82,9 +83,14 @@ def _bags_over(atoms: Sequence, max_multiplicity: int, include_zero: bool) -> It
 class _ProbeChecker:
     """Per-probe violation check with the homomorphism search hoisted out.
 
-    Both queries are compiled and enumerated once against the support of the
-    grounded containee; checking a candidate bag is then a pure
-    re-weighting of the cached skeletons (no search, no substitutions).
+    Both queries are evaluated once against the support of the grounded
+    containee: the containing query's factors through the engine, the
+    containee (whose variables the probe fixes all) by looking its grounded
+    atoms up in the support.  Each skeleton holds the support numbers of a
+    homomorphism's images with the body multiplicities, so checking a
+    candidate bag reads its multiplicities once into a list aligned with
+    the support and re-weights the cached skeletons (no search, no
+    substitutions, no atoms).
     """
 
     __slots__ = ("probe", "_left", "_right")

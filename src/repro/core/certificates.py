@@ -15,13 +15,16 @@ The replay evaluates Equation 2 directly
 only two things with the encoding: the split of the containing body into
 factors once the probe fixes the head, and the homomorphism engine that
 enumerates each factor.  It reuses neither the encoding's position table
-nor its monomial–polynomial inequality: it matches the homomorphisms'
-images against the bag's facts and multiplies their multiplicities, so a
-wrong exponent vector or a wrong polynomial coefficient in the encoding
-shows up as a mismatch.  Because each factor is enumerated on its own, a
-star with ``k`` existential rays over ``r`` leaves replays ``k·r``
-homomorphisms instead of ``r^k``.  The replay does not share the
-encoding's classes of renamed factors
+nor its monomial–polynomial inequality: it numbers the bag's facts,
+records each homomorphism as the numbers of its images with the body
+multiplicities, and multiplies the bag's multiplicities of those facts, so
+a wrong exponent vector or a wrong polynomial coefficient in the encoding
+shows up as a mismatch.  The containee is projection-free, so the probe
+fixes every variable of it: its one candidate mapping is checked against
+the bag's facts without an engine call.  Because each factor is
+enumerated on its own, a star with ``k`` existential rays over ``r``
+leaves replays ``k·r`` homomorphisms instead of ``r^k``.  The replay does
+not share the encoding's classes of renamed factors
 (:attr:`~repro.engine.batch.ContainmentMappingBatcher.classes`): it
 enumerates every factor, so a wrong class map, which would corrupt the
 encoding's polynomial, still shows up as a mismatch on a ⋢ verdict.

@@ -13,14 +13,15 @@ fixed:
 * :class:`BagBatchEvaluator` — Equation 2, the bag multiplicity
   ``q^µ(c)``, and the only implementation of it.  Homomorphisms only
   depend on the *support* of a bag, so they are enumerated once over a
-  support universe and each bag merely re-weights the cached skeletons
-  (the product is recomputed per bag, the search is not).
+  support universe, each kept as a skeleton of support numbers, and each
+  bag merely re-weights the cached skeletons (the product is recomputed
+  per bag, the search is not).
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.engine.backends import Backend, get_default_backend
 from repro.queries.cq import ConjunctiveQuery
@@ -215,15 +216,37 @@ class ContainmentMappingBatcher:
         return tuple(backend.iterate(source, grounded.body_atoms(), fixed))
 
 
-#: One homomorphism's Equation 2 factors: ``(h(β), m(β))`` per body atom ``β``.
-_Skeleton = tuple[tuple[Atom, int], ...]
+#: One homomorphism's Equation 2 factors: ``(i, m(β))`` per body atom ``β``,
+#: where ``i`` numbers the image ``h(β)`` in the evaluator's support universe.
+_Skeleton = tuple[tuple[int, int], ...]
+
+#: One body atom as a skeleton reads it: ``(relation, terms, m(β))``.
+_Image = tuple[str, tuple[Term, ...], int]
 
 
-def _weight(skeleton: _Skeleton, bag: BagInstance) -> int:
+def _skeleton(
+    atoms: Sequence[_Image],
+    image_of: Callable[[Term, Term], Term],
+    support: Mapping[tuple[str, tuple[Term, ...]], int],
+) -> _Skeleton | None:
+    """The skeleton of the mapping *image_of* (a bindings ``get``) on *atoms*.
+
+    ``None`` when some image lies outside the support universe.
+    """
+    skeleton = []
+    for relation, terms, exponent in atoms:
+        index = support.get((relation, tuple(map(image_of, terms, terms))))
+        if index is None:
+            return None
+        skeleton.append((index, exponent))
+    return tuple(skeleton)
+
+
+def _weight(skeleton: _Skeleton, weights: Sequence[int]) -> int:
     """``Π µ(h(β))^m(β)`` over one skeleton (``0`` as soon as a fact is absent)."""
     weight = 1
-    for fact, exponent in skeleton:
-        multiplicity = bag[fact]
+    for index, exponent in skeleton:
+        multiplicity = weights[index]
         if multiplicity == 0:
             return 0
         weight *= multiplicity**exponent
@@ -237,23 +260,30 @@ class BagBatchEvaluator:
     ``Π_α µ(α)^{µ_{h(q)}(α)}`` over the distinct atoms of ``h(q)``, whose
     multiplicities Equation 1 sums over the body atoms that collapse onto
     them.  The same product is ``Π_β µ(h(β))^{m(β)}`` over the body atoms
-    ``β`` with their multiplicities ``m(β)``, so a homomorphism is cached as
-    the skeleton ``((h(β), m(β)) for β in body)`` and no image query is
-    built.  A bag whose support is a subset of the universe is then
-    evaluated in time proportional to the number of skeletons; facts
-    absent from it contribute a factor ``0``.
+    ``β`` with their multiplicities ``m(β)``.  The support universe is
+    numbered once, and a homomorphism is cached as the skeleton
+    ``((i, m(β)) for β in body)``, where ``i`` is the number of the image
+    ``h(β)``, read off the homomorphism's bindings: no image atom or image
+    query is built.  A bag is read once into a list of weights aligned with
+    the universe, so a bag whose support is a subset of the universe is
+    evaluated in time proportional to the number of skeletons; facts absent
+    from it weigh ``0``.
 
     With a pinned *answer* the head is fixed, so the body splits into
     factors that share no free variable (:func:`_body_factors`): each
     factor is enumerated on its own and the multiplicity is the product of
     the per-factor sums.  A star with ``k`` existential rays over ``r``
-    leaves costs ``k·r`` skeletons instead of ``r^k``.  Without an answer
-    the whole body is one factor.  An answer that does not fit the head
-    (wrong arity, or a repeated head variable asked to take two values)
-    has multiplicity ``0``.
+    leaves costs ``k·r`` skeletons instead of ``r^k``.  A factor whose
+    variables the answer binds all (the whole body of a projection-free
+    query) has one candidate mapping, the head fixing itself, and takes no
+    engine call: its skeleton counts if every image lies in the universe,
+    and the factor sums to ``0`` otherwise.  Without an answer the whole
+    body is one factor and each skeleton keeps its answer tuple.  An
+    answer that does not fit the head (wrong arity, or a repeated head
+    variable asked to take two values) has multiplicity ``0``.
     """
 
-    __slots__ = ("query", "support_atoms", "answer", "_factors")
+    __slots__ = ("query", "support_atoms", "answer", "_factors", "_answers")
 
     def __init__(
         self,
@@ -265,6 +295,7 @@ class BagBatchEvaluator:
         self.query = query
         self.support_atoms = tuple(dict.fromkeys(support_atoms))
         self.answer = tuple(answer) if answer is not None else None
+        self._answers: tuple[tuple[Term, ...], ...] = ()
         if self.answer is None:
             fixed: dict[Variable, Term] | None = {}
             factors: tuple[tuple[Atom, ...], ...] = (query.body_atoms(),)
@@ -273,25 +304,52 @@ class BagBatchEvaluator:
             factors = _body_factors(query)
         if fixed is None:
             # One factor without skeletons: every multiplicity is 0.
-            self._factors: tuple[tuple[tuple[tuple[Term, ...], _Skeleton], ...], ...] = ((),)
+            self._factors: tuple[tuple[_Skeleton, ...], ...] = ((),)
             return
+        support = {
+            (atom.relation, atom.terms): index for index, atom in enumerate(self.support_atoms)
+        }
         resolved = backend if backend is not None else get_default_backend()
         body = query.body
-        self._factors = tuple(
-            tuple(
-                (
-                    homomorphism.apply_tuple(query.head),
-                    tuple((homomorphism.apply_atom(atom), body[atom]) for atom in factor),
+        head = query.head
+        factor_skeletons = []
+        answers = []
+        for factor in factors:
+            atoms = tuple((atom.relation, atom.terms, body[atom]) for atom in factor)
+            mappings: Iterable[Callable[[Term, Term], Term]]
+            if all(
+                term in fixed
+                for atom in factor
+                for term in atom.terms
+                if isinstance(term, Variable)
+            ):
+                # The head fixing is the factor's only candidate mapping.
+                mappings = (fixed.get,)
+            else:
+                mappings = (
+                    homomorphism.bindings().get
+                    for homomorphism in resolved.iterate(factor, self.support_atoms, fixed)
                 )
-                for homomorphism in resolved.iterate(factor, self.support_atoms, fixed)
-            )
-            for factor in factors
-        )
+            skeletons = []
+            for image_of in mappings:
+                skeleton = _skeleton(atoms, image_of, support)
+                if skeleton is not None:
+                    skeletons.append(skeleton)
+                    if self.answer is None:
+                        answers.append(tuple(map(image_of, head, head)))
+            factor_skeletons.append(tuple(skeletons))
+        self._factors = tuple(factor_skeletons)
+        self._answers = tuple(answers)
+
+    def _weights(self, bag: BagInstance) -> list[int]:
+        """``µ`` read once, aligned with the support universe."""
+        return [bag[fact] for fact in self.support_atoms]
 
     def multiplicity(self, bag: BagInstance) -> int:
         """``q^µ(answer)`` for the pinned answer tuple (or the total over all)."""
+        weights = self._weights(bag)
         return prod(
-            sum(_weight(skeleton, bag) for _, skeleton in factor) for factor in self._factors
+            sum(_weight(skeleton, weights) for skeleton in factor) for factor in self._factors
         )
 
     def evaluate(self, bag: BagInstance):
@@ -300,8 +358,9 @@ class BagBatchEvaluator:
 
         if self.answer is not None:
             return AnswerBag({self.answer: self.multiplicity(bag)})
+        weights = self._weights(bag)
         counts: dict[tuple[Term, ...], int] = {}
         (factor,) = self._factors
-        for answer, skeleton in factor:
-            counts[answer] = counts.get(answer, 0) + _weight(skeleton, bag)
+        for answer, skeleton in zip(self._answers, factor):
+            counts[answer] = counts.get(answer, 0) + _weight(skeleton, weights)
         return AnswerBag(counts)

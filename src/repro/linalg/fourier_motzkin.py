@@ -36,9 +36,10 @@ To keep the classic double-exponential blow-up at bay the implementation
 * raises :class:`LinearSystemError` once the generated rows exceed
   :data:`ROW_CAP`, so the caller can fall back to the LP formulation;
 * polls the ambient deadline (:func:`repro.faults.runtime.deadline_handle`)
-  every :data:`~repro.faults.runtime.TICK_INTERVAL` combined rows, so an
-  elimination heading for the row cap raises
-  :class:`~repro.exceptions.DeadlineExceeded` inside the caller's budget.
+  every :data:`~repro.faults.runtime.TICK_INTERVAL` rows it combines,
+  normalises, partitions or scans for the next unknown, so an elimination
+  heading for the row cap raises :class:`~repro.exceptions.DeadlineExceeded`
+  inside the caller's budget.
 
 The systems arising from monomial–polynomial inequalities in this library
 have as many unknowns as the containee query has atoms, which is small, so
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.exceptions import LinearSystemError
 from repro.faults.runtime import TICK_INTERVAL, deadline_handle
@@ -86,11 +87,30 @@ def _normalize(row: Sequence[int]) -> _Row | None:
     return tuple(value // divisor for value in row)
 
 
-def _prepare(rows: list[_Row]) -> tuple[list[_Row], bool]:
+def _polled(rows: Iterable[_Row], tick: Callable[[], None] | None) -> Iterable[_Row]:
+    """*rows*, calling *tick* once every :data:`TICK_INTERVAL` rows (*rows* itself without one)."""
+    if tick is None:
+        return rows
+    return _ticking(rows, tick)
+
+
+def _ticking(rows: Iterable[_Row], tick: Callable[[], None]) -> Iterator[_Row]:
+    countdown = TICK_INTERVAL
+    for row in rows:
+        countdown -= 1
+        if not countdown:
+            tick()
+            countdown = TICK_INTERVAL
+        yield row
+
+
+def _prepare(
+    rows: Iterable[_Row], tick: Callable[[], None] | None = None
+) -> tuple[list[_Row], bool]:
     """Normalise and de-duplicate rows; report whether a ``0 > 0`` row was seen."""
     seen: set[_Row] = set()
     prepared: list[_Row] = []
-    for row in rows:
+    for row in _polled(rows, tick):
         normalized = _normalize(row)
         if normalized is None:
             return [], True
@@ -100,14 +120,16 @@ def _prepare(rows: list[_Row]) -> tuple[list[_Row], bool]:
     return prepared, False
 
 
-def _pick_variable(rows: list[_Row], active: list[int]) -> int:
+def _pick_variable(
+    rows: list[_Row], active: list[int], tick: Callable[[], None] | None = None
+) -> int:
     """Choose the active column whose elimination creates the fewest rows."""
     best_column = active[0]
     best_cost: int | None = None
     for column in active:
         lowers = 0
         uppers = 0
-        for row in rows:
+        for row in _polled(rows, tick):
             value = row[column]
             if value > 0:
                 lowers += 1
@@ -134,7 +156,7 @@ def _solve(
     row); each level normalises and de-duplicates the rows it combines
     (:func:`_prepare`) before recursing.  The combination loop is pure
     integer arithmetic.  *tick* is the deadline handle, called every
-    :data:`TICK_INTERVAL` combined rows.
+    :data:`TICK_INTERVAL` rows of each pass over the rows.
     Returns ``None`` when infeasible, else the witness as an integer vector
     ``w`` over a common denominator ``s > 0`` (the point ``w / s``, reduced
     so that ``gcd(w, s) = 1``), defined on **all** columns; inactive
@@ -148,12 +170,12 @@ def _solve(
             return None
         return [0] * dimension, 1
 
-    column = _pick_variable(prepared, active)
+    column = _pick_variable(prepared, active, tick)
     remaining = [other for other in active if other != column]
 
-    lowers = [row for row in prepared if row[column] > 0]
-    uppers = [row for row in prepared if row[column] < 0]
-    reduced = [row for row in prepared if row[column] == 0]
+    lowers = [row for row in _polled(prepared, tick) if row[column] > 0]
+    uppers = [row for row in _polled(prepared, tick) if row[column] < 0]
+    reduced = [row for row in _polled(prepared, tick) if row[column] == 0]
 
     columns = range(dimension)
     countdown = TICK_INTERVAL if tick is not None else 0
@@ -179,7 +201,7 @@ def _solve(
 
     # Rows in `reduced` still have a zero coefficient on `column`, so they are
     # genuine constraints over the remaining columns only.
-    reduced, contradiction = _prepare(reduced)
+    reduced, contradiction = _prepare(reduced, tick)
     if contradiction:
         return None
     inner = _solve(reduced, remaining, dimension, tick)

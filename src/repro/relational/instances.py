@@ -38,6 +38,13 @@ class SetInstance:
     def __init__(self, facts: Iterable[Atom] = ()) -> None:
         self._facts: frozenset[Atom] = frozenset(_check_fact(fact) for fact in facts)
 
+    @classmethod
+    def _trusted(cls, facts: frozenset[Atom]) -> "SetInstance":
+        """Wrap facts the caller has already checked with :func:`_check_fact`."""
+        instance = cls.__new__(cls)
+        instance._facts = facts
+        return instance
+
     # ------------------------------------------------------------------ #
     # Basic container protocol
     # ------------------------------------------------------------------ #
@@ -173,12 +180,13 @@ class BagInstance:
         """The underlying set instance (facts with positive multiplicity).
 
         Built once and cached (bags are immutable), so repeated
-        evaluations of the same bag share one support instance.
+        evaluations of the same bag share one support instance.  The facts
+        were checked when the bag was built and are not checked again.
         """
         try:
             return self._support
         except AttributeError:
-            support = SetInstance(self._multiplicities)
+            support = SetInstance._trusted(frozenset(self._multiplicities))
             self._support = support
             return support
 

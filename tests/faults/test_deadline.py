@@ -309,6 +309,37 @@ class TestFourierMotzkinDeadline:
                 decide_mpi(inequality)
         assert time.perf_counter() - started < 0.05
 
+    @pytest.mark.parametrize("scan", ["prepare", "pick_variable"])
+    def test_row_scans_raise_within_one_interval(self, scan):
+        # Normalising a level's rows and choosing the next unknown each walk
+        # every row; on the dim-9 seed-16 system above such a walk covers
+        # ~40k rows and runs ~50ms.  Both poll every TICK_INTERVAL rows, so
+        # under an expired deadline they read at most one interval of rows.
+        import random
+
+        from repro.linalg.fourier_motzkin import _pick_variable, _prepare
+
+        rng = random.Random(0)
+        rows = [(1, *(rng.randint(-5, 5) for _ in range(8))) for _ in range(50_000)]
+        read = 0
+
+        class CountedRows(list):
+            def __iter__(self):
+                nonlocal read
+                for row in super().__iter__():
+                    read += 1
+                    yield row
+
+        with deadline_scope(1):
+            tick = deadline_handle()
+            time.sleep(0.005)
+            with pytest.raises(DeadlineExceeded):
+                if scan == "prepare":
+                    _prepare(CountedRows(rows), tick)
+                else:
+                    _pick_variable(CountedRows(rows), list(range(9)), tick)
+        assert read <= TICK_INTERVAL
+
 
 class TestWitnessDeadline:
     @pytest.fixture(scope="class")

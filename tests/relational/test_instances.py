@@ -92,6 +92,24 @@ class TestBagInstance:
         assert bag.support() == SetInstance([Rab, Rbc])
         assert bag.total_multiplicity() == 5
 
+    def test_support_does_not_recheck_facts(self, monkeypatch):
+        # The constructor checks every fact; the support reuses them as they are.
+        bag = BagInstance({Rab: 2, Rbc: 0, Sa: 1})
+        checked = []
+        monkeypatch.setattr("repro.relational.instances._check_fact", checked.append)
+        assert bag.support() == SetInstance._trusted(frozenset({Rab, Sa}))
+        assert bag.support().facts == frozenset({Rab, Sa})
+        assert checked == []
+
+    @pytest.mark.parametrize(
+        "fact", [Atom("R", (a, Variable("x"))), "R(a, b)", (a, b)], ids=["non-ground", "string", "tuple"]
+    )
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_malformed_facts_are_rejected_at_construction(self, fact, count):
+        # Even a fact of multiplicity 0, which the bag drops, is checked.
+        with pytest.raises(InstanceError):
+            BagInstance({Rab: 1, fact: count})  # type: ignore[dict-item]
+
     def test_subbag_relation(self):
         small = BagInstance({Rab: 1})
         large = BagInstance({Rab: 2, Rbc: 1})
