@@ -19,8 +19,9 @@ memoised only on ``warm``, like the benchmark's client) and records per
 * ``skeletons_ms`` — the rest of the evaluators' construction: numbering
   the support and building skeletons (image atoms and head tuples at a
   parent that built them);
-* ``weights_ms`` — ``multiplicity``: reading the bag and weighting the
-  skeletons;
+* ``weights_ms`` — reading the bag and weighting the skeletons
+  (``multiplicity``, or ``Support.weights`` once per pair and
+  ``multiplicity_at`` per side where the tree has them);
 
 and per pass ``replays`` and ``engine_calls`` (the engine calls the replays
 make) and ``outcomes``, a digest of every request's verdict and
@@ -107,16 +108,21 @@ def _worker(tiny: bool, digests: bool) -> dict:
     seconds = dict.fromkeys(("verify", "factors", "engine", "init", "weights"), 0.0)
     counts = {"replays": 0, "engine_calls": 0}
     replaying = [False]
+    active = set()
 
     def timed(slot, function):
         def wrapper(*args, **kwargs):
-            if not replaying[0]:
+            # Only the outermost timed call of a slot counts (nested calls
+            # such as ``multiplicity`` → ``multiplicity_at`` would double it).
+            if not replaying[0] or slot in active:
                 return function(*args, **kwargs)
+            active.add(slot)
             started = time.perf_counter()
             try:
                 return function(*args, **kwargs)
             finally:
                 seconds[slot] += time.perf_counter() - started
+                active.discard(slot)
 
         return wrapper
 
@@ -163,6 +169,13 @@ def _worker(tiny: bool, digests: bool) -> dict:
         (backends.InternedBackend, "iterate", timed_iterate(backends.InternedBackend.iterate)),
         (backends.NaiveBackend, "iterate", timed_iterate(backends.NaiveBackend.iterate)),
     ]
+    # Trees with a shared ``Support`` read each bag once per pair.
+    if hasattr(batch, "Support"):
+        patches += [
+            (evaluator, "multiplicity_at", timed("weights", evaluator.multiplicity_at)),
+            (batch.Support, "weights", timed("weights", batch.Support.weights)),
+            (batch.Support, "__init__", timed("init", batch.Support.__init__)),
+        ]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     for owner, name, value in patches:
         setattr(owner, name, value)

@@ -1,9 +1,8 @@
 """Persist-schema drift detection for :class:`repro.engine.persist.PersistentCache`.
 
-The persistent cache pickles decision memos (``BagContainmentResult`` /
-``SetContainmentResult`` and their certificate payloads) and scalar
-``count``/``exists`` memos to disk, keyed in
-part by ``SCHEMA_VERSION``.  The contract since PR 7 is: *change the layout
+The persistent cache pickles session decision memos
+(``BagContainmentResult`` / ``SetContainmentResult`` and their certificate
+payloads) to disk, keyed in part by ``SCHEMA_VERSION``.  The contract since PR 7 is: *change the layout
 of anything that gets pickled → bump ``SCHEMA_VERSION``* so stale rows are
 never unpickled into mismatched shapes.  That contract used to live in the
 README; this module makes it machine-checked.
@@ -56,7 +55,7 @@ __all__ = [
 
 #: ``(module, class name)`` of every type whose instances are pickled into
 #: the persistent store: the results layer stores the session decision memos
-#: and their certificate payloads (scalar memos are plain ints and bools).
+#: and their certificate payloads.
 ROOT_TYPES: tuple[tuple[str, str], ...] = (
     ("repro.core.decision", "BagContainmentResult"),
     ("repro.containment.set_containment", "SetContainmentResult"),

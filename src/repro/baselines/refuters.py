@@ -31,9 +31,10 @@ from typing import Collection, Iterator, Sequence
 
 from repro.core.certificates import ContainmentCounterexample
 from repro.core.probe_tuples import iter_probe_tuples, most_general_probe_tuple
-from repro.engine import BagBatchEvaluator
+from repro.engine.batch import BagBatchEvaluator, Support
 from repro.queries.cq import ConjunctiveQuery
-from repro.relational.instances import BagInstance
+from repro.relational.atoms import Atom
+from repro.relational.instances import BagInstance, _check_fact
 from repro.relational.terms import Term
 
 __all__ = [
@@ -72,12 +73,20 @@ def check_bag(
     return _ProbeChecker(containee, containing, tuple(probe), bag.support().facts).check(bag)
 
 
-def _bags_over(atoms: Sequence, max_multiplicity: int, include_zero: bool) -> Iterator[BagInstance]:
+def _grounded_facts(containee: ConjunctiveQuery, probe: Sequence[Term]) -> tuple[Atom, ...]:
+    """The facts of ``I_{q1(t)}``, checked once for every candidate bag over them."""
+    return tuple(map(_check_fact, containee.ground(probe).body_atoms()))
+
+
+def _bags_over(
+    atoms: Sequence[Atom], max_multiplicity: int, include_zero: bool
+) -> Iterator[BagInstance]:
+    """Every bag over the checked *atoms* with multiplicities in range (zeros dropped)."""
     lowest = 0 if include_zero else 1
     for values in product(range(lowest, max_multiplicity + 1), repeat=len(atoms)):
         if all(value == 0 for value in values):
             continue
-        yield BagInstance({atom: value for atom, value in zip(atoms, values)})
+        yield BagInstance._trusted({atom: value for atom, value in zip(atoms, values) if value})
 
 
 class _ProbeChecker:
@@ -86,14 +95,15 @@ class _ProbeChecker:
     Both queries are evaluated once against the support of the grounded
     containee: the containing query's factors through the engine, the
     containee (whose variables the probe fixes all) by looking its grounded
-    atoms up in the support.  Each skeleton holds the support numbers of a
-    homomorphism's images with the body multiplicities, so checking a
-    candidate bag reads its multiplicities once into a list aligned with
-    the support and re-weights the cached skeletons (no search, no
-    substitutions, no atoms).
+    atoms up in the support.  Both evaluators share one numbered
+    :class:`~repro.engine.batch.Support`.  Each skeleton holds the support
+    numbers of a homomorphism's images with the body multiplicities, so
+    checking a candidate bag reads its multiplicities once, for both
+    sides, into a list aligned with the support and re-weights the cached
+    skeletons (no search, no substitutions, no atoms).
     """
 
-    __slots__ = ("probe", "_left", "_right")
+    __slots__ = ("probe", "_support", "_left", "_right")
 
     def __init__(
         self,
@@ -103,12 +113,14 @@ class _ProbeChecker:
         support_atoms: Collection,
     ) -> None:
         self.probe = probe
-        self._left = BagBatchEvaluator(containee, support_atoms, answer=probe)
-        self._right = BagBatchEvaluator(containing, support_atoms, answer=probe)
+        self._support = Support(support_atoms)
+        self._left = BagBatchEvaluator(containee, self._support, answer=probe)
+        self._right = BagBatchEvaluator(containing, self._support, answer=probe)
 
     def check(self, bag: BagInstance) -> ContainmentCounterexample | None:
-        left = self._left.multiplicity(bag)
-        right = self._right.multiplicity(bag)
+        weights = self._support.weights(bag)
+        left = self._left.multiplicity_at(weights)
+        right = self._right.multiplicity_at(weights)
         if left > right:
             return ContainmentCounterexample(
                 probe=self.probe,
@@ -138,8 +150,7 @@ def bounded_bag_refuter(
     probes = iter_probe_tuples(containee) if all_probes else iter((most_general_probe_tuple(containee),))
     bags_checked = 0
     for probe in probes:
-        grounded = containee.ground(probe)
-        atoms = grounded.body_atoms()
+        atoms = _grounded_facts(containee, probe)
         checker = _ProbeChecker(containee, containing, tuple(probe), atoms)
         for bag in _bags_over(atoms, max_multiplicity, include_zero):
             bags_checked += 1
@@ -165,11 +176,10 @@ def random_bag_refuter(
     containee.require_projection_free()
     rng = random.Random(seed)
     probe = most_general_probe_tuple(containee)
-    grounded = containee.ground(probe)
-    atoms = grounded.body_atoms()
+    atoms = _grounded_facts(containee, probe)
     checker = _ProbeChecker(containee, containing, probe, atoms)
     for trial in range(1, trials + 1):
-        bag = BagInstance({atom: rng.randint(1, max_multiplicity) for atom in atoms})
+        bag = BagInstance._trusted({atom: rng.randint(1, max_multiplicity) for atom in atoms})
         violation = checker.check(bag)
         if violation is not None:
             return RefutationOutcome(True, trial, violation)

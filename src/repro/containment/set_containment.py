@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import default_cache, get_default_backend, query_fingerprint
+from repro.engine import get_default_backend
 from repro.engine.batch import head_fixing
 from repro.evaluation.homomorphisms import containment_mappings
 from repro.queries.cq import ConjunctiveQuery
@@ -70,23 +70,12 @@ def is_set_contained(containee: ConjunctiveQuery, containing: ConjunctiveQuery) 
 
     Unlike the full decision (which materialises a witnessing mapping), this
     runs the engine in ``exists`` mode and stops at the first containment
-    mapping.  The verdict is memoised under the *canonical* query
-    fingerprints, which is sound — set containment is invariant under
-    independent variable renaming of either query — and lets renamed copies
-    of the same query pair (as the workload generators produce) share one
-    decision.
+    mapping.  Nothing is memoised here: a session memoises whole requests.
     """
-    key = ("set-contained", query_fingerprint(containee), query_fingerprint(containing))
-
-    def decide() -> bool:
-        fixed = head_fixing(containing.head, containee.head)
-        if fixed is None:
-            return False
-        return get_default_backend().exists(
-            containing.body_atoms(), containee.body_atoms(), fixed
-        )
-
-    return default_cache().result(key, decide)  # type: ignore[return-value]
+    fixed = head_fixing(containing.head, containee.head)
+    if fixed is None:
+        return False
+    return get_default_backend().exists(containing.body_atoms(), containee.body_atoms(), fixed)
 
 
 def are_set_equivalent(first: ConjunctiveQuery, second: ConjunctiveQuery) -> bool:

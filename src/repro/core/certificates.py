@@ -10,8 +10,9 @@ multiplicities from scratch with the bag-evaluation engine, so every
 negative answer of the library is independently checkable.
 
 The replay evaluates Equation 2 directly
-(:class:`~repro.engine.BagBatchEvaluator`, through
-:func:`~repro.evaluation.bag_evaluation.bag_multiplicity`).  It shares
+(:class:`~repro.engine.BagBatchEvaluator`, one per query over one shared
+:class:`~repro.engine.batch.Support`, so the bag's facts are numbered once
+and the bag is read once for both sides).  It shares
 only two things with the encoding: the split of the containing body into
 factors once the probe fixes the head, and the homomorphism engine that
 enumerates each factor.  It reuses neither the encoding's position table
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.encoding import MpiEncoding
-from repro.evaluation.bag_evaluation import bag_multiplicity
+from repro.engine.batch import BagBatchEvaluator, Support
 from repro.exceptions import CertificateError
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.instances import BagInstance
@@ -77,8 +78,12 @@ class ContainmentCounterexample:
         bug in the encoding), and returns ``False`` when the bag is simply
         not a counterexample.
         """
-        left = bag_multiplicity(containee, self.bag, self.probe)
-        right = bag_multiplicity(containing, self.bag, self.probe)
+        support = Support(self.bag.support().facts)
+        weights = support.weights(self.bag)
+        left, right = (
+            BagBatchEvaluator(query, support, answer=self.probe).multiplicity_at(weights)
+            for query in (containee, containing)
+        )
         if left != self.containee_multiplicity or right != self.containing_multiplicity:
             raise CertificateError(
                 "certificate multiplicities do not match a direct evaluation: "

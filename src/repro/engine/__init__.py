@@ -18,9 +18,11 @@ package turns that question into a compiled subsystem:
    of three modes, ``iterate``, ``count`` or ``exists``, so decision
    callers never pay for enumeration.
 3. **Cache** (:mod:`repro.engine.cache`): interned targets (each with the
-   plans bound to it), plan templates and scalar results are memoised in
-   an :class:`EngineCache` with LRU bounds, hit/miss statistics and
-   explicit invalidation.
+   plans bound to it) and plan templates are memoised in an
+   :class:`EngineCache` with LRU bounds, hit/miss statistics and explicit
+   invalidation.  The engine caches compiled artefacts only, never
+   answers; the cache's results layer holds the session's whole-request
+   memos.
 4. **Query level** (:mod:`repro.engine.batch`):
    :class:`ContainmentMappingBatcher` enumerates ``CM(q2, q1(t))`` per
    probe tuple or per body factor, and :class:`BagBatchEvaluator` is the
@@ -67,7 +69,6 @@ if TYPE_CHECKING:
         UnpersistableKeyError,
         atoms_fingerprint,
         persistent_digest,
-        query_fingerprint,
     )
     from repro.engine.interned import (
         ExecutionStats,
@@ -113,7 +114,6 @@ _EXPORTS = MappingProxyType(
         "interned_iterate": "repro.engine.interned",
         "merge_snapshots": "repro.engine.cache",
         "persistent_digest": "repro.engine.fingerprints",
-        "query_fingerprint": "repro.engine.fingerprints",
         "snapshot_delta": "repro.engine.cache",
     }
 )

@@ -16,8 +16,9 @@ baselines, CLI) can switch implementations without code changes:
     The production engine and the default: compiles an integer
     :class:`~repro.engine.interned.InternedPlan` (memoised through an
     :class:`~repro.engine.cache.EngineCache`) and runs the iterative
-    executor.  ``count`` and ``exists`` results are additionally memoised,
-    keyed by the full execution fingerprint.
+    executor.  Only compiled artefacts are cached, never answers: a
+    repeated ``count`` or ``exists`` reuses its plan and runs it again.
+    Whole requests are memoised once, by the session.
 
 The module also owns the read-only name → factory table and the lookups
 (:func:`get_backend`, :func:`get_default_backend`).  Which backend runs is
@@ -97,33 +98,6 @@ class Backend:
         fixed: Mapping[Variable, Term] | None = None,
     ) -> bool:
         return next(self.iterate(source_atoms, target_atoms, fixed), None) is not None
-
-
-def _scalar_result_key(
-    backend_name: str,
-    mode: str,
-    source: Iterable[Atom],
-    target: Iterable[Atom],
-    fixed: Mapping[Variable, Term] | None,
-) -> tuple:
-    """The result-layer memo key for a ``count``/``exists`` execution.
-
-    One shared layout for every backend: element 1 **must** be the target
-    fingerprint — :meth:`EngineCache.invalidate`'s result-layer drop
-    predicate matches on ``key[1]``.  The backend name is part of the key
-    so that two backends sharing one cache (a session's) never serve each
-    other's memoised results — the differential oracle's cross-backend
-    comparisons must compare independent computations, not one computation
-    twice.
-    """
-    return (
-        "count-exists",
-        atoms_fingerprint(target),
-        atoms_fingerprint(source),
-        frozenset((fixed or {}).items()),
-        mode,
-        backend_name,
-    )
 
 
 class NaiveBackend(Backend):
@@ -223,7 +197,8 @@ class InternedBackend(Backend):
     targets in the index layer, tagged with the dictionary's serial so an
     entry can never outlive the id space it was compiled against, with
     their bound plans memoised on them; templates in the plan layer, which
-    hold no term id; scalar results in the result layer.
+    hold no term id.  ``count`` and ``exists`` run the executor on the plan
+    every time; their answers are not cached.
     """
 
     name = "interned"
@@ -306,15 +281,8 @@ class InternedBackend(Backend):
         target_atoms: Iterable[Atom],
         fixed: Mapping[Variable, Term] | None = None,
     ) -> int:
-        source = tuple(source_atoms)
-        target = tuple(target_atoms)
-        key = self._result_key("count", source, target, fixed)
-        return self.cache.result(  # type: ignore[return-value]
-            key,
-            lambda: interned_count(
-                self.plan(source, target, fixed), self.dictionary, fixed, stats=self.stats
-            ),
-        )
+        plan = self.plan(source_atoms, target_atoms, fixed)
+        return interned_count(plan, self.dictionary, fixed, stats=self.stats)
 
     def exists(
         self,
@@ -322,25 +290,8 @@ class InternedBackend(Backend):
         target_atoms: Iterable[Atom],
         fixed: Mapping[Variable, Term] | None = None,
     ) -> bool:
-        source = tuple(source_atoms)
-        target = tuple(target_atoms)
-        key = self._result_key("exists", source, target, fixed)
-        return self.cache.result(  # type: ignore[return-value]
-            key,
-            lambda: interned_exists(
-                self.plan(source, target, fixed), self.dictionary, fixed, stats=self.stats
-            ),
-        )
-
-    @classmethod
-    def _result_key(
-        cls,
-        mode: str,
-        source: tuple[Atom, ...],
-        target: tuple[Atom, ...],
-        fixed: Mapping[Variable, Term] | None,
-    ) -> tuple:
-        return _scalar_result_key(cls.name, mode, source, target, fixed)
+        plan = self.plan(source_atoms, target_atoms, fixed)
+        return interned_exists(plan, self.dictionary, fixed, stats=self.stats)
 
 
 #: The backend names, in CLI presentation order.

@@ -15,7 +15,8 @@ fixed:
   depend on the *support* of a bag, so they are enumerated once over a
   support universe, each kept as a skeleton of support numbers, and each
   bag merely re-weights the cached skeletons (the product is recomputed
-  per bag, the search is not).
+  per bag, the search is not).  Evaluators of two queries over one
+  :class:`Support` share its numbering and one read of each bag.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.relational.terms import Term, Variable, term_sort_key
 __all__ = [
     "ContainmentMappingBatcher",
     "BagBatchEvaluator",
+    "Support",
     "head_fixing",
 ]
 
@@ -242,6 +244,25 @@ def _skeleton(
     return tuple(skeleton)
 
 
+class Support:
+    """A numbered support universe: its facts in first-seen order.
+
+    The evaluators of a containment pair (the certificate replay, the
+    refuters' probe checks) share one, so the support is numbered once and
+    each bag is read once, by :meth:`weights`, for both queries.
+    """
+
+    __slots__ = ("atoms", "numbers")
+
+    def __init__(self, atoms: Iterable[Atom]) -> None:
+        self.atoms = tuple(dict.fromkeys(atoms))
+        self.numbers = {(atom.relation, atom.terms): index for index, atom in enumerate(self.atoms)}
+
+    def weights(self, bag: BagInstance) -> list[int]:
+        """``µ`` read once, aligned with the numbering (``0`` off the bag)."""
+        return [bag[fact] for fact in self.atoms]
+
+
 def _weight(skeleton: _Skeleton, weights: Sequence[int]) -> int:
     """``Π µ(h(β))^m(β)`` over one skeleton (``0`` as soon as a fact is absent)."""
     weight = 1
@@ -256,18 +277,20 @@ def _weight(skeleton: _Skeleton, weights: Sequence[int]) -> int:
 class BagBatchEvaluator:
     """Equation 2 for one query on many bags sharing a support universe.
 
-    Each homomorphism ``h`` of ``q`` into *support_atoms* contributes
+    Each homomorphism ``h`` of ``q`` into the *support* contributes
     ``Π_α µ(α)^{µ_{h(q)}(α)}`` over the distinct atoms of ``h(q)``, whose
     multiplicities Equation 1 sums over the body atoms that collapse onto
     them.  The same product is ``Π_β µ(h(β))^{m(β)}`` over the body atoms
     ``β`` with their multiplicities ``m(β)``.  The support universe is
-    numbered once, and a homomorphism is cached as the skeleton
-    ``((i, m(β)) for β in body)``, where ``i`` is the number of the image
-    ``h(β)``, read off the homomorphism's bindings: no image atom or image
-    query is built.  A bag is read once into a list of weights aligned with
-    the universe, so a bag whose support is a subset of the universe is
-    evaluated in time proportional to the number of skeletons; facts absent
-    from it weigh ``0``.
+    numbered once (a :class:`Support`, built here from an iterable of
+    atoms or passed in to share it), and a homomorphism is cached as the
+    skeleton ``((i, m(β)) for β in body)``, where ``i`` is the number of the
+    image ``h(β)``, read off the homomorphism's bindings: no image atom or
+    image query is built.  A bag is read once into a list of weights
+    aligned with the universe, so a bag whose support is a subset of the
+    universe is evaluated in time proportional to the number of skeletons;
+    facts absent from it weigh ``0``.  Evaluators sharing a support take
+    one such list through :meth:`multiplicity_at`.
 
     With a pinned *answer* the head is fixed, so the body splits into
     factors that share no free variable (:func:`_body_factors`): each
@@ -283,17 +306,17 @@ class BagBatchEvaluator:
     variable asked to take two values) has multiplicity ``0``.
     """
 
-    __slots__ = ("query", "support_atoms", "answer", "_factors", "_answers")
+    __slots__ = ("query", "support", "answer", "_factors", "_answers")
 
     def __init__(
         self,
         query: ConjunctiveQuery,
-        support_atoms: Iterable[Atom],
+        support: Support | Iterable[Atom],
         answer: Sequence[Term] | None = None,
         backend: Backend | None = None,
     ) -> None:
         self.query = query
-        self.support_atoms = tuple(dict.fromkeys(support_atoms))
+        self.support = support if isinstance(support, Support) else Support(support)
         self.answer = tuple(answer) if answer is not None else None
         self._answers: tuple[tuple[Term, ...], ...] = ()
         if self.answer is None:
@@ -306,9 +329,7 @@ class BagBatchEvaluator:
             # One factor without skeletons: every multiplicity is 0.
             self._factors: tuple[tuple[_Skeleton, ...], ...] = ((),)
             return
-        support = {
-            (atom.relation, atom.terms): index for index, atom in enumerate(self.support_atoms)
-        }
+        numbers = self.support.numbers
         resolved = backend if backend is not None else get_default_backend()
         body = query.body
         head = query.head
@@ -328,11 +349,11 @@ class BagBatchEvaluator:
             else:
                 mappings = (
                     homomorphism.bindings().get
-                    for homomorphism in resolved.iterate(factor, self.support_atoms, fixed)
+                    for homomorphism in resolved.iterate(factor, self.support.atoms, fixed)
                 )
             skeletons = []
             for image_of in mappings:
-                skeleton = _skeleton(atoms, image_of, support)
+                skeleton = _skeleton(atoms, image_of, numbers)
                 if skeleton is not None:
                     skeletons.append(skeleton)
                     if self.answer is None:
@@ -341,13 +362,12 @@ class BagBatchEvaluator:
         self._factors = tuple(factor_skeletons)
         self._answers = tuple(answers)
 
-    def _weights(self, bag: BagInstance) -> list[int]:
-        """``µ`` read once, aligned with the support universe."""
-        return [bag[fact] for fact in self.support_atoms]
-
     def multiplicity(self, bag: BagInstance) -> int:
         """``q^µ(answer)`` for the pinned answer tuple (or the total over all)."""
-        weights = self._weights(bag)
+        return self.multiplicity_at(self.support.weights(bag))
+
+    def multiplicity_at(self, weights: Sequence[int]) -> int:
+        """:meth:`multiplicity` on a bag already read by ``self.support.weights``."""
         return prod(
             sum(_weight(skeleton, weights) for skeleton in factor) for factor in self._factors
         )
@@ -358,7 +378,7 @@ class BagBatchEvaluator:
 
         if self.answer is not None:
             return AnswerBag({self.answer: self.multiplicity(bag)})
-        weights = self._weights(bag)
+        weights = self.support.weights(bag)
         counts: dict[tuple[Term, ...], int] = {}
         (factor,) = self._factors
         for answer, skeleton in zip(self._answers, factor):

@@ -1,4 +1,4 @@
-"""The memoising engine cache: compiled plans, shared targets, result memos.
+"""The memoising engine cache: compiled plans, shared targets, request memos.
 
 Compilation is cheap but not free (join ordering plus index bucketing is
 linear in the source and target sizes), and the library's hot paths compile
@@ -16,14 +16,17 @@ the same body.  :class:`EngineCache` memoises three layers:
   target is memoised on that target's index entry instead, and a hit
   there counts as a plan-layer hit too, so plan hits mean "nothing was
   compiled";
-* **scalar results** (``count`` / ``exists``), keyed by the full execution
-  key including the fixed values — these are pure functions of immutable
-  value objects, so memoising them is always sound.
+* **results**: whole-request memos, written by the owning
+  :class:`~repro.session.Session` under ``("session", …)`` keys.  The
+  engine itself caches compiled artefacts only, never answers: a repeated
+  ``count`` or ``exists`` reuses its plan and runs it again.
 
 All three layers keep LRU order and expose hit/miss/eviction statistics;
-:meth:`EngineCache.invalidate` drops entries touching a given target (or
-everything), which is the hook instance-mutating callers use.  Templates
-name no target, so a targeted invalidation leaves them in place.
+:meth:`EngineCache.invalidate` drops a given target's index entry, with
+the plans bound to it (or everything), which is the hook
+instance-mutating callers use.  Templates name no target and request
+memos are keyed by requests, so a targeted invalidation leaves both in
+place.
 
 A cache can additionally be backed by a persistent tier
 (:meth:`EngineCache.attach_persistent`): an in-memory result-layer miss
@@ -164,7 +167,7 @@ class _LruLayer:
 
 
 class EngineCache:
-    """Memoisation for compiled plans, target indexes and scalar results."""
+    """Memoisation for compiled plans, target indexes and request results."""
 
     #: Bound on remembered absorb tokens (see :meth:`absorb_delta`): far
     #: beyond any real campaign's chunk count, small enough to never matter.
@@ -214,7 +217,7 @@ class EngineCache:
     # Lookup / build
     # ------------------------------------------------------------------ #
     def result(self, key: Hashable, compute: Callable[[], object]) -> object:
-        """Memoise a scalar (count/exists) result under an execution key."""
+        """Memoise a whole-request result (a session decision memo) under *key*."""
         return self._results.get_or_build(key, compute)
 
     def index_entry(self, key: Hashable, build: Callable[[], object]) -> object:
@@ -237,12 +240,16 @@ class EngineCache:
     # Invalidation / introspection
     # ------------------------------------------------------------------ #
     def invalidate(self, target_atoms: Iterable[Atom] | None = None) -> int:
-        """Drop cached entries touching *target_atoms* (or everything).
+        """Drop the index entry of *target_atoms* (or every entry, everywhere).
 
-        Returns the number of entries dropped.  The engine's value objects
-        are immutable, so invalidation is never needed for correctness; it
-        exists for long-running services that want to bound memory ahead of
-        the LRU or that recycle instance identities.
+        A targeted invalidation drops the target's interned image, and with
+        it the plans bound to it; templates and request memos stay, in
+        memory and in an attached store.  Without a target every layer and
+        the attached store are cleared.  Returns the number of entries
+        dropped.  The engine's value objects are immutable, so invalidation
+        is never needed for correctness; it exists for long-running
+        services that want to bound memory ahead of the LRU or that recycle
+        instance identities.
         """
         if target_atoms is None:
             dropped = len(self._indexes) + len(self._plans) + len(self._results)
@@ -251,16 +258,10 @@ class EngineCache:
                 dropped += self._persistent.clear()
             return dropped
         target_key = atoms_fingerprint(target_atoms)
-        dropped = self._indexes.drop(
+        return self._indexes.drop(
             lambda key: key == target_key
             or (isinstance(key, tuple) and len(key) > 0 and key[0] == target_key)
         )
-        dropped += self._results.drop(
-            lambda key: isinstance(key, tuple) and len(key) > 1 and key[1] == target_key
-        )
-        if self._persistent is not None:
-            dropped += self._persistent.invalidate_target(target_key)
-        return dropped
 
     def clear(self) -> None:
         """Drop every cached entry (statistics are preserved)."""

@@ -1,32 +1,27 @@
-"""Canonical fingerprints used as engine-cache keys.
+"""Fingerprints used as engine-cache keys.
 
 Cache keys must be cheap to compute, hashable, and collision-free for the
-value objects the engine works with.  Two granularities are provided:
+value objects the engine works with.  :func:`atoms_fingerprint` is an
+order-insensitive key for a collection of atoms (sources and targets are
+semantically sets once deduplicated, so two call sites passing the same
+atoms in different orders share cache entries); it keys interned targets
+and the plans bound to them.
 
-* :func:`atoms_fingerprint` — an order-insensitive key for a collection of
-  atoms (sources and targets are semantically sets once deduplicated, so two
-  call sites passing the same atoms in different orders share cache entries);
-* :func:`query_fingerprint` — a structural key for a conjunctive query:
-  variables are replaced by integers assigned through a name-free iterative
-  refinement, so renaming-isomorphic queries share a fingerprint whenever
-  the refinement resolves all atom ties (equal fingerprints always imply
-  isomorphism, which is the direction caching soundness needs).
-
-The in-memory keys above are hashable value objects: equal across
-processes, but *serialized* differently per process (frozenset iteration
-order follows the randomized string hash).  The persistent cache tier
-(:mod:`repro.engine.persist`) therefore keys its rows by
-:func:`persistent_digest` — a SHA-256 over an explicitly sorted, explicitly
-serialized rendering of the same structures that never consults ``hash()``
-or container iteration order, so the digest of a key is identical in every
-process regardless of ``PYTHONHASHSEED``.
+The in-memory keys are hashable value objects: equal across processes,
+but *serialized* differently per process (frozenset iteration order
+follows the randomized string hash).  The persistent cache tier
+(:mod:`repro.engine.persist`) therefore keys its rows — session decision
+memos — by :func:`persistent_digest`: a SHA-256 over an explicitly
+sorted, explicitly serialized rendering of the key structure that never
+consults ``hash()`` or container iteration order, so the digest of a key
+is identical in every process regardless of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.atoms import Atom
@@ -36,110 +31,12 @@ __all__ = [
     "UnpersistableKeyError",
     "atoms_fingerprint",
     "persistent_digest",
-    "query_fingerprint",
 ]
 
 
 def atoms_fingerprint(atoms: Iterable[Atom]) -> frozenset[Atom]:
     """An order-insensitive, hashable key for a collection of atoms."""
     return frozenset(atoms)
-
-
-#: Body size above which the canonical search falls back to a greedy pass.
-_CANONICAL_SEARCH_LIMIT = 8
-
-
-def _rendered(atom: Atom, multiplicity: int, assignment: Mapping[Variable, int]) -> tuple:
-    """One body atom rendered under *assignment*, extending it for new variables.
-
-    New variables are numbered by first appearance inside this atom, offset
-    past the existing assignment — entirely name-free, so two atoms that are
-    images of each other under a renaming respecting *assignment* render
-    identically.
-    """
-    local: dict[Variable, int] = {}
-    terms = []
-    for term in atom.terms:
-        if isinstance(term, Variable):
-            index = assignment.get(term)
-            if index is None:
-                index = local.setdefault(term, len(assignment) + len(local))
-            terms.append((0, index, ""))
-        else:
-            terms.append((1, 0, f"{type(term).__name__}:{term}"))
-    return (atom.relation, tuple(terms), multiplicity)
-
-
-def query_fingerprint(query: ConjunctiveQuery) -> tuple:
-    """A canonical structural fingerprint of a conjunctive query.
-
-    Variables are replaced by integers chosen without ever consulting their
-    names: head variables are numbered by head position, then the body is
-    laid out as the lexicographically smallest rendering reachable by
-    picking atoms one at a time (branching on ties, numbering fresh
-    variables by first appearance).  Two queries share a fingerprint iff
-    they are identical up to a bijective variable renaming — the soundness
-    direction (equal implies isomorphic) always holds, and the converse
-    holds up to the ``_CANONICAL_SEARCH_LIMIT`` body-size cap, beyond which
-    a greedy single-pass layout is used (still sound, merely pickier).
-    """
-    items = list(query.body.items())
-
-    base: dict[Variable, int] = {}
-    for variable in query.head:
-        base.setdefault(variable, len(base))
-
-    def extend(assignment: dict[Variable, int], atom: Atom) -> dict[Variable, int]:
-        extended = dict(assignment)
-        for term in atom.terms:
-            if isinstance(term, Variable) and term not in extended:
-                extended[term] = len(extended)
-        return extended
-
-    best: list[tuple] | None = None
-
-    def search(remaining: list[tuple[Atom, int]], assignment: dict[Variable, int], acc: list[tuple]) -> None:
-        nonlocal best
-        if best is not None and acc > best[: len(acc)]:
-            return
-        if not remaining:
-            body = list(acc)
-            if best is None or body < best:
-                best = body
-            return
-        rendered = [(_rendered(atom, mult, assignment), index) for index, (atom, mult) in enumerate(remaining)]
-        smallest = min(key for key, _ in rendered)
-        for key, index in rendered:
-            if key != smallest:
-                continue
-            atom, mult = remaining[index]
-            search(
-                remaining[:index] + remaining[index + 1 :],
-                extend(assignment, atom),
-                acc + [key],
-            )
-
-    if len(items) <= _CANONICAL_SEARCH_LIMIT:
-        search(items, base, [])
-        assert best is not None
-        body = tuple(best)
-    else:
-        # Greedy fallback: always take the first minimal rendering.  Still
-        # name-free and sound, but symmetric ties may split an isomorphism
-        # class across fingerprints.
-        assignment = dict(base)
-        remaining = list(items)
-        acc: list[tuple] = []
-        while remaining:
-            rendered = [(_rendered(atom, mult, assignment), index) for index, (atom, mult) in enumerate(remaining)]
-            key, index = min(rendered)
-            atom, _ = remaining.pop(index)
-            assignment = extend(assignment, atom)
-            acc.append(key)
-        body = tuple(acc)
-
-    head = tuple(base[variable] for variable in query.head)
-    return (head, body)
 
 
 # --------------------------------------------------------------------- #

@@ -1,17 +1,16 @@
-"""The persistent cache tier: result and decision memos that survive restarts.
+"""The persistent cache tier: session decision memos that survive restarts.
 
 Without it every process recomputes from scratch: a service restart, a
 parallel worker, or the next CI corpus replay always starts cold.
 :class:`PersistentCache` is a disk-backed tier (stdlib ``sqlite3`` in WAL
 mode) that an :class:`~repro.engine.cache.EngineCache` consults *behind*
 its in-memory result layer: an in-memory miss falls through to the store,
-and a freshly computed entry is written back — so ``count``/``exists``
-result memos and whole session decision verdicts warm across processes,
-workers and runs.
+and a freshly computed entry is written back — so whole session decision
+verdicts warm across processes, workers and runs.
 
-**Key discipline.**  Rows are keyed by the four-part fingerprint the ISSUE
-and ROADMAP demand — ``(structural key digest, backend name, limits
-fingerprint, schema version)``:
+**Key discipline.**  Rows are keyed by a four-part fingerprint —
+``(structural key digest, backend name, limits fingerprint, schema
+version)``:
 
 * the structural digest is :func:`~repro.engine.fingerprints.persistent_digest`
   over the very same key structure the in-memory layer uses, canonically
@@ -27,11 +26,14 @@ fingerprint, schema version)``:
 
 Any component mismatch is a miss — never a wrong answer.
 
-**What persists.**  Only entries whose keys canonically serialize *and*
-whose values are process-independent: backend-tagged ``count``/``exists``
-scalar memos and session decision memos.  Compiled plans and interned
-targets are keyed by a process-local term-dictionary serial and are cheap
-per-process rebuilds, so they are never persisted.
+**What persists.**  Only session decision memos (``("session", …)`` keys
+in the results layer) whose keys canonically serialize and whose values
+pickle.  The engine caches no answers of its own, and compiled plans and
+interned targets are keyed by a process-local term-dictionary serial and
+are cheap per-process rebuilds, so they are never persisted.  Stores
+written when ``count``/``exists`` answers were persisted still open: their
+``target`` column is left in place (new rows take its default) and those
+rows are never read again; LRU pruning drops them like any other row.
 
 **Corruption tolerance.**  Every read path — connect, query, unpickle — is
 wrapped: a torn write, a truncated file, a garbage blob or a concurrent
@@ -223,15 +225,12 @@ CREATE TABLE IF NOT EXISTS entries (
     backend  TEXT    NOT NULL,
     limits   TEXT    NOT NULL,
     schema   INTEGER NOT NULL,
-    target   TEXT    NOT NULL DEFAULT '',
     value    BLOB    NOT NULL,
     created  REAL    NOT NULL,
     accessed REAL    NOT NULL DEFAULT 0,
     PRIMARY KEY (layer, key, backend, limits, schema)
 )
 """
-
-_CREATE_TARGET_INDEX = "CREATE INDEX IF NOT EXISTS entries_target ON entries(target)"
 
 #: Migration for stores created before the ``accessed`` column existed
 #: (pre-eviction schema).  Rows from such stores start with their creation
@@ -334,7 +333,6 @@ class PersistentCache:
             connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
             connection.execute(_CREATE_TABLE)
-            connection.execute(_CREATE_TARGET_INDEX)
             try:
                 connection.execute(_ADD_ACCESSED)
                 connection.execute(_BACKFILL_ACCESSED)
@@ -369,27 +367,18 @@ class PersistentCache:
     # Eligibility: which in-memory entries may live on disk
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _analyze(layer: str, key: Hashable) -> tuple[Hashable | None, Hashable | None]:
-        """``(persistable key, target fingerprint component)`` or ``(None, None)``.
+    def _digest(layer: str, key: Hashable) -> str | None:
+        """The row digest of an eligible ``(layer, key)``, else ``None``.
 
-        The shapes recognised here are the documented key layouts of
-        :class:`~repro.engine.cache.EngineCache`:
-
-        * ``results``: backend-tagged ``count``/``exists`` scalar memos
-          (``key[0] == "count-exists"``, target fingerprint at ``key[1]``)
-          and session decision memos (``key[0] == "session"``, no target).
-        * ``plans`` and ``indexes``: never persisted — interned plans and
-          targets are keyed by a process-local term-dictionary serial.
+        Only session decision memos persist (``("session", …)`` keys in the
+        ``results`` layer).  ``plans`` and ``indexes`` never do: interned
+        plans and targets are keyed by a process-local term-dictionary
+        serial.  A key without a canonical serialization stays in memory.
         """
-        if layer == "results":
-            if isinstance(key, tuple) and len(key) >= 2 and key[0] == "count-exists":
-                return key, key[1]
-            if isinstance(key, tuple) and len(key) == 2 and key[0] == "session":
-                return key, None
-            return None, None
-        return None, None
-
-    def _digest(self, key: Hashable) -> str | None:
+        if layer != "results" or not (
+            isinstance(key, tuple) and len(key) == 2 and key[0] == "session"
+        ):
+            return None
         try:
             return persistent_digest(key)
         except UnpersistableKeyError:
@@ -405,10 +394,7 @@ class PersistentCache:
         hit rate measures eligible traffic only); any storage-level failure
         counts an error and degrades to a miss.
         """
-        persistable, _ = self._analyze(layer, key)
-        if persistable is None:
-            return MISS
-        digest = self._digest(persistable)
+        digest = self._digest(layer, key)
         if digest is None:
             return MISS
         if self._dead or self._connection is None:
@@ -476,10 +462,7 @@ class PersistentCache:
         storage failure (lock contention, disk trouble) counts an error —
         the in-memory entry stays authoritative either way.
         """
-        persistable, target_component = self._analyze(layer, key)
-        if persistable is None:
-            return False
-        digest = self._digest(persistable)
+        digest = self._digest(layer, key)
         if digest is None:
             return False
         if self._dead or self._connection is None:
@@ -489,12 +472,6 @@ class PersistentCache:
         except Exception:  # noqa: BLE001 - unpicklable values stay in memory
             self.stats.skipped += 1
             return False
-        target_digest = ""
-        if target_component is not None:
-            target = self._digest(target_component)
-            if target is None:  # pragma: no cover - key digested, component must too
-                return False
-            target_digest = target
         if not self.breaker.allow():
             self.stats.breaker_skipped += 1
             return False
@@ -524,15 +501,14 @@ class PersistentCache:
                 try:
                     connection.execute(
                         "INSERT OR REPLACE INTO entries "
-                        "(layer, key, backend, limits, schema, target, value, created) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                        "(layer, key, backend, limits, schema, value, created) "
+                        "VALUES (?, ?, ?, ?, ?, ?, ?)",
                         (
                             layer,
                             digest,
                             self.backend,
                             self.limits_fingerprint,
                             self.schema_version,
-                            target_digest,
                             payload,
                             time.time(),
                         ),
@@ -555,55 +531,9 @@ class PersistentCache:
     # ------------------------------------------------------------------ #
     # Invalidation and maintenance
     # ------------------------------------------------------------------ #
-    def invalidate_target(self, target_fingerprint: Hashable) -> int:
-        """Drop every row whose target column matches *target_fingerprint*.
-
-        *target_fingerprint* is the in-memory fingerprint component (the
-        frozenset of target atoms); it is digested here with the same
-        function the store path used, so the two always agree.  This is
-        what :meth:`EngineCache.invalidate` calls — an instance mutation
-        invalidates the disk rows along with the memory entries.
-        """
-        digest = self._digest(target_fingerprint)
-        if digest is None or self._dead or self._connection is None:
-            return 0
-        try:
-            with self._lock:
-                self._connection.execute("BEGIN IMMEDIATE")
-                try:
-                    cursor = self._connection.execute(
-                        "DELETE FROM entries WHERE target = ?", (digest,)
-                    )
-                    self._connection.execute("COMMIT")
-                except BaseException:
-                    self._connection.execute("ROLLBACK")
-                    raise
-        except sqlite3.Error:
-            self.stats.errors += 1
-            return 0
-        dropped = cursor.rowcount if cursor.rowcount is not None and cursor.rowcount > 0 else 0
-        self.stats.invalidated += dropped
-        return dropped
-
     def clear(self) -> int:
         """Drop every row in the store; returns the number dropped."""
-        if self._dead or self._connection is None:
-            return 0
-        try:
-            with self._lock:
-                self._connection.execute("BEGIN IMMEDIATE")
-                try:
-                    cursor = self._connection.execute("DELETE FROM entries")
-                    self._connection.execute("COMMIT")
-                except BaseException:
-                    self._connection.execute("ROLLBACK")
-                    raise
-        except sqlite3.Error:
-            self.stats.errors += 1
-            return 0
-        dropped = cursor.rowcount if cursor.rowcount is not None and cursor.rowcount > 0 else 0
-        self.stats.invalidated += dropped
-        return dropped
+        return self._prune("1", ())
 
     def _prune(self, condition: str, parameters: tuple[Any, ...]) -> int:
         """Delete rows matching *condition*; returns the number dropped.

@@ -129,6 +129,18 @@ class BagInstance:
                 cleaned[fact] = count
         self._multiplicities: dict[Atom, int] = cleaned
 
+    @classmethod
+    def _trusted(cls, multiplicities: dict[Atom, int]) -> "BagInstance":
+        """Wrap positive ``int`` multiplicities of facts already checked.
+
+        The caller has run :func:`_check_fact` on every fact (once, for a
+        whole family of bags over the same facts) and dropped zero
+        multiplicities; *multiplicities* is taken as is, not copied.
+        """
+        instance = cls.__new__(cls)
+        instance._multiplicities = multiplicities
+        return instance
+
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #

@@ -178,10 +178,11 @@ class Session:
         pipeline, and show up as ``results`` hits in outcome cache deltas.
     persist_path:
         Back the session cache with a disk store at this path
-        (:class:`~repro.engine.persist.PersistentCache`): count/exists
-        memos and decision verdicts warm across restarts, and
-        parallel workers built from :meth:`spec` share the same store.  A
-        missing/corrupt store silently degrades to cold behaviour.
+        (:class:`~repro.engine.persist.PersistentCache`): the session's
+        request memos (the ``memoize`` entries, the only answers any layer
+        caches) warm across restarts, and parallel workers built from
+        :meth:`spec` share the same store.  A missing/corrupt store
+        silently degrades to cold behaviour.
     fault_plan:
         Arm a :class:`~repro.faults.plan.FaultPlan` for every call made
         through this session (chaos campaigns and resilience tests); the
@@ -261,7 +262,7 @@ class Session:
         """The session-owned backend instance for *name* (built on first use).
 
         Stateful backends are constructed with the session's cache, so every
-        backend of this session shares one plan/result memo; the instances
+        backend of this session shares one plan cache; the instances
         are private to the session and never leak into other sessions or the
         process-wide defaults.
         """
@@ -719,10 +720,10 @@ class Session:
         With ``jobs=1`` (the default) execution is lazy (one request at a
         time, results yielded as they finish) and *amortised*: every request
         runs against the session's engine cache, so repeated sources,
-        targets, and probe sweeps reuse compiled match plans, shared target
-        indexes, memoised scalar results — and, with ``memoize`` on, whole
-        decision results — across the stream, the service-path equivalent of
-        the engine's batch APIs.
+        targets, and probe sweeps reuse compiled match plans and shared
+        target indexes — and, with ``memoize`` on, whole decision results —
+        across the stream, the service-path equivalent of the engine's batch
+        APIs.
 
         With ``jobs > 1`` the request stream is sharded across a worker
         pool (:func:`repro.parallel.parallel_batch`): each worker runs its

@@ -1,9 +1,13 @@
 """Unit tests for the brute-force refuters."""
 
+import random
+from itertools import product
+
 import pytest
 
-from repro.baselines.refuters import bounded_bag_refuter, check_bag, random_bag_refuter
-from repro.core.probe_tuples import most_general_probe_tuple
+from repro.baselines.refuters import _bags_over, bounded_bag_refuter, check_bag, random_bag_refuter
+from repro.core.probe_tuples import iter_probe_tuples, most_general_probe_tuple
+from repro.evaluation.bag_evaluation import bag_multiplicity
 from repro.exceptions import NotProjectionFreeError
 from repro.queries.parser import parse_cq
 from repro.relational.atoms import Atom
@@ -98,3 +102,118 @@ class TestRandomRefuter:
         second = random_bag_refuter(section2_q2(), section2_q1(), trials=50, seed=3)
         assert first.refuted == second.refuted
         assert first.bags_checked == second.bags_checked
+
+
+def _reference_search(containee, containing, probes, bags_at):
+    """The refuters' search with every bag built through the checking constructor."""
+    checked = 0
+    for probe in probes:
+        atoms = containee.ground(probe).body_atoms()
+        for values in bags_at(len(atoms)):
+            checked += 1
+            bag = BagInstance(dict(zip(atoms, values)))
+            left = bag_multiplicity(containee, bag, probe)
+            right = bag_multiplicity(containing, bag, probe)
+            if left > right:
+                return (True, checked, tuple(probe), bag, left, right)
+    return (False, checked, None, None, None, None)
+
+
+def _face(outcome):
+    violation = outcome.counterexample
+    if violation is None:
+        return (outcome.refuted, outcome.bags_checked, None, None, None, None)
+    return (
+        outcome.refuted,
+        outcome.bags_checked,
+        violation.probe,
+        violation.bag,
+        violation.containee_multiplicity,
+        violation.containing_multiplicity,
+    )
+
+
+#: E22's star pair (contained, so the search runs out) and the Section-2
+#: pair in both directions (contained, and refuted by the paper's bag).
+STAR = (
+    parse_cq("q1(x, y) <- R(x, y), S(y, x), T(x, x), R(y, y)"),
+    parse_cq("q2(x, y) <- R^2(x, y), S(y, x), T(x, z), R(y, w)"),
+)
+PAIRS = {
+    "star": lambda: STAR,
+    "section2": lambda: (section2_q1(), section2_q2()),
+    "section2-reversed": lambda: (section2_q2(), section2_q1()),
+}
+
+
+class TestBagsBuiltOverCheckedFacts:
+    """The refuters check the grounded facts once per probe, not once per bag."""
+
+    @pytest.mark.parametrize("include_zero", [False, True])
+    @pytest.mark.parametrize("all_probes", [False, True])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_bounded_refuter_matches_constructor_built_bags(self, pair, all_probes, include_zero):
+        containee, containing = PAIRS[pair]()
+        lowest = 0 if include_zero else 1
+
+        def bags_at(width):
+            for values in product(range(lowest, 4), repeat=width):
+                if any(values):
+                    yield values
+
+        probes = (
+            list(iter_probe_tuples(containee))
+            if all_probes
+            else [most_general_probe_tuple(containee)]
+        )
+        expected = _reference_search(containee, containing, probes, bags_at)
+        outcome = bounded_bag_refuter(
+            containee, containing, 3, all_probes=all_probes, include_zero=include_zero
+        )
+        assert _face(outcome) == expected
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_random_refuter_matches_constructor_built_bags(self, pair, seed):
+        containee, containing = PAIRS[pair]()
+        rng = random.Random(seed)
+
+        def bags_at(width):
+            for _ in range(200):
+                yield [rng.randint(1, 6) for _ in range(width)]
+
+        probes = [most_general_probe_tuple(containee)]
+        expected = _reference_search(containee, containing, probes, bags_at)
+        assert _face(random_bag_refuter(containee, containing, 200, 6, seed)) == expected
+
+    def test_zero_multiplicities_are_dropped(self):
+        atoms = section2_q1().ground(most_general_probe_tuple(section2_q1())).body_atoms()
+        bags = list(_bags_over(atoms, 2, include_zero=True))
+        assert len(bags) == 3 ** len(atoms) - 1
+        for bag, values in zip(bags, (v for v in product(range(3), repeat=len(atoms)) if any(v))):
+            reference = BagInstance(dict(zip(atoms, values)))
+            assert bag == reference and hash(bag) == hash(reference)
+            assert len(bag) == sum(1 for value in values if value)
+            assert all(count > 0 for _, count in bag.items())
+
+    def test_facts_are_checked_once_per_probe(self, monkeypatch):
+        from repro.baselines import refuters
+        from repro.relational import instances
+
+        calls = []
+
+        def counting(check):
+            def wrapper(atom):
+                calls.append(atom)
+                return check(atom)
+
+            return wrapper
+
+        monkeypatch.setattr(refuters, "_check_fact", counting(refuters._check_fact))
+        monkeypatch.setattr(instances, "_check_fact", counting(instances._check_fact))
+        outcome = bounded_bag_refuter(*STAR, max_multiplicity=3)
+        assert not outcome.refuted and outcome.bags_checked == 3**4
+        assert len(calls) == 4  # the four grounded facts, once
+        calls.clear()
+        assert not random_bag_refuter(*STAR, trials=50, seed=0).refuted
+        assert len(calls) == 4

@@ -79,3 +79,71 @@ def test_a_wrong_factor_class_map_fails_the_replay(monkeypatch):
     monkeypatch.setattr(batch, "_factor_classes", lambda query, factors: (0, 1, 1))
     with pytest.raises(CertificateError, match="do not match a direct evaluation"):
         Session(memoize=False).decide(containee, containing)
+
+
+@pytest.fixture
+def bag_reads(monkeypatch):
+    """Count support numberings, ``Support.weights`` calls and single-fact bag reads."""
+    from repro.engine import batch
+    from repro.relational.instances import BagInstance
+
+    counts = {"numberings": 0, "weights": 0, "facts": 0}
+    number, weights, read = batch.Support.__init__, batch.Support.weights, BagInstance.__getitem__
+
+    def counting_number(self, atoms):
+        counts["numberings"] += 1
+        number(self, atoms)
+
+    def counting_weights(self, bag):
+        counts["weights"] += 1
+        return weights(self, bag)
+
+    def counting_read(self, fact):
+        counts["facts"] += 1
+        return read(self, fact)
+
+    monkeypatch.setattr(batch.Support, "__init__", counting_number)
+    monkeypatch.setattr(batch.Support, "weights", counting_weights)
+    monkeypatch.setattr(BagInstance, "__getitem__", counting_read)
+    return counts
+
+
+def test_the_replay_reads_each_bag_once_for_both_sides(bag_reads):
+    from repro.queries.parser import parse_cq
+
+    pairs = list(builtin_pairs()) + [
+        (
+            parse_cq("q1(x) <- R^3(x, a), R^3(x, b), S(a, a)"),
+            parse_cq("q2(x) <- R(x, z1), R(x, z2), S(z2, z2), R(x, z3)"),
+        )
+    ]
+    replayed = 0
+    for containee, containing in pairs:
+        result = decide_via_most_general_probe(containee, containing)
+        if result.contained:
+            continue
+        certificate = result.counterexample
+        bag_reads.update(dict.fromkeys(bag_reads, 0))
+        assert certificate.verify(containee, containing)
+        assert bag_reads == {"numberings": 1, "weights": 1, "facts": len(certificate.bag)}
+        replayed += 1
+    assert replayed >= 2
+
+
+def test_the_probe_checks_read_each_bag_once_for_both_sides(bag_reads):
+    from repro.baselines.refuters import bounded_bag_refuter, check_bag
+    from repro.core.probe_tuples import iter_probe_tuples, most_general_probe_tuple
+    from repro.workloads.paper_examples import section2_q1, section2_q2
+
+    containee, containing = section2_q1(), section2_q2()
+    outcome = bounded_bag_refuter(containee, containing, 3, all_probes=True)
+    assert not outcome.refuted
+    probes = len(list(iter_probe_tuples(containee)))
+    assert bag_reads["numberings"] == probes
+    assert bag_reads["weights"] == outcome.bags_checked
+
+    counterexample = bounded_bag_refuter(containing, containee, 2).counterexample
+    bag_reads.update(dict.fromkeys(bag_reads, 0))
+    probe = most_general_probe_tuple(containing)
+    assert check_bag(containing, containee, probe, counterexample.bag) is not None
+    assert bag_reads == {"numberings": 1, "weights": 1, "facts": len(counterexample.bag)}

@@ -9,7 +9,6 @@ from repro.engine import (
     get_backend,
     default_cache,
     get_default_backend,
-    query_fingerprint,
 )
 from repro.exceptions import ReproError
 from repro.queries.parser import parse_cq
@@ -110,35 +109,6 @@ class TestEngineCache:
         cache = EngineCache()
         text = cache.describe()
         assert "plans" in text and "indexes" in text and "results" in text
-
-
-class TestQueryFingerprint:
-    def test_invariant_under_renaming(self):
-        q1 = parse_cq("q(x) <- R(x, y), S(y)")
-        q2 = parse_cq("q(u) <- R(u, v), S(v)")
-        assert query_fingerprint(q1) == query_fingerprint(q2)
-
-    def test_distinguishes_structure(self):
-        q1 = parse_cq("q(x) <- R(x, y)")
-        q2 = parse_cq("q(x) <- R(x, x)")
-        assert query_fingerprint(q1) != query_fingerprint(q2)
-
-    def test_distinguishes_multiplicities(self):
-        q1 = parse_cq("q(x) <- R(x, y)")
-        q2 = parse_cq("q(x) <- R^2(x, y)")
-        assert query_fingerprint(q1) != query_fingerprint(q2)
-
-    def test_invariant_under_renamings_that_reorder_tied_atoms(self):
-        # The swap x<->y reverses the name-based atom order; the canonical
-        # search must still land on one fingerprint for the class.
-        q1 = parse_cq("q(x) <- R(x, y), R(y, x)")
-        q2 = q1.rename_variables({Variable("x"): Variable("b"), Variable("y"): Variable("a")})
-        assert query_fingerprint(q1) == query_fingerprint(q2)
-        q3 = parse_cq("q(u) <- R(y, u), R(z, u), R(z, x)")
-        q4 = q3.rename_variables(
-            {Variable("y"): Variable("z"), Variable("z"): Variable("y")}
-        )
-        assert query_fingerprint(q3) == query_fingerprint(q4)
 
 
 class TestBackendSelection:

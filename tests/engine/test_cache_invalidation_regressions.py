@@ -1,15 +1,20 @@
-"""Regression tests: memoised results vs invalidation, and stats under batch APIs.
+"""Regression tests: targeted invalidation, and stats under batch APIs.
 
 These pin two behaviours the fuzz runner's stats aggregation relies on:
 
-* ``EngineCache.invalidate(target)`` must be *surgical* — memoised
-  ``count``/``exists`` entries (and plans/indexes) for **other** targets
-  must survive and keep hitting;
+* ``EngineCache.invalidate(target)`` must be *surgical* — it drops that
+  target's interned index entry (with the plans bound to it) and nothing
+  else: other targets' entries, plan templates and session request memos
+  survive and keep hitting;
 * sweeps (repeated counts, one bag evaluator over many bags) must account
   their cache traffic in the same counters the one-shot calls use, so
   ``snapshot()`` deltas mean the same thing everywhere.
+
+The engine caches compiled artefacts only: ``count`` and ``exists`` never
+touch the results layer, which holds the session's request memos.
 """
 
+from repro.core.probe_tuples import most_general_probe_tuple
 from repro.engine import (
     BagBatchEvaluator,
     EngineCache,
@@ -21,6 +26,7 @@ from repro.queries.parser import parse_cq
 from repro.relational.atoms import Atom
 from repro.relational.instances import BagInstance
 from repro.relational.terms import Constant, Variable
+from repro.session import Session
 
 x, y = Variable("x"), Variable("y")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -30,8 +36,8 @@ def fresh_backend() -> InternedBackend:
     return InternedBackend(cache=EngineCache())
 
 
-class TestMemoisedResultsSurviveUnrelatedInvalidation:
-    def test_count_memo_survives_invalidating_another_target(self):
+class TestEntriesSurviveUnrelatedInvalidation:
+    def test_count_plan_survives_invalidating_another_target(self):
         backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)), Atom("R", (b, c)))
@@ -40,35 +46,56 @@ class TestMemoisedResultsSurviveUnrelatedInvalidation:
         assert backend.count(source, target) == 2
         backend.count(source, unrelated)
         dropped = backend.cache.invalidate(unrelated)
-        assert dropped >= 2  # the unrelated plan/index/result entries only
+        assert dropped == 1  # the unrelated target's index entry only
 
-        hits_before = backend.cache.result_stats.hits
+        before = backend.cache.snapshot()
         assert backend.count(source, target) == 2
-        assert backend.cache.result_stats.hits == hits_before + 1
+        delta = snapshot_delta(backend.cache.snapshot(), before)
+        # The surviving target and its bound plan are reused: no rebuild,
+        # no compile, and no answer cached anywhere.
+        assert delta == {"plans": (1, 0, 0), "indexes": (1, 0, 0), "results": (0, 0, 0)}
 
-    def test_exists_memo_survives_invalidating_another_target(self):
+    def test_exists_plan_survives_invalidating_another_target(self):
         backend = fresh_backend()
         source = (Atom("R", (x, x)),)
         target = (Atom("R", (a, a)),)
         unrelated = (Atom("S", (a, b)),)
 
         assert backend.exists(source, target)
-        backend.exists(source, unrelated)
-        backend.cache.invalidate(unrelated)
+        assert not backend.exists(source, unrelated)
+        assert backend.cache.invalidate(unrelated) == 1
 
-        hits_before = backend.cache.result_stats.hits
+        before = backend.cache.snapshot()
         assert backend.exists(source, target)
-        assert backend.cache.result_stats.hits == hits_before + 1
+        delta = snapshot_delta(backend.cache.snapshot(), before)
+        assert delta == {"plans": (1, 0, 0), "indexes": (1, 0, 0), "results": (0, 0, 0)}
 
-    def test_invalidating_the_target_itself_forces_a_recompute(self):
+    def test_invalidating_the_target_itself_forces_a_rebuild(self):
         backend = fresh_backend()
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)),)
-        backend.count(source, target)
-        backend.cache.invalidate(target)
-        misses_before = backend.cache.result_stats.misses
-        backend.count(source, target)
-        assert backend.cache.result_stats.misses == misses_before + 1
+        assert backend.count(source, target) == 1
+        assert backend.cache.invalidate(target) == 1
+        before = backend.cache.snapshot()
+        assert backend.count(source, target) == 1
+        delta = snapshot_delta(backend.cache.snapshot(), before)
+        # The target is interned again; its plan is bound again from the
+        # surviving template, which the plan layer serves without compiling.
+        assert delta["indexes"] == (0, 1, 0)
+        assert delta["plans"] == (1, 0, 0)
+
+    def test_session_memo_survives_targeted_invalidation(self):
+        session = Session()
+        containee = parse_cq("q(x, y) <- R(x, y), R(y, x)")
+        containing = parse_cq("p(x, y) <- R(x, y), R(y, z)")
+        first = session.decide(containee, containing)
+        # The one target the decision interned: the grounded containee.
+        grounded = containee.ground(most_general_probe_tuple(containee))
+        assert session.cache.invalidate(grounded.body_atoms()) == 1
+        hits_before = session.cache.result_stats.hits
+        second = session.decide(containee, containing)
+        assert session.cache.result_stats.hits == hits_before + 1
+        assert second.verdict == first.verdict
 
     def test_plan_for_unrelated_target_still_hits_after_invalidate(self):
         backend = fresh_backend()
@@ -86,17 +113,16 @@ class TestMemoisedResultsSurviveUnrelatedInvalidation:
 
 
 class TestInvalidationCoversEveryLayer:
-    """No stale verdict survives an instance mutation — in *any* layer.
+    """No stale artefact survives an instance mutation — in *any* layer.
 
     The interned backend stores its entries through the
-    ``index_entry``/``plan_entry`` hooks and tags its result memos with the
-    backend name; a targeted invalidation must sweep all three layers, and
-    propagate to an attached persistent store (covered in
-    ``test_persist.py``).
+    ``index_entry``/``plan_entry`` hooks and caches no answer: a targeted
+    invalidation drops the target's index entry, which holds every plan
+    bound to it, and leaves nothing keyed by that target behind (plan
+    templates name no target).
     """
 
     def test_interned_backend_entries_are_swept(self):
-
         cache = EngineCache()
         backend = InternedBackend(cache=cache)
         source = (Atom("R", (x, y)),)
@@ -104,19 +130,23 @@ class TestInvalidationCoversEveryLayer:
         unrelated = (Atom("R", (c, c)),)
         assert backend.count(source, target) == 2
         backend.count(source, unrelated)
+        assert cache.snapshot()["results"] == (0, 0, 0)  # no answer is cached
 
         dropped = cache.invalidate(target)
-        # The target's interned index entry, which holds its bound plans,
-        # and its result memo.
-        assert dropped == 2
+        # The target's interned index entry, which holds its bound plans.
+        assert dropped == 1
 
-        # The invalidated target recomputes (miss), the unrelated one hits.
-        misses_before = cache.result_stats.misses
+        # The invalidated target is rebuilt (miss), the unrelated one hits
+        # with its bound plan.
+        misses_before = cache.index_stats.misses
         assert backend.count(source, target) == 2
-        assert cache.result_stats.misses == misses_before + 1
-        hits_before = cache.result_stats.hits
-        backend.count(source, unrelated)
-        assert cache.result_stats.hits == hits_before + 1
+        assert cache.index_stats.misses == misses_before + 1
+        index_hits, plan_hits = cache.index_stats.hits, cache.plan_stats.hits
+        plan_misses = cache.plan_stats.misses
+        assert backend.count(source, unrelated) == 1
+        assert cache.index_stats.hits == index_hits + 1
+        assert cache.plan_stats.hits == plan_hits + 1
+        assert cache.plan_stats.misses == plan_misses
 
     def test_exotic_plan_entry_keys_do_not_crash_the_sweep(self):
         # Regression: the plans-layer predicate indexed key[1] blindly.
@@ -164,7 +194,9 @@ class TestStatsCountersUnderSweeps:
         backend.count(source, target)
         backend.count(source, target)
         delta = snapshot_delta(backend.cache.snapshot(), before)
-        assert delta["results"] == (1, 1, 0)
+        # One compile then one bound-plan reuse; one interned target then
+        # one reuse; the results layer is never consulted by the engine.
+        assert delta == {"plans": (1, 1, 0), "indexes": (1, 1, 0), "results": (0, 0, 0)}
         merged = merge_snapshots([delta, delta])
-        assert merged["results"] == (2, 2, 0)
+        assert merged == {"plans": (2, 2, 0), "indexes": (2, 2, 0), "results": (0, 0, 0)}
         assert merge_snapshots([]) == {}

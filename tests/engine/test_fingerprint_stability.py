@@ -38,12 +38,14 @@ def sample_keys():
         frozenset({x}),
     )
     result_key = (
-        "count-exists",
-        frozenset({Atom("R", (a, b))}),
-        frozenset({Atom("R", (x, y))}),
-        frozenset({(x, a)}),
-        "count",
-        "interned",
+        "session",
+        (
+            "decide",
+            frozenset({Atom("R", (a, b))}),
+            frozenset({Atom("R", (x, y))}),
+            frozenset({(x, a)}),
+            "interned",
+        ),
     )
     return {
         "plan": plan_key,

@@ -169,15 +169,17 @@ class TestBackendBehaviour:
         assert backend.count(source, target) == 1
         backend.count((Atom("S", (x, y)),), other)
         dropped = backend.cache.invalidate(target)
-        assert dropped == 2  # the target's index entry (with its bound plans) and result memo
-        # The unrelated target's result memo survives and still hits.
-        hits_before = backend.cache.result_stats.hits
+        assert dropped == 1  # the target's index entry, with its bound plans
+        # The unrelated target and its bound plan survive and still hit.
+        index_hits, plan_hits = backend.cache.index_stats.hits, backend.cache.plan_stats.hits
         assert backend.count((Atom("S", (x, y)),), other) == 1
-        assert backend.cache.result_stats.hits == hits_before + 1
+        assert backend.cache.index_stats.hits == index_hits + 1
+        assert backend.cache.plan_stats.hits == plan_hits + 1
 
-    def test_result_memos_are_backend_private(self):
+    def test_backends_sharing_a_cache_compute_independently(self):
         # Two backends sharing one cache must not serve each other's
         # count/exists results — the differential oracle depends on it.
+        # No answer is cached at all, so each call runs its own executor.
         class Twin(InternedBackend):
             name = "twin"
 
@@ -187,9 +189,12 @@ class TestBackendBehaviour:
         source = (Atom("R", (x, y)),)
         target = (Atom("R", (a, b)), Atom("R", (a, c)))
         assert twin.count(source, target) == 2
-        misses_before = cache.result_stats.misses
+        assert twin.exists(source, target)
+        executions = interned.stats.executions
         assert interned.count(source, target) == 2
-        assert cache.result_stats.misses == misses_before + 1  # not a shared hit
+        assert interned.exists(source, target)
+        assert interned.stats.executions == executions + 2  # not shared hits
+        assert cache.snapshot()["results"] == (0, 0, 0)
 
     def test_arity_zero_atoms(self):
         backend = fresh_backend()

@@ -9,29 +9,37 @@ all) degrades to a *counted* miss, never a wrong answer or an exception.
 
 import pickle
 import sqlite3
+import time
 
 import pytest
 
-from repro.engine import EngineCache, InternedBackend
+from repro.cli import main
+from repro.core.probe_tuples import most_general_probe_tuple
+from repro.engine import EngineCache, persistent_digest
 from repro.engine.persist import MISS, PersistentCache
+from repro.queries.parser import parse_cq
 from repro.relational.atoms import Atom
 from repro.relational.terms import Constant, Variable
+from repro.session import Session
 
 x, y = Variable("x"), Variable("y")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
 
-def result_key(target, mode="count"):
-    return ("count-exists", target, frozenset({Atom("R", (x, y))}), frozenset(), mode, "interned")
+def memo_key(target):
+    """A session decision-memo key carrying a structured component."""
+    return ("session", ("decide", target, "q1", "q2"))
 
 
 TARGET = frozenset({Atom("R", (a, b)), Atom("R", (b, c))})
+CONTAINEE = parse_cq("q1(x, y) <- R(x, y), R(y, x)")
+CONTAINING = parse_cq("q2(x, y) <- R(x, y), R(y, z)")
 
 
 class TestRoundTrip:
     def test_result_row_round_trips(self, tmp_path):
         store = PersistentCache(tmp_path / "store.db", backend="interned")
-        key = result_key(TARGET)
+        key = memo_key(TARGET)
         assert store.load("results", key) is MISS
         assert store.stats.misses == 1
         assert store.store("results", key, {"payload": 42})
@@ -59,7 +67,7 @@ class TestRoundTrip:
 class TestFingerprintComponentMismatchIsAMiss:
     def test_backend_mismatch(self, tmp_path):
         path = tmp_path / "store.db"
-        key = result_key(TARGET)
+        key = memo_key(TARGET)
         with PersistentCache(path, backend="naive") as writer:
             writer.store("results", key, 2)
         with PersistentCache(path, backend="interned") as reader:
@@ -86,8 +94,8 @@ class TestFingerprintComponentMismatchIsAMiss:
         store = PersistentCache(tmp_path / "store.db")
         target = frozenset({Atom("R", (a, b))})
         other = frozenset({Atom("R", (b, a))})
-        store.store("results", result_key(target), 1)
-        assert store.load("results", result_key(other)) is MISS
+        store.store("results", memo_key(target), 1)
+        assert store.load("results", memo_key(other)) is MISS
         store.close()
 
 
@@ -110,6 +118,17 @@ class TestEligibility:
     def test_index_layer_never_persists(self, tmp_path):
         store = PersistentCache(tmp_path / "store.db")
         assert not store.store("indexes", frozenset({Atom("R", (a, b))}), "index")
+        assert store.info()["entries"] == 0
+        store.close()
+
+    def test_engine_answer_keys_never_persist(self, tmp_path):
+        # The engine caches no count/exists answers; a key of the layout it
+        # once wrote is ineligible, in and out.
+        key = ("count-exists", TARGET, frozenset({Atom("R", (x, y))}), frozenset(), "count", "interned")
+        store = PersistentCache(tmp_path / "store.db")
+        assert not store.store("results", key, 2)
+        assert store.load("results", key) is MISS
+        assert store.stats.lookups == 0
         assert store.info()["entries"] == 0
         store.close()
 
@@ -162,20 +181,6 @@ class TestCorruptionTolerance:
 
 
 class TestInvalidation:
-    def test_invalidate_target_drops_matching_rows_only(self, tmp_path):
-        store = PersistentCache(tmp_path / "store.db")
-        target = frozenset({Atom("R", (a, b))})
-        other = frozenset({Atom("R", (b, c))})
-        store.store("results", result_key(target, "exists"), True)
-        store.store("results", result_key(target), 3)
-        store.store("results", result_key(other), "survivor")
-        assert store.invalidate_target(target) == 2
-        assert store.load("results", result_key(target, "exists")) is MISS
-        assert store.load("results", result_key(target)) is MISS
-        assert store.load("results", result_key(other)) == "survivor"
-        assert store.stats.invalidated == 2
-        store.close()
-
     def test_clear_and_vacuum_and_info(self, tmp_path):
         store = PersistentCache(tmp_path / "store.db")
         store.store("results", ("session", ("memo",)), "value")
@@ -190,59 +195,50 @@ class TestInvalidation:
 
 
 class TestEngineCacheIntegration:
-    def test_backend_memos_warm_across_caches(self, tmp_path):
+    def test_decision_memos_warm_across_sessions(self, tmp_path):
         path = tmp_path / "store.db"
-        source = (Atom("R", (x, y)),)
-        target = (Atom("R", (a, b)), Atom("R", (b, c)))
 
-        cold_cache = EngineCache()
-        cold_cache.attach_persistent(PersistentCache(path, backend="interned"))
-        cold = InternedBackend(cache=cold_cache)
-        assert cold.count(source, target) == 2
-        assert cold_cache.persistent.stats.stores == 1  # the memo; plans never persist
-        cold_cache.persistent.close()
+        cold = Session(persist_path=path)
+        verdict = cold.decide(CONTAINEE, CONTAINING).verdict
+        assert cold.persistent.stats.stores == 1  # the memo; plans never persist
+        cold.close()
 
-        warm_cache = EngineCache()
-        warm_cache.attach_persistent(PersistentCache(path, backend="interned"))
-        warm = InternedBackend(cache=warm_cache)
-        assert warm.count(source, target) == 2
-        assert warm_cache.persistent.stats.hits == 1
+        warm = Session(persist_path=path)
+        assert warm.decide(CONTAINEE, CONTAINING).verdict == verdict
+        assert warm.persistent.stats.hits == 1
         # A persistent hit is still an in-memory miss: the layer counters
         # keep measuring this process's working set.
-        assert warm_cache.result_stats.misses == 1
-        assert warm_cache.result_stats.hits == 0
-        warm_cache.persistent.close()
+        assert warm.cache.result_stats.misses == 1
+        assert warm.cache.result_stats.hits == 0
+        warm.close()
 
-    def test_invalidate_propagates_to_the_store(self, tmp_path):
+    def test_targeted_invalidation_leaves_the_store_alone(self, tmp_path):
         path = tmp_path / "store.db"
-        source = (Atom("R", (x, y)),)
-        target = (Atom("R", (a, b)),)
 
-        cache = EngineCache()
-        cache.attach_persistent(PersistentCache(path, backend="interned"))
-        backend = InternedBackend(cache=cache)
-        backend.count(source, target)
-        assert cache.invalidate(target) > 0
-        cache.persistent.close()
+        session = Session(persist_path=path)
+        session.decide(CONTAINEE, CONTAINING)
+        # The one target the decision interned: the grounded containee.
+        grounded = CONTAINEE.ground(most_general_probe_tuple(CONTAINEE))
+        assert session.cache.invalidate(grounded.body_atoms()) == 1
+        assert session.persistent.stats.invalidated == 0
+        assert session.persistent.info()["entries"] == 1
+        session.close()
 
-        # A fresh process must not see any row for the invalidated target.
-        fresh = EngineCache()
-        fresh.attach_persistent(PersistentCache(path, backend="interned"))
-        rebuilt = InternedBackend(cache=fresh)
-        stats = fresh.persistent.stats
-        assert rebuilt.count(source, target) == 1
-        assert stats.hits == 0
-        fresh.persistent.close()
+        # A fresh process still answers the request from the store: its
+        # memo is keyed by the request, not by a target.
+        fresh = Session(persist_path=path)
+        fresh.decide(CONTAINEE, CONTAINING)
+        assert fresh.persistent.stats.hits == 1
+        fresh.close()
 
     def test_invalidate_all_clears_the_store_too(self, tmp_path):
         path = tmp_path / "store.db"
-        cache = EngineCache()
-        cache.attach_persistent(PersistentCache(path, backend="interned"))
-        backend = InternedBackend(cache=cache)
-        backend.count((Atom("R", (x, y)),), (Atom("R", (a, b)),))
-        assert cache.invalidate() > 0
-        assert cache.persistent.info()["entries"] == 0
-        cache.persistent.close()
+        session = Session(persist_path=path)
+        session.decide(CONTAINEE, CONTAINING)
+        assert session.persistent.info()["entries"] == 1
+        assert session.cache.invalidate() > 0
+        assert session.persistent.info()["entries"] == 0
+        session.close()
 
     def test_invalidate_survives_non_tuple_plan_entry_keys(self, tmp_path):
         # Regression: the plans-layer sweep used to index key[1]
@@ -259,12 +255,13 @@ class TestEngineCacheIntegration:
         cache = EngineCache()
         store = PersistentCache(path, backend="interned")
         cache.attach_persistent(store)
-        backend = InternedBackend(cache=cache)
-        backend.count((Atom("R", (x, y)),), (Atom("R", (a, b)),))
+        key = memo_key(TARGET)
+        assert cache.result(key, lambda: "verdict") == "verdict"
+        assert store.stats.stores == 1
         cache.attach_persistent(None)
         lookups_before = store.stats.lookups
         cache.clear()
-        backend.count((Atom("R", (x, y)),), (Atom("R", (a, b)),))
+        assert cache.result(key, lambda: "recomputed") == "recomputed"
         assert store.stats.lookups == lookups_before
         store.close()
 
@@ -395,3 +392,90 @@ class TestAccessedColumnMigration:
             assert store.prune_age(1.0) == 1
             assert store.load("results", ("session", ("memo",))) is MISS
             assert store.stats.errors == 0
+
+
+class TestStoresWithATargetColumn:
+    """Stores whose rows once carried a target digest still open and serve.
+
+    Such a store has a ``target`` column, an index on it and
+    ``count``/``exists`` answer rows next to its session rows.  The
+    session rows must keep hitting, new rows must still be written, and the
+    maintenance commands must still work; the answer rows are never read.
+    """
+
+    DDL = (
+        "CREATE TABLE entries ("
+        " layer TEXT NOT NULL, key TEXT NOT NULL, backend TEXT NOT NULL,"
+        " limits TEXT NOT NULL, schema INTEGER NOT NULL,"
+        " target TEXT NOT NULL DEFAULT '', value BLOB NOT NULL,"
+        " created REAL NOT NULL, accessed REAL NOT NULL DEFAULT 0,"
+        " PRIMARY KEY (layer, key, backend, limits, schema))",
+        "CREATE INDEX entries_target ON entries(target)",
+    )
+
+    def store_with_target_column(self, tmp_path):
+        """The session row of CONTAINEE ⊑ CONTAINING plus three answer rows."""
+        fresh = tmp_path / "fresh.db"
+        session = Session(persist_path=fresh)
+        session.decide(CONTAINEE, CONTAINING)
+        session.close()
+        with sqlite3.connect(fresh) as source:
+            (row,) = source.execute(
+                "SELECT layer, key, backend, limits, schema, value, created FROM entries"
+            ).fetchall()
+        path = tmp_path / "store.db"
+        with sqlite3.connect(path) as raw:
+            for statement in self.DDL:
+                raw.execute(statement)
+            raw.execute(
+                "INSERT INTO entries (layer, key, backend, limits, schema, target, value, created)"
+                " VALUES (?, ?, ?, ?, ?, '', ?, ?)",
+                row,
+            )
+            _, _, backend, limits, schema, _, _ = row
+            for index, target in enumerate((TARGET, frozenset({Atom("R", (c, c))}))):
+                for mode in ("count", "exists")[: 2 - index]:
+                    key = ("count-exists", target, frozenset({Atom("R", (x, y))}), frozenset(), mode, backend)
+                    raw.execute(
+                        "INSERT INTO entries"
+                        " (layer, key, backend, limits, schema, target, value, created)"
+                        " VALUES ('results', ?, ?, ?, ?, ?, ?, ?)",
+                        (
+                            persistent_digest(key),
+                            backend,
+                            limits,
+                            schema,
+                            persistent_digest(target),
+                            pickle.dumps(2),
+                            time.time() - 3600.0,
+                        ),
+                    )
+        return path
+
+    def test_session_rows_still_hit_and_new_rows_are_written(self, tmp_path):
+        path = self.store_with_target_column(tmp_path)
+        expected = Session().decide(CONTAINEE, CONTAINING)
+        session = Session(persist_path=path)
+        outcome = session.decide(CONTAINEE, CONTAINING)
+        assert outcome.verdict == expected.verdict
+        assert repr(outcome.certificate) == repr(expected.certificate)
+        stats = session.persistent.stats
+        assert (stats.hits, stats.misses, stats.errors) == (1, 0, 0)
+        session.decide(parse_cq("q3(x, y) <- R(x, y), R(x, x)"), CONTAINING)
+        assert (stats.stores, stats.errors) == (1, 0)
+        assert session.persistent.info()["entries"] == 5
+        session.close()
+
+    def test_cache_info_and_prune_lru_still_work(self, tmp_path, capsys):
+        path = self.store_with_target_column(tmp_path)
+        assert main(["cache", "info", str(path)]) == 0
+        assert "entries: 4" in capsys.readouterr().out
+        # The session row is the newest; the three answer rows go.
+        assert main(["cache", "vacuum", str(path), "--prune-lru", "1"]) == 0
+        assert "3 entries pruned, vacuumed" in capsys.readouterr().out
+        assert main(["cache", "info", str(path)]) == 0
+        assert "entries: 1" in capsys.readouterr().out
+        session = Session(persist_path=path)
+        session.decide(CONTAINEE, CONTAINING)
+        assert session.persistent.stats.hits == 1
+        session.close()

@@ -151,8 +151,8 @@ class TestTwoProcessesOneStore:
         try:
             blocker.execute("BEGIN IMMEDIATE")
             blocker.execute(
-                "INSERT INTO entries (layer, key, backend, limits, schema, target, value, created) "
-                "VALUES ('results', 'uncommitted', 'interned', '', 1, '', x'00', 0)"
+                "INSERT INTO entries (layer, key, backend, limits, schema, value, created) "
+                "VALUES ('results', 'uncommitted', 'interned', '', 1, x'00', 0)"
             )
             reader = PersistentCache(store_path)
             assert reader.load("results", ("session", ("committed",))) == "visible"

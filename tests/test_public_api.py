@@ -90,7 +90,9 @@ class TestRetiredNames:
 
         assert not hasattr(repro.session, name)
 
-    @pytest.mark.parametrize("name", ["use_backend", "set_default_backend", "register_backend"])
+    @pytest.mark.parametrize(
+        "name", ["use_backend", "set_default_backend", "register_backend", "query_fingerprint"]
+    )
     def test_retired_name_is_absent_from_the_engine_package(self, name):
         import repro.engine
 
